@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -67,7 +68,16 @@ class Report:
     path: str
 
     def as_dict(self) -> dict:
-        return {"query": self.query, "count": str(self.count), "path": self.path}
+        return {"query": self.query, "count": _exact_str(self.count),
+                "path": self.path}
+
+
+def _exact_str(value) -> str:
+    """Decimal string of a count of any size."""
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return str(decimal.Decimal(value))
 
 
 def _build_stat(args) -> Statistic:
@@ -250,7 +260,7 @@ def cmd_count(args) -> int:
     if args.format == "json":
         print(json.dumps(report.as_dict()))
     else:
-        print(count)
+        print(_exact_str(count))
     return 0
 
 
@@ -323,11 +333,14 @@ def cmd_table(args) -> int:
                     r["rooted"], r["unlabelled"], r["asymmetric"]]
     else:
         m_lo, m_hi = _parse_m_range(args.m_range)
+        if m_lo > m_hi or args.p_max < 0:
+            raise UsageError(
+                f"empty table: --m-range {args.m_range} --p-max {args.p_max}")
         rows = _table3_rows(m_lo, m_hi, args.p_max)
         header = ["m", "p", "n", "unlabelled", "asymmetric", "gonal"]
         def cells(r):
             return [r[h] for h in header]
-    table = [[str(c) for c in cells(r)] for r in rows]
+    table = [[_exact_str(c) for c in cells(r)] for r in rows]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -370,6 +383,8 @@ def cmd_series(args) -> int:
     if args.order < 1 or args.order > bound:
         raise oracle.BudgetExceeded(
             f"--order must be within 1..{bound} for this target")
+    if args.color is not None and not 1 <= args.color <= args.m:
+        raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{args.m}")
     if one_sort:
         if args.target == "planted":
             out = series.solve_one_sort(args.m, args.order)

@@ -1,8 +1,8 @@
 """Truncated formal power series solving the cactus functional equations.
 
 This is the second, independent computation path: the planted generating
-series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j), and from
-their fixed point the rooted, pointed and plain unlabelled series follow.
+series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
+degree by degree, they give the rooted, pointed and plain unlabelled series.
 Coefficients are exact (ints, Fractions in intermediate log computations,
 or integer polynomials in degree markers r_ih for the weighted variant) and
 truncation is by total degree: every monomial of a p-polygon cactus has
@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .arith import euler_phi
+from .stats import ValidationError
 
 
 class CoherenceViolation(ValueError):
@@ -193,9 +194,6 @@ class Series:
             by_deg.setdefault(sum(e), {})[e] = c
         return by_deg
 
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
 
 def zero(nvars: int, bound: int) -> Series:
     return Series(nvars, bound, {})
@@ -210,16 +208,27 @@ def variable(nvars: int, bound: int, var: int) -> Series:
     return Series(nvars, bound, {e: 1})
 
 
+def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int) -> dict:
+    """Degree-d part of a product, both factors given as degree -> part."""
+    out: dict[tuple[int, ...], Coeff] = {}
+    for da, part_a in a.items():
+        part_b = b.get(d - da)
+        if not part_b:
+            continue
+        for ea, ca in part_a.items():
+            for eb, cb in part_b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
 def geometric(s: Series) -> Series:
     """1 / (1 - s) for a series with zero constant term."""
     assert s[(0,) * s.nvars] == 0, "geometric needs zero constant term"
-    one = const(s.nvars, s.bound, 1)
-    out = one
-    for _ in range(s.bound):
-        nxt = one + s * out
-        if nxt == out:
-            break
-        out = nxt
+    out = power = const(s.nvars, s.bound, 1)
+    for _ in range(s.bound):  # s^k starts at degree k
+        power = power * s
+        out = out + power
     return out
 
 
@@ -237,22 +246,14 @@ def log_geometric(s: Series) -> Series:
                 for deg, part in s_parts.items()}
     t_parts: dict[int, dict[tuple[int, ...], Coeff]] = {}
     for deg in range(1, s.bound + 1):
-        part = dict(es_parts.get(deg, {}))
-        for a, s_part in s_parts.items():
-            lower = t_parts.get(deg - a)
-            if not lower or a < 1:
-                continue
-            for ea, ca in s_part.items():
-                for eb, cb in lower.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    part[e] = part.get(e, 0) + ca * cb
+        part = _product_part(s_parts, t_parts, deg)
+        for e, c in es_parts.get(deg, {}).items():
+            part[e] = part.get(e, 0) + c
         t_parts[deg] = part
     out: dict[tuple[int, ...], Coeff] = {}
     for deg, part in t_parts.items():
         for e, c in part.items():
-            value = Fraction(c, deg) if isinstance(c, int) else c / deg
-            if value:
-                out[e] = value
+            out[e] = Fraction(c, deg) if isinstance(c, int) else c / deg
     return Series(s.nvars, s.bound, out)
 
 
@@ -267,54 +268,72 @@ class PlantedFamily:
 
     def hat(self, i: int) -> Series:
         """Product of all planted series except the one of 1-based color i."""
-        out = const(self.m, self.order, 1)
+        out = const(self.series[0].nvars, self.order, 1)
         for j, s in enumerate(self.series, start=1):
             if j != i:
                 out = out * s
         return out
 
 
+def _solve(m: int, order: int, nvars: int,
+           weighted: bool = False) -> tuple[Series, ...]:
+    """The m planted series, built part by part in increasing total degree.
+
+    A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
+    H_i^(h-1) when weighted, and H_i = prod_{j != i} A_j starts at degree
+    m - 1, so the degree-d part of B_i needs only lower parts.  With nvars = 1
+    every color is graded by one x and shares one series, solved once.
+    """
+    if m < 2 or order < 1:
+        raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
+    one = {0: {(0,) * nvars: 1}}
+    a: list[dict] = [{} for _ in range(nvars)]  # degree -> part of A_i
+    b = [{0: {(0,) * nvars: MarkerPoly.marker(i + 1, 1) if weighted else 1}}
+         for i in range(nvars)]
+    # Color j has series j % nvars.  left[k] = A_0 ... A_{k-1} and right[k] =
+    # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1].
+    left = [one, a[0]] + [{} for _ in range(2, nvars)]
+    right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars], one]
+    hats: list[dict] = [{} for _ in range(nvars)]
+    powers = [[one] + [{} for _ in range(order // (m - 1))] for _ in range(nvars)]
+    for d in range(1, order + 1):
+        for i in range(nvars):
+            a[i][d] = {tuple(x + (v == i) for v, x in enumerate(e)): c
+                       for e, c in b[i][d - 1].items()}
+        if d == order:
+            break
+        for k in range(2, nvars):
+            left[k][d] = _product_part(left[k - 1], a[k - 1], d)
+        for k in range(m - 2, 0, -1):
+            right[k][d] = _product_part(a[k % nvars], right[k + 1], d)
+        for i, hat in enumerate(hats):
+            hat[d] = _product_part(left[i], right[i + 1], d)
+            if not weighted:
+                b[i][d] = _product_part(hat, b[i], d)
+                continue
+            part = b[i][d] = {}
+            for k in range(1, d // (m - 1) + 1):  # H_i^k starts at degree k(m-1)
+                powers[i][k][d] = _product_part(powers[i][k - 1], hat, d)
+                marker = MarkerPoly.marker(i + 1, k + 1)
+                for e, c in powers[i][k][d].items():
+                    part[e] = part.get(e, 0) + marker * c
+    solved = tuple(Series(nvars, order, {e: c for part in ai.values()
+                                         for e, c in part.items()}) for ai in a)
+    return solved * (m // nvars)
+
+
 def solve_planted(m: int, order: int, weighted: bool = False) -> PlantedFamily:
-    """Fixed point of the planted equations, exact to the truncation order.
+    """The planted series, exact to the truncation order.
 
     Unweighted: A_i = x_i / (1 - hat(A_i)).  Weighted: A_i = x_i * sum_{h>=1}
     r[i,h] * hat(A_i)^(h-1), where r[i,h] marks a color-i vertex of degree h.
-    Each sweep extends correctness by at least one degree, so at most `order`
-    sweeps reach stationarity.
     """
-    assert m >= 2 and order >= 1
-    family = tuple(variable(m, order, i) for i in range(m))
-    for _ in range(order):
-        updated = []
-        for i in range(m):
-            hat = const(m, order, 1)
-            for j in range(m):
-                if j != i:
-                    hat = hat * family[j]
-            if weighted:
-                body = zero(m, order)
-                power = const(m, order, 1)
-                h = 1
-                while power.coeffs:
-                    body = body + power.scale(MarkerPoly.marker(i + 1, h))
-                    power = power * hat
-                    h += 1
-            else:
-                body = geometric(hat)
-            updated.append(body.shift(i))
-        updated = tuple(updated)
-        if updated == family:
-            break
-        family = updated
-    return PlantedFamily(m, order, weighted, family)
+    return PlantedFamily(m, order, weighted, _solve(m, order, m, weighted))
 
 
 def series_rooted(family: PlantedFamily) -> Series:
     """Rooted cacti: the product of all planted series."""
-    out = const(family.m, family.order, 1)
-    for s in family.series:
-        out = out * s
-    return out
+    return family.hat(1) * family.series[0]
 
 
 def series_pointed_unlabelled(family: PlantedFamily, color: int,
@@ -327,14 +346,14 @@ def series_pointed_unlabelled(family: PlantedFamily, color: int,
     order = family.order if order is None else order
     assert order <= family.order
     hat = family.hat(color)
-    inner = const(family.m, order - 1, 1)
+    inner = const(hat.nvars, order - 1, 1)
     d = 1
     while d * (family.m - 1) <= order - 1:
-        sub = Series(family.m, order - 1, hat.power_substitute(d).coeffs)
-        term = log_geometric(sub).scale(Fraction(euler_phi(d), d))
-        inner = inner + term
+        sub = Series(hat.nvars, order - 1, hat.power_substitute(d).coeffs)
+        inner = inner + log_geometric(sub).scale(Fraction(euler_phi(d), d))
         d += 1
-    return Series(family.m, order, inner.coeffs).shift(color - 1)
+    var = color - 1 if hat.nvars > 1 else 0
+    return Series(hat.nvars, order, inner.coeffs).shift(var)
 
 
 def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:
@@ -345,42 +364,20 @@ def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:
     same combination collapsed, minus (m-1)x so the single-vertex cactus is
     counted once rather than once per color.
     """
+    family = PlantedFamily(m, order, False, _solve(m, order, 1 if one_sort else m))
     if one_sort:
-        a = solve_one_sort(m, order)
-        x = variable(1, order, 0)
-        hat = const(1, order, 1)
-        for _ in range(m - 1):
-            hat = hat * a
-        inner = const(1, order - 1, 1)
-        d = 1
-        while d * (m - 1) <= order - 1:
-            sub = Series(1, order - 1, hat.power_substitute(d).coeffs)
-            inner = inner + log_geometric(sub).scale(Fraction(euler_phi(d), d))
-            d += 1
-        pointed = Series(1, order, inner.coeffs).shift(0).scale(m)
-        rooted = a - x
-        return pointed - rooted.scale(m - 1) - x.scale(m - 1)
-    family = solve_planted(m, order)
-    out = zero(m, order)
-    for color in range(1, m + 1):
-        out = out + series_pointed_unlabelled(family, color)
-    return out - series_rooted(family).scale(m - 1)
+        pointed = (series_pointed_unlabelled(family, 1).scale(m)
+                   - variable(1, order, 0).scale(m - 1))
+    else:
+        pointed = zero(m, order)
+        for color in range(1, m + 1):
+            pointed = pointed + series_pointed_unlabelled(family, color)
+    return pointed - series_rooted(family).scale(m - 1)
 
 
 def solve_one_sort(m: int, order: int) -> Series:
     """Univariate planted series A with A = x + A^m."""
-    assert m >= 2 and order >= 1
-    x = variable(1, order, 0)
-    a = x
-    for _ in range(order):
-        power = a
-        for _ in range(m - 1):
-            power = power * a
-        nxt = x + power
-        if nxt == a:
-            break
-        a = nxt
-    return a
+    return _solve(m, order, 1)[0]
 
 
 def geometric_coefficients(order: int) -> list[int]:

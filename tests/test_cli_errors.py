@@ -1,0 +1,59 @@
+"""Usage errors exit 2 with a one-line diagnostic, and counts of any size print."""
+
+import decimal
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cacti
+from cacti import cli
+from cacti import formulas as F
+from cacti import stats
+
+USAGE_ERRORS = [
+    ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "0"],
+    ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "-1"],
+    ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "4"],
+    ["series", "--m", "1", "--order", "3", "--target", "rooted"],
+    ["series", "--m", "1", "--order", "3", "--target", "rooted", "--one-sort"],
+    ["table", "3", "--p-max", "-1"],
+    ["table", "3", "--m-range", "5..2"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_exits_2(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_usage_errors_exit_2_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in USAGE_ERRORS:
+        result = subprocess.run([sys.executable, "-O", "-m", "cacti.cli", *argv],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 2, argv
+        assert result.stdout == "", argv
+        assert result.stderr.startswith("error: "), argv
+        assert "Traceback" not in result.stderr, argv
+
+
+def test_counts_past_the_int_to_str_limit_print(capsys):
+    code = cli.main(["count", "--m", "2", "--p", "10000", "--mode", "rooted"])
+    out = capsys.readouterr().out.strip()
+    assert code == 0 and len(out) > 4300
+    assert int(decimal.Decimal(out)) == F.count_rooted(stats.size_stat(2, 10000))
+    code = cli.main(["count", "--m", "2", "--p", "2000", "--mode", "labelled",
+                     "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(payload["count"]) > 4300
+    assert (int(decimal.Decimal(payload["count"]))
+            == F.count_labelled(stats.size_stat(2, 2000)))
