@@ -3,7 +3,9 @@
 
 Exhaustively generates small cacti and compares every count against the
 closed forms, then checks the truncated series coefficients against the
-formulas up to a total degree.  Exits nonzero on the first mismatch.
+formulas up to a total degree.  Exits nonzero on the first mismatch.  The
+exhaustive sweep covers the oracle's whole generation budget unless
+--budgets narrows it.
 
 Usage: python scripts/crosscheck.py [--degree 10] [--budgets "2:6,3:4,4:3"]
 """
@@ -28,7 +30,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degree", type=int, default=10,
                         help="series agreement bound (total degree)")
-    parser.add_argument("--budgets", default="2:6,3:4,4:3",
+    parser.add_argument("--budgets", default=",".join(
+                            f"{m}:{p}" for m, p in oracle.GEN_BUDGET.items()),
                         help="m:p_max pairs for the exhaustive sweep")
     args = parser.parse_args()
     start = time.perf_counter()

@@ -32,7 +32,6 @@ from .formulas import (
 from .stats import (
     ColorStat,
     DegreeStat,
-    Params,
     SizeStat,
     Statistic,
     color_marginal,
@@ -49,7 +48,6 @@ __all__ = [
     "GonalKind",
     "ColorStat",
     "DegreeStat",
-    "Params",
     "SizeStat",
     "Statistic",
     "aut_reciprocal_sum",

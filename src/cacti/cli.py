@@ -237,10 +237,10 @@ def cmd_count(args) -> int:
     compute = {"formula": _count_formula, "series": _count_series,
                "oracle": _count_oracle}[args.path]
     count = compute(args.mode, stat, args)
-    if args.check:
+    if args.check and args.path != args.check:
         other = _count_oracle(args.mode, stat, args)
         if other != count:
-            print(f"MISMATCH: formula gives {count}, oracle gives {other}",
+            print(f"MISMATCH: {args.path} gives {count}, oracle gives {other}",
                   file=sys.stderr)
             return 1
     query = {"mode": args.mode, "m": args.m}

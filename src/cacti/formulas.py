@@ -18,7 +18,7 @@ into asymmetric / exact-order counts.
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), all other counts are 1.  Every
 division in the formulas below cancels exactly; a failed conversion to int
-would signal an implementation bug, hence the hard assertion.
+would signal an implementation bug, hence `InconsistentResult`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .arith import (
 from .stats import (
     ColorStat,
     DegreeStat,
+    InconsistentResult,
     SizeStat,
     Statistic,
     ValidationError,
@@ -82,7 +83,8 @@ class NonPositiveP(ValueError):
 
 
 def _exact(value: Fraction, context: str) -> int:
-    assert value.denominator == 1, f"non-integral {context}: {value}"
+    if value.denominator != 1:
+        raise InconsistentResult(f"non-integral {context}: {value}")
     return int(value)
 
 

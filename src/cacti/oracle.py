@@ -3,10 +3,14 @@
 A planted cactus (a vertex with a dangling half-edge pair) is rigid, so the
 recursive representation below is canonical: two planted cacti are equal as
 Python values iff they are isomorphic.  A rooted cactus is the m-tuple of
-planted cacti hanging off its root polygon's vertices.  Unrooted counting
-therefore reduces to grouping rooted encodings by their minimum over all
-re-rootings: a class with automorphism group of order a has exactly p/a
-distinct rootings.
+planted cacti hanging off its root polygon's vertices.  An isomorphism
+class of unrooted cacti is therefore the orbit of a rooted cactus under
+re-rooting at each of its p polygons, and a class with automorphism group
+of order a has exactly p/a distinct rootings.  `enumerate_unlabelled` walks
+the generated rooted cacti in encoding order and expands each one not yet
+seen into its orbit, so every class is handled once and is represented by
+its least rooting.  `canonical_unrooted` keys a single cactus by that least
+rooting directly; it is the reference the orbit pass is tested against.
 
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
@@ -26,7 +30,7 @@ from .formulas import AutMode
 from .stats import (
     ColorStat,
     DegreeStat,
-    Params,
+    InconsistentResult,
     ValidationError,
     color_stat,
     degree_stat,
@@ -77,7 +81,6 @@ class CactusGraph:
 
 @dataclass(frozen=True)
 class CactusStats:
-    params: Params
     colors: ColorStat
     degrees: DegreeStat
     aut_order: int
@@ -284,19 +287,43 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
     The automorphism order is p divided by the number of distinct rootings
     of the class, which is valid because rooted cacti are rigid.
     """
-    groups: dict[str, list[Rooted]] = {}
-    for rc in generate_rooted(m, p):
-        key = canonical_unrooted(to_graph(rc))
-        groups.setdefault(key, []).append(rc)
+    return _orbit_classes(p, generate_rooted(m, p))
+
+
+def _orbit_classes(p: int,
+                   rooted: list[Rooted]) -> list[tuple[Rooted, CactusStats]]:
+    """Classes of `rooted`, all rooted cacti with p polygons in encoding order.
+
+    Each cactus not yet seen is re-rooted at every polygon and the positions
+    of its re-rootings are marked.  The first member of an orbit met in the
+    walk is its least rooting, so classes come out sorted by that rooting.
+    """
+    position = {rc: i for i, rc in enumerate(rooted)}
+    seen = bytearray(len(rooted))
     out = []
-    for key in sorted(groups):
-        members = groups[key]
-        assert p % len(members) == 0, "rooting orbit size must divide p"
-        aut = p // len(members)
-        rep = next(rc for rc in members if encode_rooted(rc) == key)
-        colors, degrees = graph_stats(to_graph(rep))
-        out.append((rep, CactusStats(Params(m, p, (m - 1) * p + 1),
-                                     colors, degrees, aut)))
+    for i, rc in enumerate(rooted):
+        if seen[i]:
+            continue
+        g = to_graph(rc)
+        orbit = set()
+        for pid in range(len(g.polygons)):
+            j = position.get(re_root(g, pid))
+            if j is None or seen[j]:
+                raise InconsistentResult(
+                    f"re-rooting {encode_rooted(rc)} at polygon {pid} gives a "
+                    "cactus that was not generated or lies in an earlier orbit")
+            orbit.add(j)
+        if p % len(orbit):
+            raise InconsistentResult(
+                f"{len(orbit)} rootings of {encode_rooted(rc)} "
+                f"do not divide p = {p}")
+        for j in orbit:
+            seen[j] = 1
+        colors, degrees = graph_stats(g)
+        out.append((rc, CactusStats(colors, degrees, p // len(orbit))))
+    if not all(seen):
+        raise InconsistentResult(
+            f"{seen.count(0)} rooted cacti lie in no re-rooting orbit")
     return out
 
 
@@ -311,14 +338,10 @@ def _pointed_key(g: CactusGraph, v: int) -> str:
     Pointing removes the linear order at v, so the incident polygons are
     only cyclically ordered: minimize over rotations.
     """
-    inc = g.vertex_polys[v]
-    variants = []
-    for r in range(len(inc)):
-        parts = ["[" + ",".join(encode_planted(s)
-                                for s in _polygon_from(g, v, q)) + "]"
-                 for q in inc[r:] + inc[:r]]
-        variants.append(f"{g.colors[v]}<" + "".join(parts) + ">")
-    return min(variants)
+    parts = ["[" + ",".join(map(encode_planted, _polygon_from(g, v, q))) + "]"
+             for q in g.vertex_polys[v]]
+    return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"
+               for r in range(len(parts)))
 
 
 def count_pointed_orbits(g: CactusGraph, color: int) -> int:
@@ -375,13 +398,13 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     sigma = tuple((i + 1) % p for i in range(p))
     identity = tuple(range(p))
     census: dict[tuple[CycleType, ...], int] = {}
-    all_perms = list(permutations(range(p)))
-    for gs in product(all_perms, repeat=m - 1):
+    cycle_types = {g: _cycle_type(g) for g in permutations(range(p))}
+    for gs in product(cycle_types, repeat=m - 1):
         acc = identity
         for g in gs:
             acc = _compose(acc, g)
         last = _compose(_inverse(acc), sigma)
-        key = tuple(_cycle_type(g) for g in gs) + (_cycle_type(last),)
+        key = tuple(cycle_types[g] for g in gs) + (cycle_types[last],)
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -519,7 +542,8 @@ def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
         pools = [rows_by_len.get(c, []) for c in counts.counts]
         for combo in product(*pools):
             out.append(DegreeStat(m, tuple(combo)))
-    assert all(sum(k for r in d.rows for _, k in r) == n for d in out)
+    if any(sum(k for r in d.rows for _, k in r) != n for d in out):
+        raise InconsistentResult(f"a degree matrix misses n = {n} vertices")
     return out
 
 
@@ -539,7 +563,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
     for p in range(1, p_max + 1):
         size = size_stat(m, p)
         rooted = generate_rooted(m, p)
-        classes = enumerate_unlabelled(m, p)
+        classes = _orbit_classes(p, rooted)
         color_vectors = _all_color_vectors(m, p)
         degree_matrices = _all_degree_matrices(m, p)
 
@@ -572,9 +596,22 @@ def verify(m: int, p_max: int) -> VerifyReport:
                           sum(1 for _, st in classes if st.aut_order % s == 0)))
         record("classes size", p, pairs)
 
+        # Each class with its pointed-orbit counts per colour, grouped by
+        # colour vector and by degree matrix.
+        pointed = []
+        by_colors: dict[ColorStat, list[tuple[CactusStats, list[int]]]] = {}
+        by_degrees: dict[DegreeStat, list[tuple[CactusStats, list[int]]]] = {}
+        for rep, st in classes:
+            g = to_graph(rep)
+            entry = (st, [count_pointed_orbits(g, color)
+                          for color in range(1, m + 1)])
+            pointed.append(entry)
+            by_colors.setdefault(st.colors, []).append(entry)
+            by_degrees.setdefault(st.degrees, []).append(entry)
+
         pairs = []
         for c in color_vectors:
-            members = [st for _, st in classes if st.colors == c]
+            members = [st for st, _ in by_colors.get(c, [])]
             pairs.append((f"unlabelled {c.counts}",
                           formulas.count_unlabelled(c), len(members)))
             pairs.append((f"asymmetric {c.counts}", formulas.count_asymmetric(c),
@@ -587,7 +624,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
 
         pairs = []
         for d in degree_matrices:
-            members = [st for _, st in classes if st.degrees == d]
+            members = [st for st, _ in by_degrees.get(d, [])]
             pairs.append((f"unlabelled {d.rows}",
                           formulas.count_unlabelled(d), len(members)))
             pairs.append((f"asymmetric {d.rows}", formulas.count_asymmetric(d),
@@ -607,26 +644,23 @@ def verify(m: int, p_max: int) -> VerifyReport:
             labellings = math.prod(math.factorial(x) for x in c.counts)
             pairs.append((f"color {c.counts}", formulas.count_labelled(c),
                           sum(labellings // st.aut_order
-                              for _, st in classes if st.colors == c)))
+                              for st, _ in by_colors.get(c, []))))
         record("labelled", p, pairs)
 
-        orbits = [(st, [count_pointed_orbits(to_graph(rep), color)
-                        for color in range(1, m + 1)])
-                  for rep, st in classes]
         pairs = [("size", formulas.count_pointed(size),
-                  sum(sum(ob) for _, ob in orbits))]
+                  sum(sum(ob) for _, ob in pointed))]
         for c in color_vectors:
             for color in range(1, m + 1):
                 pairs.append((f"color {c.counts} @{color}",
                               formulas.count_pointed(c, color),
-                              sum(ob[color - 1] for st, ob in orbits
-                                  if st.colors == c)))
+                              sum(ob[color - 1]
+                                  for _, ob in by_colors.get(c, []))))
         for d in degree_matrices:
             for color in range(1, m + 1):
                 pairs.append((f"degree {d.rows} @{color}",
                               formulas.count_pointed(d, color),
-                              sum(ob[color - 1] for st, ob in orbits
-                                  if st.degrees == d)))
+                              sum(ob[color - 1]
+                                  for _, ob in by_degrees.get(d, []))))
         record("pointed orbits", p, pairs)
 
         if p <= FACT_BUDGET.get(m, 2):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .arith import euler_phi
-from .stats import ValidationError
+from .stats import InconsistentResult, ValidationError
 
 
 class CoherenceViolation(ValueError):
@@ -449,5 +449,6 @@ def chottin_extract(phis: Sequence[Sequence[int]], alphas: Sequence[int],
     value = Fraction(d_const)
     for phi, ni, bi in zip(phis, ns, betas):
         value *= _upoly_coeff_of_power(phi, ni, bi)
-    assert value.denominator == 1, f"non-integral extraction: {value}"
+    if value.denominator != 1:
+        raise InconsistentResult(f"non-integral extraction: {value}")
     return int(value)

@@ -29,6 +29,14 @@ class ValidationError(ValueError):
     """A statistic violates one of the existence conditions."""
 
 
+class InconsistentResult(RuntimeError):
+    """A computed result breaks an identity that holds by construction.
+
+    Raised where a check guards a result rather than an input, so that it
+    holds under ``python -O`` too.
+    """
+
+
 class NonIntegralP(ValidationError):
     """Vertex count incompatible with any polygon count: n != (m-1)p + 1."""
 
@@ -54,15 +62,6 @@ class DuplicateDegree(DegreeSpecError):
 
 
 @dataclass(frozen=True)
-class Params:
-    """Gon size m, polygon count p and the forced vertex count n."""
-
-    m: int
-    p: int
-    n: int
-
-
-@dataclass(frozen=True)
 class SizeStat:
     m: int
     p: int
@@ -70,10 +69,6 @@ class SizeStat:
     @property
     def n(self) -> int:
         return (self.m - 1) * self.p + 1
-
-    @property
-    def params(self) -> Params:
-        return Params(self.m, self.p, self.n)
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,6 @@ class ColorStat:
     @property
     def p(self) -> int:
         return (self.n - 1) // (self.m - 1)
-
-    @property
-    def params(self) -> Params:
-        return Params(self.m, self.p, self.n)
 
 
 @dataclass(frozen=True)
@@ -110,16 +101,8 @@ class DegreeStat:
         return sum(k for row in self.rows for _, k in row)
 
     @property
-    def params(self) -> Params:
-        return Params(self.m, self.p, self.n)
-
-    @property
     def color_counts(self) -> tuple[int, ...]:
         return tuple(sum(k for _, k in row) for row in self.rows)
-
-    def row(self, color: int) -> dict[int, int]:
-        """Degree -> multiplicity map for a 1-based color."""
-        return dict(self.rows[color - 1])
 
 
 Statistic = Union[SizeStat, ColorStat, DegreeStat]
