@@ -154,7 +154,7 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
     if isinstance(stat, ColorStat):
         family = series.solve_planted(stat.m, order)
         if mode == "rooted":
-            return int(series.series_rooted(family)[stat.counts])
+            return int(series.rooted_coefficient(family, stat.counts))
         if mode == "pointed":
             if args.color is None:
                 raise UsageError("--mode pointed requires --color here")
@@ -164,7 +164,7 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
     if mode != "rooted":
         raise UsageError("--path series at degree level supports --mode rooted only")
     family = series.solve_planted(stat.m, order, weighted=True)
-    poly = series.series_rooted(family)[stat.color_counts]
+    poly = series.rooted_coefficient(family, stat.color_counts)
     key = tuple(sorted(((i + 1, j), k)
                        for i, row in enumerate(stat.rows) for j, k in row))
     if isinstance(poly, series.MarkerPoly):
@@ -195,11 +195,11 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
         return True
 
     if mode == "rooted":
-        total = 0
-        for rc in oracle.generate_rooted(m, p):
-            if matches(*oracle.graph_stats(oracle.to_graph(rc))):
-                total += 1
-        return total
+        rooted = oracle.generate_rooted(m, p)
+        if isinstance(stat, SizeStat):
+            return len(rooted)
+        return sum(1 for rc in rooted
+                   if matches(*oracle.graph_stats(oracle.to_graph(rc))))
     classes = [(rep, st) for rep, st in oracle.enumerate_unlabelled(m, p)
                if matches(st.colors, st.degrees)]
     if mode == "unlabelled":
@@ -227,8 +227,9 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
             raise formulas.ColorForbidden("size-level pointed counts take no color")
         if not isinstance(stat, SizeStat) and args.color is None:
             raise formulas.ColorRequired("pointed counts need a color at this level")
-        return sum(oracle.count_pointed_orbits(oracle.to_graph(rep), c)
-                   for rep, _ in classes for c in colors)
+        return sum(oracle.count_pointed_orbits(graph, c)
+                   for rep, _ in classes for graph in (oracle.to_graph(rep),)
+                   for c in colors)
     raise UsageError(f"--path oracle does not support mode {mode!r}")
 
 
@@ -425,13 +426,7 @@ def _monomial(exponents: tuple[int, ...], one_sort: bool) -> str:
     return "*".join(bits)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cacti",
-        description="Exact counts of cyclically colored polygonal plane cacti.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="count cacti for one statistic")
+def _count_options(count: argparse.ArgumentParser) -> None:
     count.add_argument("--m", type=int, required=True, help="gon size (>= 2)")
     count.add_argument("--p", type=int, help="polygon count (size level)")
     count.add_argument("--colors", help="comma-separated color counts, e.g. 4,4,5")
@@ -448,20 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--format", choices=["text", "json"], default="text")
     count.set_defaults(func=cmd_count)
 
-    table = sub.add_parser("table", help="reproduce a published table")
+
+def _table_options(table: argparse.ArgumentParser) -> None:
     table.add_argument("which", type=int, choices=[1, 2, 3])
     table.add_argument("--m-range", default="2..7", help="table 3 range, e.g. 2..7")
     table.add_argument("--p-max", type=int, default=12, help="table 3 max p")
     table.add_argument("--format", choices=["text", "csv"], default="text")
     table.set_defaults(func=cmd_table)
 
-    verify = sub.add_parser("verify", help="cross-check formulas against the oracle")
+
+def _verify_options(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--m", type=int, required=True)
     verify.add_argument("--p-max", type=int, required=True)
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(func=cmd_verify)
 
-    ser = sub.add_parser("series", help="print truncated series coefficients")
+
+def _series_options(ser: argparse.ArgumentParser) -> None:
     ser.add_argument("--m", type=int, required=True)
     ser.add_argument("--order", type=int, required=True)
     ser.add_argument("--target", choices=["planted", "rooted", "unlabelled"],
@@ -471,12 +469,40 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument("--color", type=int, help="which planted series (default 1)")
     ser.add_argument("--format", choices=["text", "json"], default="text")
     ser.set_defaults(func=cmd_series)
+
+
+SUBCOMMANDS = {  # name: (help line, function adding its options)
+    "count": ("count cacti for one statistic", _count_options),
+    "table": ("reproduce a published table", _table_options),
+    "verify": ("cross-check formulas against the oracle", _verify_options),
+    "series": ("print truncated series coefficients", _series_options),
+}
+
+
+def build_parser(first_arg: str | None = None) -> argparse.ArgumentParser:
+    """The grammar of `cacti`.
+
+    When `first_arg`, the first command-line argument, names a subcommand,
+    argparse hands every later argument to that subcommand's parser, so the
+    options of the other subcommands take no part in the parse and are left
+    out: adding them is about a third of the cost of building the parser,
+    which every call of `main` pays.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cacti",
+        description="Exact counts of cyclically colored polygonal plane cacti.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        if first_arg not in SUBCOMMANDS or first_arg == name:
+            add_options(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, UsageError, oracle.BudgetExceeded,

@@ -17,7 +17,7 @@ powers of the defining one-variable series, with the rational constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -334,6 +334,19 @@ def solve_planted(m: int, order: int, weighted: bool = False) -> PlantedFamily:
 def series_rooted(family: PlantedFamily) -> Series:
     """Rooted cacti: the product of all planted series."""
     return family.hat(1) * family.series[0]
+
+
+def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> Coeff:
+    """[x^exponents] of `series_rooted(family)`, summed over the coefficients
+    of A_1 rather than read off the whole product.  A term above the target in
+    some variable cannot reach it, so every planted series drops those first."""
+    target = tuple(exponents)
+    below = replace(family, series=tuple(Series(s.nvars, s.bound, {
+        e: c for e, c in s.coeffs.items()
+        if all(x <= t for x, t in zip(e, target))}) for s in family.series))
+    hat = below.hat(1)
+    return sum((c * hat[tuple(t - x for x, t in zip(e, target))]
+                for e, c in below.series[0].coeffs.items()), 0)
 
 
 def series_pointed_unlabelled(family: PlantedFamily, color: int,

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cacti import formulas as F
@@ -61,6 +63,15 @@ class TestRootedSeries:
         rooted = series.series_rooted(fam3)
         assert rooted[(1, 1, 1)] == 1
         assert rooted[(4, 4, 5)] == 225
+
+    @pytest.mark.parametrize("m, order, weighted", [
+        (2, 9, False), (3, 10, False), (4, 9, False), (2, 9, True), (3, 7, True)])
+    def test_one_coefficient_equals_the_full_product(self, m, order, weighted):
+        fam = series.solve_planted(m, order, weighted=weighted)
+        rooted = series.series_rooted(fam)
+        for e in itertools.product(range(order + 1), repeat=m):
+            if sum(e) <= order:
+                assert series.rooted_coefficient(fam, e) == rooted[e], e
 
 
 class TestPointedSeries:
