@@ -151,25 +151,11 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
         return int(series.series_unlabelled(stat.m, order, one_sort=True)[(order,)])
     if order > SERIES_MULTI_BOUND:
         raise oracle.BudgetExceeded(f"series order {order} > {SERIES_MULTI_BOUND}")
-    if isinstance(stat, ColorStat):
-        family = series.solve_planted(stat.m, order)
-        if mode == "rooted":
-            return int(series.rooted_coefficient(family, stat.counts))
-        if mode == "pointed":
-            if args.color is None:
-                raise UsageError("--mode pointed requires --color here")
-            return int(series.series_pointed_unlabelled(
-                family, args.color)[stat.counts])
-        return int(series.series_unlabelled(stat.m, order)[stat.counts])
-    if mode != "rooted":
+    if isinstance(stat, DegreeStat) and mode != "rooted":
         raise UsageError("--path series at degree level supports --mode rooted only")
-    family = series.solve_planted(stat.m, order, weighted=True)
-    poly = series.rooted_coefficient(family, stat.color_counts)
-    key = tuple(sorted(((i + 1, j), k)
-                       for i, row in enumerate(stat.rows) for j, k in row))
-    if isinstance(poly, series.MarkerPoly):
-        return poly.terms.get(key, 0)
-    return 0
+    if mode == "pointed" and args.color is None:
+        raise UsageError("--mode pointed requires --color here")
+    return series.count_target(stat, mode, args.color)
 
 
 def _count_oracle(mode: str, stat: Statistic, args) -> int:

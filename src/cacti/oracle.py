@@ -327,11 +327,6 @@ def _orbit_classes(p: int,
     return out
 
 
-def export_unlabelled(m: int, p: int) -> list[str]:
-    """Canonical keys of all classes, one readable encoding per line."""
-    return [encode_rooted(rep) for rep, _ in enumerate_unlabelled(m, p)]
-
-
 def _pointed_key(g: CactusGraph, v: int) -> str:
     """Canonical encoding of the cactus pointed at vertex v.
 

@@ -3,10 +3,14 @@
 This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
 degree by degree, they give the rooted, pointed and plain unlabelled series.
-Coefficients are exact (ints, Fractions in intermediate log computations,
-or integer polynomials in degree markers r_ih for the weighted variant) and
-truncation is by total degree: every monomial of a p-polygon cactus has
-total degree (m-1)p + 1, so a total-degree bound is a polygon bound.
+Coefficients are exact (ints, and Fractions in intermediate log
+computations).  The weighted variant marks a color-i vertex of degree h with
+r[i,h], one more integer coordinate of the exponent after x_1..x_m.
+Truncation is by the total degree of the x coordinates: every monomial of a
+p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
+polygon bound.  A count of one statistic solves inside a box instead, one
+cap per coordinate taken from the statistic: a term above a cap cannot
+divide the target, so it is dropped as soon as it is formed.
 
 `chottin_extract` implements the alternating multidimensional Lagrange
 inversion that turns coefficients of A_1^a1 ... A_m^am into coefficients of
@@ -17,104 +21,22 @@ powers of the defining one-variable series, with the rational constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from functools import reduce
+from operator import add, gt, mul
+from typing import Mapping, Optional, Sequence, Union
 
 from .arith import euler_phi
-from .stats import InconsistentResult, ValidationError
+from .stats import ColorStat, DegreeStat, InconsistentResult, ValidationError
 
 
 class CoherenceViolation(ValueError):
     """Exponent data admits no integral inversion parameters."""
 
 
-Monomial = tuple[tuple[tuple[int, int], int], ...]  # ((color, degree), exp), sorted
-
-
-class MarkerPoly:
-    """Sparse integer polynomial in the degree markers r[color, degree]."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, int]):
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def marker(cls, color: int, degree: int) -> "MarkerPoly":
-        return cls({(((color, degree), 1),): 1})
-
-    @classmethod
-    def const(cls, value: int) -> "MarkerPoly":
-        return cls({(): value} if value else {})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MarkerPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == MarkerPoly.const(other).terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = MarkerPoly.const(other) if isinstance(other, int) else other
-        if not isinstance(other, MarkerPoly):
-            return NotImplemented
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, 0) + v
-        return MarkerPoly(merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MarkerPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, MarkerPoly)
-                       else MarkerPoly.const(-other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MarkerPoly({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, MarkerPoly):
-            return NotImplemented
-        out: dict[Monomial, int] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                merged: dict[tuple[int, int], int] = dict(ka)
-                for var, e in kb:
-                    merged[var] = merged.get(var, 0) + e
-                key = tuple(sorted(merged.items()))
-                out[key] = out.get(key, 0) + va * vb
-        return MarkerPoly(out)
-
-    __rmul__ = __mul__
-
-    def set_ones(self) -> int:
-        """Value after substituting 1 for every marker."""
-        return sum(self.terms.values())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            factors = [f"r[{i},{h}]" + (f"^{e}" if e > 1 else "")
-                       for (i, h), e in key]
-            coeff = self.terms[key]
-            body = "*".join(factors) if factors else "1"
-            bits.append(body if coeff == 1 and factors else f"{coeff}*{body}"
-                        if factors else str(coeff))
-        return " + ".join(bits)
-
-
-Coeff = Union[int, Fraction, MarkerPoly]
+Coeff = Union[int, Fraction]
+Box = Optional[tuple[int, ...]]  # one cap per exponent coordinate, or none
 
 
 def _normal(c: Coeff) -> Coeff:
@@ -123,17 +45,29 @@ def _normal(c: Coeff) -> Coeff:
     return c
 
 
+def _meet(a: Box, b: Box) -> Box:
+    return a if b is None else b if a is None else tuple(map(min, a, b))
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
-    """Multivariate power series truncated at a total-degree bound."""
+    """Multivariate power series truncated at a total-degree bound.
+
+    The first `nvars` exponent coordinates are the graded variables x_i; a
+    weighted series has one marker coordinate per slot after them, which the
+    bound does not grade.  A series with a box also drops every term above it.
+    """
 
     nvars: int
     bound: int
     coeffs: dict[tuple[int, ...], Coeff] = field(default_factory=dict)
+    box: Box = None
 
     def __post_init__(self):
+        n, box = self.nvars, self.box
         clean = {e: _normal(c) for e, c in self.coeffs.items()
-                 if sum(e) <= self.bound and c}
+                 if c and sum(e[:n]) <= self.bound
+                 and (box is None or not any(map(gt, e, box)))}
         object.__setattr__(self, "coeffs", clean)
 
     def __getitem__(self, exponents: Sequence[int]) -> Coeff:
@@ -148,32 +82,33 @@ class Series:
         merged = dict(self.coeffs)
         for e, c in other.coeffs.items():
             merged[e] = merged.get(e, 0) + c
-        return Series(self.nvars, min(self.bound, other.bound), merged)
+        return Series(self.nvars, min(self.bound, other.bound), merged,
+                      _meet(self.box, other.box))
 
     def __neg__(self) -> "Series":
-        return Series(self.nvars, self.bound,
-                      {e: -c for e, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
         assert self.nvars == other.nvars
-        bound = min(self.bound, other.bound)
+        n, bound = self.nvars, min(self.bound, other.bound)
+        terms_b = sorted(((sum(e[:n]), e, c) for e, c in other.coeffs.items()),
+                         key=lambda t: t[0])
         out: dict[tuple[int, ...], Coeff] = {}
         for ea, ca in self.coeffs.items():
-            da = sum(ea)
-            for eb, cb in other.coeffs.items():
-                if da + sum(eb) > bound:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(e)
-                out[e] = ca * cb if prev is None else prev + ca * cb
-        return Series(self.nvars, bound, out)
+            room = bound - sum(ea[:n])
+            for db, eb, cb in terms_b:
+                if db > room:
+                    break
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return Series(n, bound, out, _meet(self.box, other.box))
 
     def scale(self, factor: Coeff) -> "Series":
         return Series(self.nvars, self.bound,
-                      {e: factor * c for e, c in self.coeffs.items()})
+                      {e: factor * c for e, c in self.coeffs.items()}, self.box)
 
     def shift(self, var: int) -> "Series":
         """Multiply by the variable of index `var` (0-based)."""
@@ -181,22 +116,18 @@ class Series:
         for e, c in self.coeffs.items():
             lifted = tuple(x + (1 if i == var else 0) for i, x in enumerate(e))
             out[lifted] = c
-        return Series(self.nvars, self.bound, out)
+        return Series(self.nvars, self.bound, out, self.box)
 
     def power_substitute(self, d: int) -> "Series":
         """Substitute x_i -> x_i^d for every variable."""
-        return Series(self.nvars, self.bound,
-                      {tuple(x * d for x in e): c for e, c in self.coeffs.items()})
+        coeffs = {tuple(x * d for x in e): c for e, c in self.coeffs.items()}
+        return Series(self.nvars, self.bound, coeffs, self.box)
 
     def homogeneous(self) -> dict[int, dict[tuple[int, ...], Coeff]]:
         by_deg: dict[int, dict[tuple[int, ...], Coeff]] = {}
         for e, c in self.coeffs.items():
-            by_deg.setdefault(sum(e), {})[e] = c
+            by_deg.setdefault(sum(e[:self.nvars]), {})[e] = c
         return by_deg
-
-
-def zero(nvars: int, bound: int) -> Series:
-    return Series(nvars, bound, {})
 
 
 def const(nvars: int, bound: int, value: Coeff) -> Series:
@@ -208,8 +139,10 @@ def variable(nvars: int, bound: int, var: int) -> Series:
     return Series(nvars, bound, {e: 1})
 
 
-def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int) -> dict:
-    """Degree-d part of a product, both factors given as degree -> part."""
+def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int,
+                  box: Box = None) -> dict:
+    """Degree-d part of a product inside the box, both factors given as
+    degree -> part."""
     out: dict[tuple[int, ...], Coeff] = {}
     for da, part_a in a.items():
         part_b = b.get(d - da)
@@ -217,9 +150,18 @@ def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int) -> dict:
             continue
         for ea, ca in part_a.items():
             for eb, cb in part_b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
+                e = tuple(map(add, ea, eb))
+                if box is None or not any(map(gt, e, box)):
+                    out[e] = out.get(e, 0) + ca * cb
     return out
+
+
+def _lift(part: dict, k: Optional[int], box: Box) -> dict:
+    """A part times the variable or marker of coordinate k (None: none)."""
+    if k is None:
+        return {}
+    return {e[:k] + (e[k] + 1,) + e[k + 1:]: c for e, c in part.items()
+            if box is None or e[k] < box[k]}
 
 
 def geometric(s: Series) -> Series:
@@ -246,79 +188,84 @@ def log_geometric(s: Series) -> Series:
                 for deg, part in s_parts.items()}
     t_parts: dict[int, dict[tuple[int, ...], Coeff]] = {}
     for deg in range(1, s.bound + 1):
-        part = _product_part(s_parts, t_parts, deg)
+        part = _product_part(s_parts, t_parts, deg, s.box)
         for e, c in es_parts.get(deg, {}).items():
             part[e] = part.get(e, 0) + c
         t_parts[deg] = part
-    out: dict[tuple[int, ...], Coeff] = {}
-    for deg, part in t_parts.items():
-        for e, c in part.items():
-            out[e] = Fraction(c, deg) if isinstance(c, int) else c / deg
-    return Series(s.nvars, s.bound, out)
+    return Series(s.nvars, s.bound, {e: Fraction(c, deg)
+                                     for deg, part in t_parts.items()
+                                     for e, c in part.items()}, s.box)
 
 
 @dataclass(frozen=True)
 class PlantedFamily:
-    """The m planted series (one per root color), solved to a common bound."""
+    """The m planted series (one per root color), solved to a common bound.
+
+    A weighted family has one marker coordinate per (color, degree) pair of
+    `slots`, in that order, after the m coordinates x_i.
+    """
 
     m: int
     order: int
-    weighted: bool
     series: tuple[Series, ...]
+    slots: tuple[tuple[int, int], ...] = ()
 
     def hat(self, i: int) -> Series:
         """Product of all planted series except the one of 1-based color i."""
-        out = const(self.series[0].nvars, self.order, 1)
-        for j, s in enumerate(self.series, start=1):
-            if j != i:
-                out = out * s
-        return out
+        return reduce(mul, (s for j, s in enumerate(self.series, start=1) if j != i))
 
 
-def _solve(m: int, order: int, nvars: int,
-           weighted: bool = False) -> tuple[Series, ...]:
+def _solve(m: int, order: int, nvars: int, slots: tuple = (),
+           box: Box = None) -> tuple[Series, ...]:
     """The m planted series, built part by part in increasing total degree.
 
     A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
-    H_i^(h-1) when weighted, and H_i = prod_{j != i} A_j starts at degree
-    m - 1, so the degree-d part of B_i needs only lower parts.  With nvars = 1
-    every color is graded by one x and shares one series, solved once.
+    H_i^(h-1) with marker `slots`, and H_i = prod_{j != i} A_j starts at
+    degree m - 1, so the degree-d part of B_i needs only lower parts.  The
+    marker r[i,h] adds one to coordinate nvars + k for (i, h) = slots[k]; a
+    marker without a slot, and a term above the box, is dropped as soon as
+    its part is formed.  With nvars = 1 every color is graded by one x and
+    shares one series, solved once.
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
-    one = {0: {(0,) * nvars: 1}}
+    coord = {slot: nvars + k for k, slot in enumerate(slots)}
+    # the highest power of H_i that a marker of color i multiplies
+    top = [max((h - 1 for c, h in slots if c == i + 1), default=0)
+           for i in range(nvars)]
+    one = {0: {(0,) * (nvars + len(slots)): 1}}
     a: list[dict] = [{} for _ in range(nvars)]  # degree -> part of A_i
-    b = [{0: {(0,) * nvars: MarkerPoly.marker(i + 1, 1) if weighted else 1}}
+    b = [{0: _lift(one[0], coord.get((i + 1, 1)), box) if slots else one[0]}
          for i in range(nvars)]
     # Color j has series j % nvars.  left[k] = A_0 ... A_{k-1} and right[k] =
     # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1].
     left = [one, a[0]] + [{} for _ in range(2, nvars)]
     right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars], one]
     hats: list[dict] = [{} for _ in range(nvars)]
-    powers = [[one] + [{} for _ in range(order // (m - 1))] for _ in range(nvars)]
+    powers = [[one] + [{} for _ in range(top[i])] for i in range(nvars)]
     for d in range(1, order + 1):
         for i in range(nvars):
-            a[i][d] = {tuple(x + (v == i) for v, x in enumerate(e)): c
-                       for e, c in b[i][d - 1].items()}
+            a[i][d] = _lift(b[i][d - 1], i, box)
         if d == order:
             break
         for k in range(2, nvars):
-            left[k][d] = _product_part(left[k - 1], a[k - 1], d)
+            left[k][d] = _product_part(left[k - 1], a[k - 1], d, box)
         for k in range(m - 2, 0, -1):
-            right[k][d] = _product_part(a[k % nvars], right[k + 1], d)
+            right[k][d] = _product_part(a[k % nvars], right[k + 1], d, box)
         for i, hat in enumerate(hats):
-            hat[d] = _product_part(left[i], right[i + 1], d)
-            if not weighted:
-                b[i][d] = _product_part(hat, b[i], d)
+            hat[d] = _product_part(left[i], right[i + 1], d, box)
+            if not slots:
+                b[i][d] = _product_part(hat, b[i], d, box)
                 continue
             part = b[i][d] = {}
-            for k in range(1, d // (m - 1) + 1):  # H_i^k starts at degree k(m-1)
-                powers[i][k][d] = _product_part(powers[i][k - 1], hat, d)
-                marker = MarkerPoly.marker(i + 1, k + 1)
-                for e, c in powers[i][k][d].items():
-                    part[e] = part.get(e, 0) + marker * c
+            for k in range(1, min(d // (m - 1), top[i]) + 1):
+                powers[i][k][d] = _product_part(powers[i][k - 1], hat, d, box)
+                lifted = _lift(powers[i][k][d], coord.get((i + 1, k + 1)), box)
+                for e, c in lifted.items():
+                    part[e] = part.get(e, 0) + c
     solved = tuple(Series(nvars, order, {e: c for part in ai.values()
-                                         for e, c in part.items()}) for ai in a)
+                                         for e, c in part.items()}, box)
+                   for ai in a)
     return solved * (m // nvars)
 
 
@@ -326,9 +273,12 @@ def solve_planted(m: int, order: int, weighted: bool = False) -> PlantedFamily:
     """The planted series, exact to the truncation order.
 
     Unweighted: A_i = x_i / (1 - hat(A_i)).  Weighted: A_i = x_i * sum_{h>=1}
-    r[i,h] * hat(A_i)^(h-1), where r[i,h] marks a color-i vertex of degree h.
+    r[i,h] * hat(A_i)^(h-1), where r[i,h] marks a color-i vertex of degree h;
+    h <= (order - 1) // (m - 1) + 1, the planted root's stem included.
     """
-    return PlantedFamily(m, order, weighted, _solve(m, order, m, weighted))
+    slots = tuple((i, h) for i in range(1, m + 1)
+                  for h in range(1, (order - 1) // (m - 1) + 2)) if weighted else ()
+    return PlantedFamily(m, order, _solve(m, order, m, slots), slots)
 
 
 def series_rooted(family: PlantedFamily) -> Series:
@@ -338,15 +288,11 @@ def series_rooted(family: PlantedFamily) -> Series:
 
 def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> Coeff:
     """[x^exponents] of `series_rooted(family)`, summed over the coefficients
-    of A_1 rather than read off the whole product.  A term above the target in
-    some variable cannot reach it, so every planted series drops those first."""
+    of A_1 rather than read off the whole product."""
     target = tuple(exponents)
-    below = replace(family, series=tuple(Series(s.nvars, s.bound, {
-        e: c for e, c in s.coeffs.items()
-        if all(x <= t for x, t in zip(e, target))}) for s in family.series))
-    hat = below.hat(1)
-    return sum((c * hat[tuple(t - x for x, t in zip(e, target))]
-                for e, c in below.series[0].coeffs.items()), 0)
+    hat = family.hat(1)
+    return sum(c * hat[tuple(t - x for x, t in zip(e, target))]
+               for e, c in family.series[0].coeffs.items())
 
 
 def series_pointed_unlabelled(family: PlantedFamily, color: int,
@@ -355,18 +301,19 @@ def series_pointed_unlabelled(family: PlantedFamily, color: int,
 
         x_i * (1 + sum_{d >= 1} (phi(d)/d) * log 1/(1 - hat(A_i)(x^d))).
     """
-    assert not family.weighted, "pointed series implemented for unweighted families"
     order = family.order if order is None else order
-    assert order <= family.order
+    if family.slots or order > family.order:
+        raise ValidationError(f"a pointed series to order {order} needs an "
+                              f"unweighted family of order >= {order}")
     hat = family.hat(color)
-    inner = const(hat.nvars, order - 1, 1)
+    inner = Series(hat.nvars, order - 1, {(0,) * hat.nvars: 1}, hat.box)
     d = 1
     while d * (family.m - 1) <= order - 1:
-        sub = Series(hat.nvars, order - 1, hat.power_substitute(d).coeffs)
+        sub = Series(hat.nvars, order - 1, hat.power_substitute(d).coeffs, hat.box)
         inner = inner + log_geometric(sub).scale(Fraction(euler_phi(d), d))
         d += 1
     var = color - 1 if hat.nvars > 1 else 0
-    return Series(hat.nvars, order, inner.coeffs).shift(var)
+    return Series(hat.nvars, order, inner.coeffs, hat.box).shift(var)
 
 
 def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:
@@ -377,25 +324,43 @@ def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:
     same combination collapsed, minus (m-1)x so the single-vertex cactus is
     counted once rather than once per color.
     """
-    family = PlantedFamily(m, order, False, _solve(m, order, 1 if one_sort else m))
+    family = PlantedFamily(m, order, _solve(m, order, 1 if one_sort else m))
     if one_sort:
         pointed = (series_pointed_unlabelled(family, 1).scale(m)
                    - variable(1, order, 0).scale(m - 1))
     else:
-        pointed = zero(m, order)
-        for color in range(1, m + 1):
-            pointed = pointed + series_pointed_unlabelled(family, color)
+        pointed = reduce(add, (series_pointed_unlabelled(family, color)
+                               for color in range(1, m + 1)))
     return pointed - series_rooted(family).scale(m - 1)
+
+
+def count_target(stat: ColorStat | DegreeStat, mode: str,
+                 color: int | None = None) -> int:
+    """The rooted, pointed (at `color`) or unlabelled count of a color or
+    degree statistic with p >= 1, read off the planted family solved inside
+    its box: each x_i capped at n_i and, at degree level, one slot per
+    (color, degree) pair of the rows, capped at its multiplicity.  So the
+    box is the target exponent."""
+    if isinstance(stat, ColorStat):
+        slots, target = (), stat.counts
+    else:
+        slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
+                      for h, _ in row)
+        target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
+    family = PlantedFamily(stat.m, stat.n, _solve(stat.m, stat.n, stat.m, slots, target),
+                           slots)
+    if mode == "pointed":
+        return int(series_pointed_unlabelled(family, color)[target])
+    rooted = rooted_coefficient(family, target)
+    if mode == "rooted":
+        return int(rooted)
+    return int(sum(series_pointed_unlabelled(family, c)[target]
+                   for c in range(1, stat.m + 1)) - (stat.m - 1) * rooted)
 
 
 def solve_one_sort(m: int, order: int) -> Series:
     """Univariate planted series A with A = x + A^m."""
     return _solve(m, order, 1)[0]
-
-
-def geometric_coefficients(order: int) -> list[int]:
-    """Univariate coefficients of 1/(1-s) up to the given order."""
-    return [1] * (order + 1)
 
 
 def _upoly_mul(a: list, b: list, bound: int) -> list:

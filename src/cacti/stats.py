@@ -21,7 +21,7 @@ of polygon corners.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 
@@ -61,10 +61,20 @@ class DuplicateDegree(DegreeSpecError):
     """The same degree appears twice within one row of a degree spec."""
 
 
+def _check_m(m: int) -> None:
+    if m < 2:
+        raise ValidationError(f"gon size m = {m}, need m >= 2")
+
+
 @dataclass(frozen=True)
 class SizeStat:
     m: int
     p: int
+
+    def __post_init__(self):
+        _check_m(self.m)
+        if self.p < 0:
+            raise ValidationError(f"polygon count p = {self.p} < 0")
 
     @property
     def n(self) -> int:
@@ -75,6 +85,22 @@ class SizeStat:
 class ColorStat:
     m: int
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        m, counts = self.m, self.counts
+        _check_m(m)
+        if len(counts) != m:
+            raise ValidationError(f"{len(counts)} counts for m = {m} colors")
+        if any(c < 0 for c in counts):
+            raise ValidationError(f"negative color count in {counts}")
+        n = sum(counts)
+        if n < 1 or (n - 1) % (m - 1) != 0:
+            raise NonIntegralP(f"no polygon count fits {n} vertices at m = {m}")
+        p = (n - 1) // (m - 1)
+        for i, c in enumerate(counts, start=1):
+            if c > p >= 1:
+                raise ColorBoundViolation(
+                    f"color {i} has {c} vertices but only {p} polygons")
 
     @property
     def n(self) -> int:
@@ -87,10 +113,35 @@ class ColorStat:
 
 @dataclass(frozen=True)
 class DegreeStat:
-    # rows[i] lists (degree, multiplicity) pairs for color i+1, sorted,
-    # multiplicities >= 1; degrees are unbounded so rows stay sparse.
+    # rows[i] lists (degree, multiplicity) pairs for color i+1, sorted by
+    # distinct degree, multiplicities >= 1; degrees are unbounded so rows
+    # stay sparse.
     m: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self):
+        m, rows = self.m, self.rows
+        _check_m(m)
+        if len(rows) != m:
+            raise ValidationError(f"{len(rows)} rows for m = {m} colors")
+        sums, n = [], 0
+        for row in rows:
+            last, total = -1, 0
+            for j, k in row:
+                if j < 0 or k < 1:
+                    raise ValidationError(f"bad degree entry {j}^{k}")
+                if j <= last:
+                    raise ValidationError(f"row {row} not sorted by distinct degree")
+                last, total, n = j, total + j * k, n + k
+            sums.append(total)
+        if len(set(sums)) > 1:
+            raise RowSumMismatch(f"rows imply different polygon counts: {sums}")
+        p = sums[0]
+        if n != (m - 1) * p + 1:
+            raise NonIntegralP(f"{n} vertices incompatible with {p} polygons at m = {m}")
+        for i, row in enumerate(rows, start=1):
+            if p >= 1 and row and row[0][0] == 0:  # sorted: degree 0 comes first
+                raise IsolatedDegreeZero(f"color {i} has a degree-0 vertex")
 
     @property
     def p(self) -> int:
@@ -108,74 +159,27 @@ class DegreeStat:
 Statistic = Union[SizeStat, ColorStat, DegreeStat]
 
 
-def _check_m(m: int) -> None:
-    if m < 2:
-        raise ValidationError(f"gon size m = {m}, need m >= 2")
-
-
 def size_stat(m: int, p: int) -> SizeStat:
     """Validated size-level statistic."""
-    _check_m(m)
-    if p < 0:
-        raise ValidationError(f"polygon count p = {p} < 0")
     return SizeStat(m, p)
 
 
 def color_stat(m: int, counts: Sequence[int]) -> ColorStat:
     """Validated color distribution; p is derived, never supplied."""
-    _check_m(m)
-    counts = tuple(counts)
-    if len(counts) != m:
-        raise ValidationError(f"{len(counts)} counts for m = {m} colors")
-    if any(c < 0 for c in counts):
-        raise ValidationError(f"negative color count in {counts}")
-    n = sum(counts)
-    if n < 1 or (n - 1) % (m - 1) != 0:
-        raise NonIntegralP(f"no polygon count fits {n} vertices at m = {m}")
-    p = (n - 1) // (m - 1)
-    if p >= 1:
-        for i, c in enumerate(counts, start=1):
-            if c > p:
-                raise ColorBoundViolation(
-                    f"color {i} has {c} vertices but only {p} polygons")
-    return ColorStat(m, counts)
+    return ColorStat(m, tuple(counts))
 
 
 def degree_stat(m: int, rows: Sequence[Mapping[int, int]]) -> DegreeStat:
     """Validated degree distribution from one degree->multiplicity map per color."""
-    _check_m(m)
-    if len(rows) != m:
-        raise ValidationError(f"{len(rows)} rows for m = {m} colors")
-    clean = []
-    for row in rows:
-        for j, k in row.items():
-            if j < 0 or k < 0:
-                raise ValidationError(f"bad degree entry {j}^{k}")
-        clean.append(tuple(sorted((j, k) for j, k in row.items() if k > 0)))
-    sums = [sum(j * k for j, k in row) for row in clean]
-    if len(set(sums)) > 1:
-        raise RowSumMismatch(f"rows imply different polygon counts: {sums}")
-    p = sums[0]
-    n = sum(k for row in clean for _, k in row)
-    if n != (m - 1) * p + 1:
-        raise NonIntegralP(
-            f"{n} vertices incompatible with {p} polygons at m = {m}")
-    if p >= 1:
-        for i, row in enumerate(clean, start=1):
-            if any(j == 0 for j, _ in row):
-                raise IsolatedDegreeZero(f"color {i} has a degree-0 vertex")
-    return DegreeStat(m, tuple(clean))
+    return DegreeStat(m, tuple(tuple(sorted((j, k) for j, k in row.items() if k))
+                               for row in rows))
 
 
 def validate(stat: Statistic) -> Statistic:
     """Re-run validation on an already-built statistic, returning it."""
-    if isinstance(stat, SizeStat):
-        return size_stat(stat.m, stat.p)
-    if isinstance(stat, ColorStat):
-        return color_stat(stat.m, stat.counts)
-    if isinstance(stat, DegreeStat):
-        return degree_stat(stat.m, [dict(row) for row in stat.rows])
-    raise TypeError(f"not a statistic: {stat!r}")
+    if not isinstance(stat, (SizeStat, ColorStat, DegreeStat)):
+        raise TypeError(f"not a statistic: {stat!r}")
+    return replace(stat)
 
 
 def color_marginal(stat: DegreeStat) -> ColorStat:

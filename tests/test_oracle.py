@@ -105,7 +105,8 @@ def test_rooting_orbit_sizes():
 
 
 def test_export_lines_parse_back():
-    lines = oracle.export_unlabelled(3, 3)
+    lines = [oracle.encode_rooted(rep)
+             for rep, _ in oracle.enumerate_unlabelled(3, 3)]
     assert len(lines) == F.count_unlabelled(stats.size_stat(3, 3))
     for line in lines:
         assert oracle.encode_rooted(oracle.parse_rooted(line)) == line

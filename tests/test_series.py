@@ -1,10 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cacti
 from cacti import formulas as F
 from cacti import oracle, series, stats
-from cacti.series import MarkerPoly
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
+
+
+def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
+    """A degree statistic's exponent in a weighted family: color counts, then
+    the multiplicity of each marker slot (color, degree)."""
+    rows = [dict(row) for row in d.rows]
+    return d.color_counts + tuple(rows[i - 1].get(h, 0) for i, h in fam.slots)
 
 
 def collapse_to_one_sort(s: series.Series, order: int) -> series.Series:
@@ -29,30 +41,37 @@ class TestPlanted:
                 assert expected == fam.series[i]
 
     def test_weighted_residual_and_single_polygon(self):
-        fam = series.solve_planted(3, 7, weighted=True)
+        m, order = 3, 7
+        fam = series.solve_planted(m, order, weighted=True)
+        width = m + len(fam.slots)
+        for i in range(1, m + 1):
+            hat = fam.hat(i)
+            power = series.Series(m, order, {(0,) * width: 1})
+            total = series.Series(m, order, {})
+            for h in range(1, (order - 1) // (m - 1) + 2):
+                total = total + power.shift(m + fam.slots.index((i, h)))
+                power = power * hat
+            assert total.shift(i - 1) == fam.series[i - 1]
         rooted = series.series_rooted(fam)
-        marker = MarkerPoly.marker
-        assert rooted[(1, 1, 1)] == marker(1, 1) * marker(2, 1) * marker(3, 1)
+        single = {e: c for e, c in rooted.coeffs.items() if e[:m] == (1, 1, 1)}
+        assert single == {_exponent(fam, stats.parse_degree_spec("1; 1; 1")): 1}
 
     def test_weighted_collapse(self):
         for m in (2, 3):
             weighted = series.solve_planted(m, 7, weighted=True)
             plain = series.solve_planted(m, 7)
             for ws, ps in zip(weighted.series, plain.series):
-                collapsed = series.Series(m, 7, {
-                    e: c.set_ones() if isinstance(c, MarkerPoly) else c
-                    for e, c in ws.coeffs.items()})
-                assert collapsed == ps
+                collapsed: dict = {}
+                for e, c in ws.coeffs.items():
+                    collapsed[e[:m]] = collapsed.get(e[:m], 0) + c
+                assert series.Series(m, 7, collapsed) == ps
 
     def test_weighted_monomials_count_degree_distributions(self):
         fam = series.solve_planted(2, 9, weighted=True)
         rooted = series.series_rooted(fam)
         for spec in ("1^2 2^2; 1 2 3", "1^3 3^1; 2^3"):
             d = stats.parse_degree_spec(spec)
-            poly = rooted[d.color_counts]
-            key = tuple(sorted(((i + 1, j), k)
-                               for i, row in enumerate(d.rows) for j, k in row))
-            assert poly.terms[key] == F.count_rooted(d)
+            assert rooted[_exponent(fam, d)] == F.count_rooted(d)
 
 
 class TestRootedSeries:
@@ -69,9 +88,12 @@ class TestRootedSeries:
     def test_one_coefficient_equals_the_full_product(self, m, order, weighted):
         fam = series.solve_planted(m, order, weighted=weighted)
         rooted = series.series_rooted(fam)
-        for e in itertools.product(range(order + 1), repeat=m):
-            if sum(e) <= order:
-                assert series.rooted_coefficient(fam, e) == rooted[e], e
+        markers = (0,) * len(fam.slots)
+        exponents = set(rooted.coeffs) | {
+            e + markers for e in itertools.product(range(order + 1), repeat=m)
+            if sum(e) <= order}
+        for e in exponents:
+            assert series.rooted_coefficient(fam, e) == rooted[e], e
 
 
 class TestPointedSeries:
@@ -85,8 +107,26 @@ class TestPointedSeries:
 
     def test_weighted_family_rejected(self):
         fam = series.solve_planted(2, 4, weighted=True)
-        with pytest.raises(AssertionError):
+        with pytest.raises(stats.ValidationError):
             series.series_pointed_unlabelled(fam, 1)
+        with pytest.raises(stats.ValidationError):
+            series.series_pointed_unlabelled(series.solve_planted(2, 4), 1, order=5)
+
+    def test_weighted_family_rejected_under_optimize(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        code = ("from cacti import series, stats\n"
+                "for fam, order in ((series.solve_planted(2, 4, weighted=True), None),\n"
+                "                   (series.solve_planted(2, 4), 5)):\n"
+                "    try:\n"
+                "        series.series_pointed_unlabelled(fam, 1, order)\n"
+                "    except stats.ValidationError:\n"
+                "        print('raised')\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "raised\nraised\n"
 
 
 class TestUnlabelledSeries:
@@ -130,13 +170,13 @@ class TestOneSort:
 
 class TestChottin:
     def test_published_values(self):
-        geo = series.geometric_coefficients(16)
+        geo = [1] * 17
         assert series.chottin_extract([geo, geo], [1, 1], [5, 6]) == 5292
         assert series.chottin_extract([geo] * 3, [1, 1, 1], [4, 4, 5]) == 225
         assert series.chottin_extract([geo, geo], [2, 5], [2, 5]) == 1
 
     def test_coherence_errors(self):
-        geo = series.geometric_coefficients(8)
+        geo = [1] * 9
         with pytest.raises(series.CoherenceViolation):
             series.chottin_extract([geo] * 3, [0, 0, 0], [1, 1, 1])
         with pytest.raises(series.CoherenceViolation):
@@ -145,14 +185,14 @@ class TestChottin:
             series.chottin_extract([geo, geo], [1, 1], [5, 0])
 
     def test_negative_shift_gives_zero(self):
-        geo = series.geometric_coefficients(8)
+        geo = [1] * 9
         # alpha = (0, 0): beta_i = beta - n_i goes negative for the larger n_i
         assert series.chottin_extract([geo, geo], [0, 0], [1, 3]) == 0
 
     def test_agreement_with_direct_extraction(self):
         m, bound = 2, 8
         fam = series.solve_planted(m, bound)
-        geo = series.geometric_coefficients(bound)
+        geo = [1] * (bound + 1)
         powers = {(0, 0): series.const(m, bound, 1)}
         for a1 in range(bound + 1):
             for a2 in range(bound + 1):

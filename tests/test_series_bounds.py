@@ -7,7 +7,7 @@ import pytest
 
 from cacti import cli
 from cacti import formulas as F
-from cacti import series, stats
+from cacti import oracle, series, stats
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -33,19 +33,57 @@ def test_color_level_at_multi_bound(m):
 
 def test_degree_level_at_multi_bound(capsys):
     order = cli.SERIES_MULTI_BOUND
-    rooted = series.series_rooted(series.solve_planted(2, order, weighted=True))
-    checked = 0
-    for counts, poly in rooted.coeffs.items():
-        for key, value in poly.terms.items():
-            rows = [{h: k for (c, h), k in key if c == color} for color in (1, 2)]
-            assert value == F.count_rooted(stats.degree_stat(2, rows))
-            checked += 1
-        assert poly.set_ones() == F.count_rooted(stats.color_stat(2, counts))
-    assert rooted[(1, 15)].terms[(((1, 15), 1), ((2, 1), 15))] == 1
-    assert checked > 100
+    fam = series.solve_planted(2, order, weighted=True)
+    rooted = series.series_rooted(fam)
+    by_colors: dict = {}
+    visited = set()
+    for e, value in rooted.coeffs.items():
+        rows = [{h: k for (c, h), k in zip(fam.slots, e[2:]) if c == color and k}
+                for color in (1, 2)]
+        d = stats.degree_stat(2, rows)
+        assert value == F.count_rooted(d)
+        visited.add(d)
+        by_colors[e[:2]] = by_colors.get(e[:2], 0) + value
+    for counts, total in by_colors.items():
+        assert total == F.count_rooted(stats.color_stat(2, counts))
+    every = {d for p in range(1, order)  # n = p + 1 <= order
+             for d in oracle._all_degree_matrices(2, p)}
+    assert visited == every and len(visited) > 100
     code = cli.main(["count", "--m", "2", "--degrees", "15^1; 1^15",
                      "--mode", "rooted", "--path", "series"])
     assert code == 0 and capsys.readouterr().out == "1\n"
+
+
+def _degree_spec(d: stats.DegreeStat) -> str:
+    return "; ".join(" ".join(f"{h}^{k}" for h, k in row) for row in d.rows)
+
+
+@pytest.mark.parametrize("m,p_max", [(3, 7), (4, 5)])
+def test_every_degree_matrix_through_the_cli(m, p_max, capsys):
+    checked = 0
+    for p in range(1, p_max + 1):
+        for d in oracle._all_degree_matrices(m, p):
+            code = cli.main(["count", "--m", str(m), "--degrees", _degree_spec(d),
+                             "--mode", "rooted", "--path", "series"])
+            assert code == 0
+            assert capsys.readouterr().out == f"{F.count_rooted(d)}\n", d
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("m,p_max", [(3, 7), (4, 5)])
+def test_every_color_vector_through_the_cli(m, p_max, capsys):
+    for p in range(1, p_max + 1):
+        for c in oracle._all_color_vectors(m, p):
+            base = ["count", "--m", str(m), "--colors", ",".join(map(str, c.counts)),
+                    "--path", "series", "--mode"]
+            expected = [F.count_rooted(c), F.count_unlabelled(c)] + [
+                F.count_pointed(c, color) for color in range(1, m + 1)]
+            argvs = [base + ["rooted"], base + ["unlabelled"]] + [
+                base + ["pointed", "--color", str(color)] for color in range(1, m + 1)]
+            for argv, value in zip(argvs, expected):
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == f"{value}\n", argv
 
 
 @pytest.mark.parametrize("m", range(2, 8))

@@ -163,3 +163,37 @@ def test_degree_acceptance_matches_existence(m, p_max):
             except stats.ValidationError:
                 accepted = False
             assert accepted == (combo in realized), combo
+
+
+@pytest.mark.parametrize("factory, cls, m, raw, direct", [
+    (stats.size_stat, stats.SizeStat, 2, -1, -1),
+    (stats.size_stat, stats.SizeStat, 1, 3, 3),
+    (stats.color_stat, stats.ColorStat, 3, (4, 4, 4), (4, 4, 4)),
+    (stats.color_stat, stats.ColorStat, 2, (5, 0), (5, 0)),
+    (stats.color_stat, stats.ColorStat, 2, (3, -1), (3, -1)),
+    (stats.color_stat, stats.ColorStat, 3, (2, 2), (2, 2)),
+    (stats.degree_stat, stats.DegreeStat, 2, [{1: 5, 3: 2}, {2: 7}],
+     (((1, 5), (3, 2)), ((2, 7),))),
+    (stats.degree_stat, stats.DegreeStat, 2, [{1: 1, 2: 1}, {0: 1, 3: 1}],
+     (((1, 1), (2, 1)), ((0, 1), (3, 1)))),
+    (stats.degree_stat, stats.DegreeStat, 2, [{3: 1}, {3: 1}],
+     (((3, 1),), ((3, 1),))),
+    (stats.degree_stat, stats.DegreeStat, 2, [{1: -1}, {}], (((1, -1),), ())),
+    (stats.degree_stat, stats.DegreeStat, 3, [{1: 1}, {1: 1}],
+     (((1, 1),), ((1, 1),))),
+])
+def test_direct_construction_raises_like_its_factory(factory, cls, m, raw, direct):
+    with pytest.raises(stats.ValidationError) as by_factory:
+        factory(m, raw)
+    with pytest.raises(stats.ValidationError) as by_class:
+        cls(m, direct)
+    assert type(by_class.value) is type(by_factory.value)
+    assert str(by_class.value) == str(by_factory.value)
+
+
+def test_direct_degree_rows_must_be_in_normal_form():
+    for rows in ((((1, 1), (1, 1)), ((2, 1),)),   # a degree twice in one row
+                 (((2, 1), (1, 1)), ((1, 1), (2, 1))),   # unsorted
+                 (((1, 0), (2, 1)), ((1, 1),))):   # zero multiplicity
+        with pytest.raises(stats.ValidationError):
+            stats.DegreeStat(2, rows)
