@@ -37,10 +37,13 @@ def main() -> int:
     start = time.perf_counter()
 
     for m, p_max in sorted(parse_budgets(args.budgets).items()):
+        verify_start = time.perf_counter()
         report = oracle.verify(m, p_max)
+        seconds = time.perf_counter() - verify_start
         status = "ok" if report.passed else "FAILED"
         comparisons = sum(r.comparisons for r in report.results)
-        print(f"verify m={m} p<={p_max}: {comparisons} comparisons {status}")
+        print(f"verify m={m} p<={p_max}: {comparisons} comparisons {status} "
+              f"in {seconds:.2f}s")
         if not report.passed:
             failure = report.first_failure
             print(f"  first failure: {failure.name} p={failure.p}: {failure.detail}")

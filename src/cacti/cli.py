@@ -155,6 +155,8 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
         raise UsageError("--path series at degree level supports --mode rooted only")
     if mode == "pointed" and args.color is None:
         raise UsageError("--mode pointed requires --color here")
+    if mode == "pointed" and not 1 <= args.color <= stat.m:
+        raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{stat.m}")
     return series.count_target(stat, mode, args.color)
 
 
@@ -186,26 +188,27 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
             return len(rooted)
         return sum(1 for rc in rooted
                    if matches(*oracle.graph_stats(oracle.to_graph(rc))))
-    classes = [(rep, st) for rep, st in oracle.enumerate_unlabelled(m, p)
+    classes = [st for _, st in oracle.enumerate_unlabelled(m, p)
                if matches(st.colors, st.degrees)]
     if mode == "unlabelled":
         return len(classes)
     if mode == "asymmetric":
-        return sum(1 for _, st in classes if st.aut_order == 1)
+        return sum(1 for st in classes if st.aut_order == 1)
     if mode in ("aut-exact", "aut-atleast"):
         if args.s is None:
             raise UsageError(f"--mode {mode} requires --s")
+        if args.s < 2:
+            raise formulas.STooSmall(f"automorphism order s = {args.s} < 2")
         if mode == "aut-exact":
-            return sum(1 for _, st in classes if st.aut_order == args.s)
-        return sum(1 for _, st in classes if st.aut_order % args.s == 0)
+            return sum(1 for st in classes if st.aut_order == args.s)
+        return sum(1 for st in classes if st.aut_order % args.s == 0)
     if mode == "labelled":
         if isinstance(stat, SizeStat):
             weights = [math.factorial(stat.n)] * len(classes)
         else:
             weights = [math.prod(math.factorial(c) for c in st.colors.counts)
-                       for _, st in classes]
-        return sum(w // st.aut_order
-                   for w, (_, st) in zip(weights, classes))
+                       for st in classes]
+        return sum(w // st.aut_order for w, st in zip(weights, classes))
     if mode == "pointed":
         colors = ([args.color] if args.color is not None
                   else list(range(1, m + 1)))
@@ -213,9 +216,7 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
             raise formulas.ColorForbidden("size-level pointed counts take no color")
         if not isinstance(stat, SizeStat) and args.color is None:
             raise formulas.ColorRequired("pointed counts need a color at this level")
-        return sum(oracle.count_pointed_orbits(graph, c)
-                   for rep, _ in classes for graph in (oracle.to_graph(rep),)
-                   for c in colors)
+        return sum(st.pointed(c) for st in classes for c in colors)
     raise UsageError(f"--path oracle does not support mode {mode!r}")
 
 

@@ -3,14 +3,30 @@
 A planted cactus (a vertex with a dangling half-edge pair) is rigid, so the
 recursive representation below is canonical: two planted cacti are equal as
 Python values iff they are isomorphic.  A rooted cactus is the m-tuple of
-planted cacti hanging off its root polygon's vertices.  An isomorphism
-class of unrooted cacti is therefore the orbit of a rooted cactus under
-re-rooting at each of its p polygons, and a class with automorphism group
-of order a has exactly p/a distinct rootings.  `enumerate_unlabelled` walks
-the generated rooted cacti in encoding order and expands each one not yet
-seen into its orbit, so every class is handled once and is represented by
-its least rooting.  `canonical_unrooted` keys a single cactus by that least
-rooting directly; it is the reference the orbit pass is tested against.
+planted cacti hanging off its root polygon's vertices.
+
+`enumerate_unlabelled` builds each isomorphism class of unrooted cacti
+once, from its centroid by polygon count: the centre of the vertex-polygon
+tree on which the dissymmetry theorem (Bergeron, Labelle and Leroux,
+*Combinatorial Species and Tree-like Structures*) rests.  A branch at a
+vertex is one incident polygon with everything beyond it.  Exactly one of
+two cases holds:
+
+- Vertex-centred: some vertex v has no branch of more than p/2 polygons.
+  That vertex is unique, and the class is a necklace of its k branches.
+  The sequence that is its own least rotation is built once; with period
+  t, the automorphism group is the rotations by multiples of t, of order
+  k / t.  The class is represented by its rooting at the first polygon of
+  that sequence.
+- Polygon-centred: a unique polygon has m planted parts of fewer than p/2
+  polygons each.  Its corners carry the colours 1..m in order, so every
+  automorphism fixes it, and rigidity leaves only the identity.  The class
+  is the rooted cactus with that polygon as its root.
+
+A non-trivial automorphism fixes the centre vertex and no other vertex, so
+by Burnside's lemma a class with automorphism order a and n_c vertices of
+colour c has (n_c - d) / a + d orbits of them, where d is 1 if the centre
+has colour c and 0 otherwise.
 
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
@@ -20,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -84,10 +101,30 @@ class CactusStats:
     colors: ColorStat
     degrees: DegreeStat
     aut_order: int
+    centre: int | None  # colour of the centre vertex, None for a polygon
+
+    def pointed(self, color: int) -> int:
+        """Orbits of colour-`color` vertices under the automorphism group."""
+        if not 1 <= color <= self.colors.m:
+            raise ColorOutOfRange(f"color {color} not in 1..{self.colors.m}")
+        fixed = int(self.centre == color)
+        orbits, rest = divmod(self.colors.counts[color - 1] - fixed,
+                              self.aut_order)
+        if rest:
+            raise InconsistentResult(
+                f"{self.aut_order} does not divide the moved colour-{color} "
+                "vertices")
+        return orbits + fixed
 
 
 def _gen_budget(m: int) -> int:
     return GEN_BUDGET.get(m, 1)
+
+
+def _check_size(m: int, p: int) -> None:
+    if m < 2 or p < 1:
+        raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
+    _check_gen_budget(m, p)
 
 
 def _check_gen_budget(m: int, p: int) -> None:
@@ -102,6 +139,14 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
         return [(total,)]
     return [(head,) + rest for head in range(total + 1)
             for rest in _compositions(total - head, parts - 1)]
+
+
+def _capped_compositions(total: int, cap: int) -> list[tuple[int, ...]]:
+    """All tuples of ints in 1..cap summing to `total`."""
+    if total == 0:
+        return [()]
+    return [(head,) + rest for head in range(1, min(total, cap) + 1)
+            for rest in _capped_compositions(total - head, cap)]
 
 
 _planted_cache: dict[tuple[int, int, int], tuple[Planted, ...]] = {}
@@ -147,64 +192,18 @@ def encode_rooted(rc: Rooted) -> str:
     return "{" + ",".join(encode_planted(c) for c in rc.components) + "}"
 
 
-def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
-    start = pos
-    while text[pos].isdigit():
-        pos += 1
-    color = int(text[start:pos])
-    if text[pos] != "(":
-        raise ValueError(f"expected '(' at {pos} in {text!r}")
-    pos += 1
-    polys = []
-    while text[pos] == "[":
-        pos += 1
-        members = []
-        while True:
-            sub, pos = _parse_planted(text, pos)
-            members.append(sub)
-            if text[pos] == ",":
-                pos += 1
-                continue
-            break
-        if text[pos] != "]":
-            raise ValueError(f"expected ']' at {pos} in {text!r}")
-        pos += 1
-        polys.append(tuple(members))
-    if text[pos] != ")":
-        raise ValueError(f"expected ')' at {pos} in {text!r}")
-    return Planted(color, tuple(polys)), pos + 1
-
-
-def parse_rooted(text: str) -> Rooted:
-    """Inverse of encode_rooted, for the line-delimited export format."""
-    if not text.startswith("{") or not text.endswith("}"):
-        raise ValueError(f"not a rooted encoding: {text!r}")
-    pos = 1
-    comps = []
-    while True:
-        pc, pos = _parse_planted(text, pos)
-        comps.append(pc)
-        if text[pos] == ",":
-            pos += 1
-            continue
-        break
-    if pos != len(text) - 1:
-        raise ValueError(f"trailing junk in {text!r}")
-    return Rooted(len(comps), tuple(comps))
+def _rooted(m: int, p: int, cap: int) -> list[Rooted]:
+    """Rooted cacti with p polygons and at most `cap` in each planted part."""
+    return [Rooted(m, combo) for split in _compositions(p - 1, m)
+            if max(split) <= cap
+            for combo in product(*(_planted_all(m, c, q)
+                                   for c, q in enumerate(split, start=1)))]
 
 
 def generate_rooted(m: int, p: int) -> list[Rooted]:
-    """All rooted cacti with p polygons, sorted by encoding (duplicate-free)."""
-    if m < 2 or p < 1:
-        raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
-    _check_gen_budget(m, p)
-    out = []
-    for split in _compositions(p - 1, m):
-        for combo in product(*(_planted_all(m, c, q)
-                               for c, q in enumerate(split, start=1))):
-            out.append(Rooted(m, combo))
-    out.sort(key=encode_rooted)
-    return out
+    """All rooted cacti with p polygons, each once."""
+    _check_size(m, p)
+    return _rooted(m, p, p)
 
 
 def to_graph(rc: Rooted) -> CactusGraph:
@@ -266,11 +265,6 @@ def re_root(g: CactusGraph, pid: int) -> Rooted:
     return Rooted(g.m, comps)
 
 
-def canonical_unrooted(g: CactusGraph) -> str:
-    """Isomorphism-complete key: minimum rooted encoding over all rootings."""
-    return min(encode_rooted(re_root(g, pid)) for pid in range(len(g.polygons)))
-
-
 def graph_stats(g: CactusGraph) -> tuple[ColorStat, DegreeStat]:
     """Color and degree distributions read off an incidence structure."""
     color_counts = [0] * g.m
@@ -281,69 +275,46 @@ def graph_stats(g: CactusGraph) -> tuple[ColorStat, DegreeStat]:
     return color_stat(g.m, color_counts), degree_stat(g.m, rows)
 
 
+def _necklaces(m: int, p: int) -> Iterator[
+        tuple[int, tuple[tuple[Planted, ...], ...], int]]:
+    """(centre colour, branches, automorphism order) of each vertex-centred
+    class: every branch sequence around the centre with at most p // 2
+    polygons per branch that is its own least rotation."""
+    for color in range(1, m + 1):
+        for weights in _capped_compositions(p, p // 2):
+            k = len(weights)
+            for picks in product(*(enumerate(_polygons_at(m, color, w))
+                                   for w in weights)):
+                seq = [(w, i) for w, (i, _) in zip(weights, picks)]
+                rotations = [seq[r:] + seq[:r] for r in range(1, k)]
+                if any(rot < seq for rot in rotations):
+                    continue
+                period = next((r for r, rot in enumerate(rotations, start=1)
+                               if rot == seq), k)
+                yield color, tuple(poly for _, poly in picks), k // period
+
+
+def _rooted_at_first(m: int, color: int,
+                     branches: tuple[tuple[Planted, ...], ...]) -> Rooted:
+    """The rooting at the first branch's polygon of a colour-`color` centre."""
+    # The centre, then the first polygon's parts: colours color, color + 1, ...
+    around = (Planted(color, branches[1:]),) + branches[0]
+    shift = m + 1 - color
+    return Rooted(m, around[shift:] + around[:shift])
+
+
 def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
-    """One representative per isomorphism class, with exact automorphism data.
-
-    The automorphism order is p divided by the number of distinct rootings
-    of the class, which is valid because rooted cacti are rigid.
-    """
-    return _orbit_classes(p, generate_rooted(m, p))
-
-
-def _orbit_classes(p: int,
-                   rooted: list[Rooted]) -> list[tuple[Rooted, CactusStats]]:
-    """Classes of `rooted`, all rooted cacti with p polygons in encoding order.
-
-    Each cactus not yet seen is re-rooted at every polygon and the positions
-    of its re-rootings are marked.  The first member of an orbit met in the
-    walk is its least rooting, so classes come out sorted by that rooting.
-    """
-    position = {rc: i for i, rc in enumerate(rooted)}
-    seen = bytearray(len(rooted))
+    """One representative per isomorphism class, with exact automorphism data,
+    built from the class's centroid (see the module docstring)."""
+    _check_size(m, p)
+    classes = [(rc, None, 1) for rc in _rooted(m, p, (p - 1) // 2)]
+    classes += [(_rooted_at_first(m, color, branches), color, aut)
+                for color, branches, aut in _necklaces(m, p)]
     out = []
-    for i, rc in enumerate(rooted):
-        if seen[i]:
-            continue
-        g = to_graph(rc)
-        orbit = set()
-        for pid in range(len(g.polygons)):
-            j = position.get(re_root(g, pid))
-            if j is None or seen[j]:
-                raise InconsistentResult(
-                    f"re-rooting {encode_rooted(rc)} at polygon {pid} gives a "
-                    "cactus that was not generated or lies in an earlier orbit")
-            orbit.add(j)
-        if p % len(orbit):
-            raise InconsistentResult(
-                f"{len(orbit)} rootings of {encode_rooted(rc)} "
-                f"do not divide p = {p}")
-        for j in orbit:
-            seen[j] = 1
-        colors, degrees = graph_stats(g)
-        out.append((rc, CactusStats(colors, degrees, p // len(orbit))))
-    if not all(seen):
-        raise InconsistentResult(
-            f"{seen.count(0)} rooted cacti lie in no re-rooting orbit")
+    for rep, centre, aut in classes:
+        colors, degrees = graph_stats(to_graph(rep))
+        out.append((rep, CactusStats(colors, degrees, aut, centre)))
     return out
-
-
-def _pointed_key(g: CactusGraph, v: int) -> str:
-    """Canonical encoding of the cactus pointed at vertex v.
-
-    Pointing removes the linear order at v, so the incident polygons are
-    only cyclically ordered: minimize over rotations.
-    """
-    parts = ["[" + ",".join(map(encode_planted, _polygon_from(g, v, q))) + "]"
-             for q in g.vertex_polys[v]]
-    return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"
-               for r in range(len(parts)))
-
-
-def count_pointed_orbits(g: CactusGraph, color: int) -> int:
-    """Orbits of color-`color` vertices under the automorphism group."""
-    if not 1 <= color <= g.m:
-        raise ColorOutOfRange(f"color {color} not in 1..{g.m}")
-    return len({_pointed_key(g, v) for v, c in enumerate(g.colors) if c == color})
 
 
 CycleType = tuple[tuple[int, int], ...]
@@ -384,6 +355,11 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     (applying g_1 first), the m-tuple of cycle types gets one tick.  Cycle
     types use the same (length, multiplicity) row format as DegreeStat, so
     coherent keys compare directly against rooted degree-level counts.
+
+    The first m - 2 factors are enumerated; the last two multiply to the
+    rest r.  Conjugation preserves cycle types, so the census of pairs with
+    product r depends only on the cycle type of r, and is counted once per
+    type.
     """
     if m < 2 or p < 1:
         raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
@@ -392,16 +368,23 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
             f"factorizations capped at p <= {FACT_BUDGET.get(m, 2)} for m = {m}")
     sigma = tuple((i + 1) % p for i in range(p))
     identity = tuple(range(p))
-    census: dict[tuple[CycleType, ...], int] = {}
+    census: Counter = Counter()
     cycle_types = {g: _cycle_type(g) for g in permutations(range(p))}
-    for gs in product(cycle_types, repeat=m - 1):
+    pairs_by_type: dict[CycleType, Counter] = {}
+    for gs in product(cycle_types, repeat=m - 2):
         acc = identity
         for g in gs:
             acc = _compose(acc, g)
-        last = _compose(_inverse(acc), sigma)
-        key = tuple(cycle_types[g] for g in gs) + (cycle_types[last],)
-        census[key] = census.get(key, 0) + 1
-    return census
+        rest = _compose(_inverse(acc), sigma)
+        pairs = pairs_by_type.get(cycle_types[rest])
+        if pairs is None:
+            pairs = pairs_by_type[cycle_types[rest]] = Counter(
+                (cycle_types[a], cycle_types[_compose(_inverse(a), rest)])
+                for a in cycle_types)
+        head = tuple(cycle_types[g] for g in gs)
+        for pair, count in pairs.items():
+            census[head + pair] += count
+    return dict(census)
 
 
 def free_labelled_bruteforce(colors: ColorStat) -> int:
@@ -558,7 +541,12 @@ def verify(m: int, p_max: int) -> VerifyReport:
     for p in range(1, p_max + 1):
         size = size_stat(m, p)
         rooted = generate_rooted(m, p)
-        classes = _orbit_classes(p, rooted)
+        classes = [st for _, st in enumerate_unlabelled(m, p)]
+        rootings = sum(p // st.aut_order for st in classes)
+        if rootings != len(rooted):
+            raise InconsistentResult(
+                f"{len(classes)} classes have {rootings} rootings, "
+                f"but {len(rooted)} rooted cacti were generated")
         color_vectors = _all_color_vectors(m, p)
         degree_matrices = _all_degree_matrices(m, p)
 
@@ -581,32 +569,25 @@ def verify(m: int, p_max: int) -> VerifyReport:
         strata = sorted(s for s in divisors(p) if s >= 2)
         pairs = [("unlabelled", formulas.count_unlabelled(size), len(classes)),
                  ("asymmetric", formulas.count_asymmetric(size),
-                  sum(1 for _, st in classes if st.aut_order == 1))]
+                  sum(1 for st in classes if st.aut_order == 1))]
         for s in strata:
             pairs.append((f"aut={s}",
                           formulas.count_aut(size, s, AutMode.EXACTLY),
-                          sum(1 for _, st in classes if st.aut_order == s)))
+                          sum(1 for st in classes if st.aut_order == s)))
             pairs.append((f"aut>={s}",
                           formulas.count_aut(size, s, AutMode.AT_LEAST),
-                          sum(1 for _, st in classes if st.aut_order % s == 0)))
+                          sum(1 for st in classes if st.aut_order % s == 0)))
         record("classes size", p, pairs)
 
-        # Each class with its pointed-orbit counts per colour, grouped by
-        # colour vector and by degree matrix.
-        pointed = []
-        by_colors: dict[ColorStat, list[tuple[CactusStats, list[int]]]] = {}
-        by_degrees: dict[DegreeStat, list[tuple[CactusStats, list[int]]]] = {}
-        for rep, st in classes:
-            g = to_graph(rep)
-            entry = (st, [count_pointed_orbits(g, color)
-                          for color in range(1, m + 1)])
-            pointed.append(entry)
-            by_colors.setdefault(st.colors, []).append(entry)
-            by_degrees.setdefault(st.degrees, []).append(entry)
+        by_colors: dict[ColorStat, list[CactusStats]] = {}
+        by_degrees: dict[DegreeStat, list[CactusStats]] = {}
+        for st in classes:
+            by_colors.setdefault(st.colors, []).append(st)
+            by_degrees.setdefault(st.degrees, []).append(st)
 
         pairs = []
         for c in color_vectors:
-            members = [st for st, _ in by_colors.get(c, [])]
+            members = by_colors.get(c, [])
             pairs.append((f"unlabelled {c.counts}",
                           formulas.count_unlabelled(c), len(members)))
             pairs.append((f"asymmetric {c.counts}", formulas.count_asymmetric(c),
@@ -619,7 +600,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
 
         pairs = []
         for d in degree_matrices:
-            members = [st for st, _ in by_degrees.get(d, [])]
+            members = by_degrees.get(d, [])
             pairs.append((f"unlabelled {d.rows}",
                           formulas.count_unlabelled(d), len(members)))
             pairs.append((f"asymmetric {d.rows}", formulas.count_asymmetric(d),
@@ -634,28 +615,29 @@ def verify(m: int, p_max: int) -> VerifyReport:
         record("classes degree", p, pairs)
 
         pairs = [("size", formulas.count_labelled(size),
-                  sum(math.factorial(size.n) // st.aut_order for _, st in classes))]
+                  sum(math.factorial(size.n) // st.aut_order for st in classes))]
         for c in color_vectors:
             labellings = math.prod(math.factorial(x) for x in c.counts)
             pairs.append((f"color {c.counts}", formulas.count_labelled(c),
                           sum(labellings // st.aut_order
-                              for st, _ in by_colors.get(c, []))))
+                              for st in by_colors.get(c, []))))
         record("labelled", p, pairs)
 
         pairs = [("size", formulas.count_pointed(size),
-                  sum(sum(ob) for _, ob in pointed))]
+                  sum(st.pointed(color) for st in classes
+                      for color in range(1, m + 1)))]
         for c in color_vectors:
             for color in range(1, m + 1):
                 pairs.append((f"color {c.counts} @{color}",
                               formulas.count_pointed(c, color),
-                              sum(ob[color - 1]
-                                  for _, ob in by_colors.get(c, []))))
+                              sum(st.pointed(color)
+                                  for st in by_colors.get(c, []))))
         for d in degree_matrices:
             for color in range(1, m + 1):
                 pairs.append((f"degree {d.rows} @{color}",
                               formulas.count_pointed(d, color),
-                              sum(ob[color - 1]
-                                  for _, ob in by_degrees.get(d, []))))
+                              sum(st.pointed(color)
+                                  for st in by_degrees.get(d, []))))
         record("pointed orbits", p, pairs)
 
         if p <= FACT_BUDGET.get(m, 2):

@@ -164,16 +164,6 @@ def _lift(part: dict, k: Optional[int], box: Box) -> dict:
             if box is None or e[k] < box[k]}
 
 
-def geometric(s: Series) -> Series:
-    """1 / (1 - s) for a series with zero constant term."""
-    assert s[(0,) * s.nvars] == 0, "geometric needs zero constant term"
-    out = power = const(s.nvars, s.bound, 1)
-    for _ in range(s.bound):  # s^k starts at degree k
-        power = power * s
-        out = out + power
-    return out
-
-
 def log_geometric(s: Series) -> Series:
     """log(1 / (1 - s)) for a series with zero constant term.
 

@@ -1,0 +1,80 @@
+"""Plain references for the oracle's isomorphism classes and pointed orbits.
+
+The oracle builds each class once from its centroid and counts pointed
+orbits by Burnside's lemma.  The references here work from the rooted
+cacti instead: `orbit_classes` re-roots each generated cactus at every
+polygon and folds the orbits together, `canonical_unrooted` keys one cactus
+by its least rooting, and `count_pointed_orbits` keys every vertex of a
+class by the cyclic sequence of polygons around it.
+"""
+
+from cacti import oracle
+from cacti.stats import InconsistentResult
+
+
+def canonical_unrooted(g):
+    """Isomorphism-complete key: minimum rooted encoding over all rootings."""
+    return min(oracle.encode_rooted(oracle.re_root(g, pid))
+               for pid in range(len(g.polygons)))
+
+
+def orbit_classes(p, rooted):
+    """(representative, aut order, colours, degrees) of each class of
+    `rooted`, all rooted cacti with p polygons in encoding order.
+
+    Each cactus not yet seen is re-rooted at every polygon and the positions
+    of its re-rootings are marked.  The first member of an orbit met in the
+    walk is its least rooting, so classes come out sorted by that rooting.
+    """
+    position = {rc: i for i, rc in enumerate(rooted)}
+    seen = bytearray(len(rooted))
+    out = []
+    for i, rc in enumerate(rooted):
+        if seen[i]:
+            continue
+        g = oracle.to_graph(rc)
+        orbit = set()
+        for pid in range(len(g.polygons)):
+            j = position.get(oracle.re_root(g, pid))
+            if j is None or seen[j]:
+                raise InconsistentResult(
+                    f"re-rooting {oracle.encode_rooted(rc)} at polygon {pid} "
+                    "gives a cactus that was not generated or lies in an "
+                    "earlier orbit")
+            orbit.add(j)
+        if p % len(orbit):
+            raise InconsistentResult(
+                f"{len(orbit)} rootings of {oracle.encode_rooted(rc)} "
+                f"do not divide p = {p}")
+        for j in orbit:
+            seen[j] = 1
+        colors, degrees = oracle.graph_stats(g)
+        out.append((rc, p // len(orbit), colors, degrees))
+    if not all(seen):
+        raise InconsistentResult(
+            f"{seen.count(0)} rooted cacti lie in no re-rooting orbit")
+    return out
+
+
+def reference_classes(m, p):
+    """`orbit_classes` of every rooted cactus, sorted by encoding."""
+    return orbit_classes(p, sorted(oracle.generate_rooted(m, p),
+                                   key=oracle.encode_rooted))
+
+
+def _pointed_key(g, v):
+    """Canonical encoding of the cactus pointed at vertex v.
+
+    Pointing removes the linear order at v, so the incident polygons are
+    only cyclically ordered: minimize over rotations.
+    """
+    parts = ["[" + ",".join(map(oracle.encode_planted,
+                                oracle._polygon_from(g, v, q))) + "]"
+             for q in g.vertex_polys[v]]
+    return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"
+               for r in range(len(parts)))
+
+
+def count_pointed_orbits(g, color):
+    """Orbits of colour-`color` vertices under the automorphism group."""
+    return len({_pointed_key(g, v) for v, c in enumerate(g.colors) if c == color})

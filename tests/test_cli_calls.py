@@ -124,7 +124,7 @@ def test_oracle_pointed_builds_one_graph_per_class(capsys, monkeypatch, m, p):
     calls.clear()
     assert cli.main(["count", "--m", str(m), "--p", str(p), "--mode", "pointed",
                      "--path", "oracle"]) == 0
-    assert len(calls) == enumeration_calls + classes
+    assert enumeration_calls == classes and len(calls) == enumeration_calls
     expected = formulas.count_pointed(stats.size_stat(m, p), None)
     assert int(capsys.readouterr().out) == expected
 

@@ -32,6 +32,25 @@ def test_usage_error_exits_2(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+AUT_S = [["count", "--m", "2", "--p", "3", "--mode", mode, "--s", s]
+         for mode in ("aut-exact", "aut-atleast") for s in ("0", "1", "-2")]
+POINTED_COLOR = [["count", "--m", "3", "--colors", "2,2,3", "--mode", "pointed",
+                  "--color", color] for color in ("0", "4", "-1")]
+
+
+@pytest.mark.parametrize("argv, path",
+                         [(argv, "oracle") for argv in AUT_S]
+                         + [(argv, path) for argv in POINTED_COLOR
+                            for path in ("series", "oracle")],
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_other_routes_reject_what_the_formula_route_rejects(capsys, argv, path):
+    assert cli.main(argv) == 2
+    formula = capsys.readouterr()
+    assert formula.out == "" and formula.err.startswith("error: ")
+    assert cli.main(argv + ["--path", path]) == 2
+    assert capsys.readouterr() == formula
+
+
 def test_usage_errors_exit_2_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
     env = dict(os.environ)

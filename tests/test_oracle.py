@@ -5,6 +5,53 @@ import pytest
 from cacti import formulas as F
 from cacti import oracle, stats
 from cacti.oracle import Planted, Rooted
+from oracle_reference import canonical_unrooted, count_pointed_orbits
+
+
+def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
+    start = pos
+    while text[pos].isdigit():
+        pos += 1
+    color = int(text[start:pos])
+    if text[pos] != "(":
+        raise ValueError(f"expected '(' at {pos} in {text!r}")
+    pos += 1
+    polys = []
+    while text[pos] == "[":
+        pos += 1
+        members = []
+        while True:
+            sub, pos = _parse_planted(text, pos)
+            members.append(sub)
+            if text[pos] == ",":
+                pos += 1
+                continue
+            break
+        if text[pos] != "]":
+            raise ValueError(f"expected ']' at {pos} in {text!r}")
+        pos += 1
+        polys.append(tuple(members))
+    if text[pos] != ")":
+        raise ValueError(f"expected ')' at {pos} in {text!r}")
+    return Planted(color, tuple(polys)), pos + 1
+
+
+def parse_rooted(text: str) -> Rooted:
+    """Inverse of oracle.encode_rooted."""
+    if not text.startswith("{") or not text.endswith("}"):
+        raise ValueError(f"not a rooted encoding: {text!r}")
+    pos = 1
+    comps = []
+    while True:
+        pc, pos = _parse_planted(text, pos)
+        comps.append(pc)
+        if text[pos] == ",":
+            pos += 1
+            continue
+        break
+    if pos != len(text) - 1:
+        raise ValueError(f"trailing junk in {text!r}")
+    return Rooted(len(comps), tuple(comps))
 
 
 def test_generate_rooted_counts():
@@ -13,12 +60,11 @@ def test_generate_rooted_counts():
     assert len(oracle.generate_rooted(3, 4)) == 55
 
 
-def test_generate_rooted_is_sorted_and_deterministic():
+def test_generate_rooted_is_deterministic_and_duplicate_free():
     first = oracle.generate_rooted(3, 3)
     second = oracle.generate_rooted(3, 3)
     assert first == second
     encodings = [oracle.encode_rooted(rc) for rc in first]
-    assert encodings == sorted(encodings)
     assert len(set(encodings)) == len(encodings)
 
 
@@ -57,21 +103,21 @@ def test_graph_round_trip():
 
 def test_encoding_round_trip():
     for rc in oracle.generate_rooted(3, 3):
-        assert oracle.parse_rooted(oracle.encode_rooted(rc)) == rc
+        assert parse_rooted(oracle.encode_rooted(rc)) == rc
 
 
 def test_canonical_unrooted():
     # all rootings of one cactus share a key
     for rc in oracle.generate_rooted(2, 4):
         g = oracle.to_graph(rc)
-        keys = {oracle.canonical_unrooted(oracle.to_graph(oracle.re_root(g, pid)))
+        keys = {canonical_unrooted(oracle.to_graph(oracle.re_root(g, pid)))
                 for pid in range(len(g.polygons))}
         assert len(keys) == 1
     # the 3-vertex paths colored 1-2-1 and 2-1-2 are distinct classes, each
     # with a single rooting up to isomorphism (the end swap is an automorphism)
     path_rootings = oracle.generate_rooted(2, 2)
     assert len(path_rootings) == 2
-    keys = {oracle.canonical_unrooted(oracle.to_graph(rc)) for rc in path_rootings}
+    keys = {canonical_unrooted(oracle.to_graph(rc)) for rc in path_rootings}
     assert len(keys) == 2
     # the 4-vertex path 1-2-1-2 is a single class with three distinct rootings
     classes = oracle.enumerate_unlabelled(2, 3)
@@ -79,7 +125,7 @@ def test_canonical_unrooted():
     assert len(path) == 1 and path[0].aut_order == 1
     # sharing at color 1 vs color 2 gives different cacti
     m3p2 = oracle.generate_rooted(3, 2)
-    keys = {oracle.canonical_unrooted(oracle.to_graph(rc)) for rc in m3p2}
+    keys = {canonical_unrooted(oracle.to_graph(rc)) for rc in m3p2}
     assert len(keys) == 3
 
 
@@ -109,18 +155,28 @@ def test_export_lines_parse_back():
              for rep, _ in oracle.enumerate_unlabelled(3, 3)]
     assert len(lines) == F.count_unlabelled(stats.size_stat(3, 3))
     for line in lines:
-        assert oracle.encode_rooted(oracle.parse_rooted(line)) == line
+        assert oracle.encode_rooted(parse_rooted(line)) == line
 
 
 def test_count_pointed_orbits():
     g = oracle.to_graph(two_triangles_shared_color1())
-    assert oracle.count_pointed_orbits(g, 1) == 1
-    assert oracle.count_pointed_orbits(g, 2) == 1
+    assert count_pointed_orbits(g, 1) == 1
+    assert count_pointed_orbits(g, 2) == 1
     single = Rooted(3, (Planted(1, ()), Planted(2, ()), Planted(3, ())))
     gs = oracle.to_graph(single)
-    assert all(oracle.count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
-    with pytest.raises(oracle.ColorOutOfRange):
-        oracle.count_pointed_orbits(g, 4)
+    assert all(count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
+    # By Burnside: the centre of colour 1 is fixed, the two colour-2
+    # vertices are swapped, and a single polygon has no centre vertex.
+    classes = {oracle.encode_rooted(rep): st
+               for rep, st in oracle.enumerate_unlabelled(3, 2)}
+    st = classes[oracle.encode_rooted(two_triangles_shared_color1())]
+    assert (st.centre, st.aut_order) == (1, 2)
+    assert [st.pointed(c) for c in (1, 2, 3)] == [1, 1, 1]
+    [(_, st)] = oracle.enumerate_unlabelled(3, 1)
+    assert st.centre is None and [st.pointed(c) for c in (1, 2, 3)] == [1, 1, 1]
+    for color in (0, 4, -1):
+        with pytest.raises(oracle.ColorOutOfRange):
+            st.pointed(color)
 
 
 def test_factorizations_census():

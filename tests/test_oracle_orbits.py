@@ -1,11 +1,14 @@
-"""The orbit pass of the oracle against its plain references.
+"""The oracle's centroid classes against plain references.
 
-`enumerate_unlabelled` expands each rooted cactus into its orbit under
-re-rooting; the reference below keys every rooted cactus separately by
-`canonical_unrooted` and groups equal keys.  `factorizations` looks cycle
-types up in a table built once; the reference computes one per tuple.
+`enumerate_unlabelled` builds each class once from its centroid and counts
+pointed orbits by Burnside's lemma; `oracle_reference` re-roots every
+generated cactus instead, and keys every vertex for the pointed orbits.
+The re-rooting reference is itself checked against a grouping by
+`canonical_unrooted`.  `factorizations` counts the last two factors once
+per cycle type of their product; the reference recounts every tuple.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -13,13 +16,22 @@ import pytest
 from cacti import oracle
 from cacti.oracle import Planted, Rooted
 from cacti.stats import InconsistentResult
+from oracle_reference import (
+    canonical_unrooted,
+    count_pointed_orbits,
+    orbit_classes,
+    reference_classes,
+)
+
+SIZES = [(m, p) for m, p_max in oracle.GEN_BUDGET.items()
+         for p in range(1, p_max + 1)] + [(5, 1)]
 
 
 def classes_by_canonical_key(m, p):
     """(representative, aut order, colours, degrees) per class, by key."""
     groups = {}
     for rc in oracle.generate_rooted(m, p):
-        key = oracle.canonical_unrooted(oracle.to_graph(rc))
+        key = canonical_unrooted(oracle.to_graph(rc))
         groups.setdefault(key, []).append(rc)
     out = []
     for key in sorted(groups):
@@ -32,9 +44,22 @@ def classes_by_canonical_key(m, p):
 
 @pytest.mark.parametrize("m, p", [(2, 6), (2, 7), (3, 4), (4, 3)])
 def test_orbit_pass_matches_canonical_grouping(m, p):
-    got = [(rep, st.aut_order, st.colors, st.degrees)
-           for rep, st in oracle.enumerate_unlabelled(m, p)]
-    assert got == classes_by_canonical_key(m, p)
+    assert reference_classes(m, p) == classes_by_canonical_key(m, p)
+
+
+@pytest.mark.parametrize("m, p", SIZES)
+def test_centroid_classes_match_reference(m, p):
+    got = Counter()
+    for rep, st in oracle.enumerate_unlabelled(m, p):
+        got[(canonical_unrooted(oracle.to_graph(rep)), st.aut_order,
+             st.colors, st.degrees,
+             tuple(st.pointed(c) for c in range(1, m + 1)))] += 1
+    expected = Counter()
+    for rep, aut, colors, degrees in reference_classes(m, p):
+        g = oracle.to_graph(rep)
+        expected[(canonical_unrooted(g), aut, colors, degrees,
+                  tuple(count_pointed_orbits(g, c) for c in range(1, m + 1)))] += 1
+    assert got == expected
 
 
 def factorizations_recounted(m, p):
@@ -50,7 +75,7 @@ def factorizations_recounted(m, p):
     return census
 
 
-@pytest.mark.parametrize("m, p", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("m, p", [(2, 5), (3, 4), (4, 3), (3, 5)])
 def test_factorizations_match_recount(m, p):
     assert oracle.factorizations(m, p) == factorizations_recounted(m, p)
 
@@ -59,16 +84,14 @@ def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
     stray = Rooted(2, (Planted(1, ()), Planted(2, ((Planted(1, ()),),) * 9)))
     monkeypatch.setattr(oracle, "re_root", lambda g, pid: stray)
     with pytest.raises(InconsistentResult, match="not generated"):
-        oracle.enumerate_unlabelled(2, 3)
-    with pytest.raises(InconsistentResult, match="not generated"):
-        oracle.verify(2, 3)
+        reference_classes(2, 3)
 
 
 def test_re_rooting_into_an_earlier_orbit_raises(monkeypatch):
-    first = oracle.generate_rooted(2, 3)[0]
+    first = min(oracle.generate_rooted(2, 3), key=oracle.encode_rooted)
     monkeypatch.setattr(oracle, "re_root", lambda g, pid: first)
     with pytest.raises(InconsistentResult, match="earlier orbit"):
-        oracle.enumerate_unlabelled(2, 3)
+        reference_classes(2, 3)
 
 
 def test_orbit_size_not_dividing_p_raises(monkeypatch):
@@ -78,14 +101,20 @@ def test_orbit_size_not_dividing_p_raises(monkeypatch):
     monkeypatch.setattr(oracle, "re_root",
                         lambda g, pid: re_root(g, min(pid, 1)))
     with pytest.raises(InconsistentResult, match="do not divide p = 3"):
-        oracle.enumerate_unlabelled(2, 3)
+        reference_classes(2, 3)
 
 
-def test_duplicate_rooted_cactus_raises(monkeypatch):
+def test_duplicate_rooted_cactus_raises():
     # The first copy of a duplicate never lands in an orbit: every lookup
     # of it finds the second copy.
-    rooted = oracle.generate_rooted(2, 3)
-    monkeypatch.setattr(oracle, "generate_rooted",
-                        lambda m, p: rooted + rooted[:1])
+    rooted = sorted(oracle.generate_rooted(2, 3), key=oracle.encode_rooted)
     with pytest.raises(InconsistentResult, match="1 rooted cacti lie in no"):
-        oracle.enumerate_unlabelled(2, 3)
+        orbit_classes(3, rooted[:1] + rooted)
+
+
+def test_verify_raises_when_the_classes_miss_a_rooting(monkeypatch):
+    generate_rooted = oracle.generate_rooted
+    monkeypatch.setattr(oracle, "generate_rooted",
+                        lambda m, p: generate_rooted(m, p) * 2)
+    with pytest.raises(InconsistentResult, match="1 rootings, but 2 rooted"):
+        oracle.verify(2, 3)
