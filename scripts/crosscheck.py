@@ -2,8 +2,9 @@
 """Run the full formula / series / oracle cross-validation sweep.
 
 Exhaustively generates small cacti and compares every count against the
-closed forms, then checks the truncated series coefficients against the
-formulas up to a total degree.  Exits nonzero on the first mismatch.  The
+closed forms, then checks the truncated rooted, unlabelled and pointed (one
+per colour) series coefficients against the closed forms of the mode table
+up to a total degree.  Exits nonzero on the first mismatch.  The
 exhaustive sweep covers the oracle's whole generation budget unless
 --budgets narrows it.
 
@@ -58,22 +59,20 @@ def main() -> int:
 
     for m in (2, 3):
         fam = series.solve_planted(m, args.degree)
-        rooted = series.series_rooted(fam)
-        unlabelled = series.series_unlabelled(m, args.degree)
+        sweeps = [("rooted", {}, series.series_rooted(fam)),
+                  ("unlabelled", {}, series.series_unlabelled(m, args.degree))]
+        sweeps += [("pointed", {"color": c}, series.series_pointed_unlabelled(fam, c))
+                   for c in range(1, m + 1)]
         checked = 0
-        for counts, coeff in sorted(rooted.coeffs.items()):
-            stat = stats.color_stat(m, counts)
-            if coeff != formulas.count_rooted(stat):
-                print(f"series mismatch at {counts}")
-                return 1
-            checked += 1
-        for counts, coeff in sorted(unlabelled.coeffs.items()):
-            if sum(counts) == 1:
-                continue
-            if coeff != formulas.count_unlabelled(stats.color_stat(m, counts)):
-                print(f"series mismatch at {counts}")
-                return 1
-            checked += 1
+        for mode, options, out in sweeps:
+            formula = formulas.MODES[mode].formula
+            for counts, coeff in sorted(out.coeffs.items()):
+                if sum(counts) == 1:  # the single vertex keeps its own conventions
+                    continue
+                if coeff != formula(stats.color_stat(m, counts), **options):
+                    print(f"series mismatch in {mode} {options} at {counts}")
+                    return 1
+                checked += 1
         print(f"series m={m} degree<={args.degree}: {checked} coefficients ok")
 
     print(f"all cross-checks passed in {time.perf_counter() - start:.2f}s")

@@ -13,19 +13,15 @@ import csv
 import decimal
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from . import formulas, oracle, series, stats
-from .formulas import AutMode, GonalKind
+from .formulas import GonalKind
 from .stats import ColorStat, DegreeStat, SizeStat, Statistic, ValidationError
 
 SERIES_MULTI_BOUND = 16
 SERIES_ONE_SORT_BOUND = 64
-
-MODES = ("rooted", "labelled", "pointed", "unlabelled", "asymmetric",
-         "aut-exact", "aut-atleast", "gonal", "free", "constellation")
 
 # Degree rows of the published degree-distribution table; the first row is
 # incoherent (its rows disagree on the polygon count) and must be annotated,
@@ -99,35 +95,22 @@ def _build_stat(args) -> Statistic:
     return matrix
 
 
+# How a level-bound mode names the level it works at.
+_LEVELS = {SizeStat: "works at size level (--p)", ColorStat: "needs --colors"}
+
+
+def _check_query(mode: str, stat: Statistic, args) -> None:
+    """The level and flag rules of the mode table, checked before any route."""
+    level = formulas.MODES[mode].level
+    if level is not None and not isinstance(stat, level):
+        raise UsageError(f"--mode {mode} {_LEVELS[level]}")
+    if mode.startswith("aut-") and args.s is None:
+        raise UsageError(f"--mode {mode} requires --s")
+
+
 def _count_formula(mode: str, stat: Statistic, args) -> int:
-    if mode == "rooted":
-        return formulas.count_rooted(stat)
-    if mode == "labelled":
-        return formulas.count_labelled(stat)
-    if mode == "pointed":
-        return formulas.count_pointed(stat, args.color)
-    if mode == "unlabelled":
-        return formulas.count_unlabelled(stat)
-    if mode == "asymmetric":
-        return formulas.count_asymmetric(stat)
-    if mode in ("aut-exact", "aut-atleast"):
-        if args.s is None:
-            raise UsageError(f"--mode {mode} requires --s")
-        which = AutMode.EXACTLY if mode == "aut-exact" else AutMode.AT_LEAST
-        return formulas.count_aut(stat, args.s, which)
-    if mode == "gonal":
-        if not isinstance(stat, SizeStat):
-            raise UsageError("--mode gonal works at size level (--p)")
-        return formulas.count_gonal(stat.m, stat.p, GonalKind(args.kind))
-    if mode == "free":
-        if not isinstance(stat, ColorStat):
-            raise UsageError("--mode free needs --colors")
-        return formulas.count_free_labelled(stat)
-    if mode == "constellation":
-        if not isinstance(stat, SizeStat):
-            raise UsageError("--mode constellation works at size level (--p)")
-        return formulas.count_constellation_rooted(stat.m, stat.p)
-    raise UsageError(f"unknown mode {mode!r}")
+    return formulas.MODES[mode].formula(stat, color=args.color, s=args.s,
+                                        kind=GonalKind(args.kind))
 
 
 def _count_series(mode: str, stat: Statistic, args) -> int:
@@ -136,6 +119,8 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
     # than inside the series module.
     if mode not in ("rooted", "pointed", "unlabelled"):
         raise UsageError(f"--path series does not support mode {mode!r}")
+    if mode == "pointed":
+        formulas.pointed_colors(stat, args.color)
     if stat.p == 0:
         return _count_formula(mode, stat, args)
     order = stat.n
@@ -153,10 +138,6 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
         raise oracle.BudgetExceeded(f"series order {order} > {SERIES_MULTI_BOUND}")
     if isinstance(stat, DegreeStat) and mode != "rooted":
         raise UsageError("--path series at degree level supports --mode rooted only")
-    if mode == "pointed" and args.color is None:
-        raise UsageError("--mode pointed requires --color here")
-    if mode == "pointed" and not 1 <= args.color <= stat.m:
-        raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{stat.m}")
     return series.count_target(stat, mode, args.color)
 
 
@@ -165,8 +146,6 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
         return _count_formula(mode, stat, args)
     m, p = stat.m, stat.p
     if mode == "free":
-        if not isinstance(stat, ColorStat):
-            raise UsageError("--mode free needs --colors")
         return oracle.free_labelled_bruteforce(stat)
     if mode == "gonal":
         if GonalKind(args.kind) is not GonalKind.UNLABELLED:
@@ -174,54 +153,19 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
         return oracle.enumerate_gonal(m, p)
     if mode == "constellation":
         raise UsageError("no exhaustive constellation generator; use --path formula")
-
-    def matches(colors: ColorStat, degrees: DegreeStat) -> bool:
-        if isinstance(stat, ColorStat):
-            return colors == stat
-        if isinstance(stat, DegreeStat):
-            return degrees == stat
-        return True
-
     if mode == "rooted":
         rooted = oracle.generate_rooted(m, p)
         if isinstance(stat, SizeStat):
             return len(rooted)
-        return sum(1 for rc in rooted
-                   if matches(*oracle.graph_stats(oracle.to_graph(rc))))
-    classes = [st for _, st in oracle.enumerate_unlabelled(m, p)
-               if matches(st.colors, st.degrees)]
-    if mode == "unlabelled":
-        return len(classes)
-    if mode == "asymmetric":
-        return sum(1 for st in classes if st.aut_order == 1)
-    if mode in ("aut-exact", "aut-atleast"):
-        if args.s is None:
-            raise UsageError(f"--mode {mode} requires --s")
-        if args.s < 2:
-            raise formulas.STooSmall(f"automorphism order s = {args.s} < 2")
-        if mode == "aut-exact":
-            return sum(1 for st in classes if st.aut_order == args.s)
-        return sum(1 for st in classes if st.aut_order % args.s == 0)
-    if mode == "labelled":
-        if isinstance(stat, SizeStat):
-            weights = [math.factorial(stat.n)] * len(classes)
-        else:
-            weights = [math.prod(math.factorial(c) for c in st.colors.counts)
-                       for st in classes]
-        return sum(w // st.aut_order for w, st in zip(weights, classes))
-    if mode == "pointed":
-        colors = ([args.color] if args.color is not None
-                  else list(range(1, m + 1)))
-        if isinstance(stat, SizeStat) and args.color is not None:
-            raise formulas.ColorForbidden("size-level pointed counts take no color")
-        if not isinstance(stat, SizeStat) and args.color is None:
-            raise formulas.ColorRequired("pointed counts need a color at this level")
-        return sum(st.pointed(c) for st in classes for c in colors)
-    raise UsageError(f"--path oracle does not support mode {mode!r}")
+        return sum(stat in oracle.graph_stats(oracle.to_graph(rc)) for rc in rooted)
+    members = [st for _, st in oracle.enumerate_unlabelled(m, p)
+               if isinstance(stat, SizeStat) or stat in (st.colors, st.degrees)]
+    return formulas.MODES[mode].classes(members, stat, color=args.color, s=args.s)
 
 
 def cmd_count(args) -> int:
     stat = _build_stat(args)
+    _check_query(args.mode, stat, args)
     compute = {"formula": _count_formula, "series": _count_series,
                "oracle": _count_oracle}[args.path]
     count = compute(args.mode, stat, args)
@@ -418,7 +362,7 @@ def _count_options(count: argparse.ArgumentParser) -> None:
     count.add_argument("--p", type=int, help="polygon count (size level)")
     count.add_argument("--colors", help="comma-separated color counts, e.g. 4,4,5")
     count.add_argument("--degrees", help='degree rows, e.g. "1^2 2^2 4^1; 1^2 2^4"')
-    count.add_argument("--mode", choices=MODES, required=True)
+    count.add_argument("--mode", choices=formulas.MODES, required=True)
     count.add_argument("--color", type=int, help="pointed color (1-based)")
     count.add_argument("--s", type=int, help="automorphism order for aut-* modes")
     count.add_argument("--kind", choices=[k.value for k in GonalKind],
@@ -492,10 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UsageError, oracle.BudgetExceeded,
-            formulas.ColorOutOfRange, formulas.ColorRequired,
-            formulas.ColorForbidden, formulas.STooSmall,
-            formulas.NonPositiveP, oracle.ColorOutOfRange) as exc:
+    except (ValidationError, UsageError, oracle.BudgetExceeded) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

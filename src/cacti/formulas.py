@@ -13,7 +13,9 @@ come in five flavours per statistic level:
 plus the strata count_aut for classes whose automorphism group has order
 exactly s / a multiple of s.  Unlabelled and pointed counts are divisor sums
 weighted by Euler's phi; replacing phi by the Moebius function turns them
-into asymmetric / exact-order counts.
+into asymmetric / exact-order counts.  `MODES` names each mode once for
+every route: its closed form, its count over isomorphism classes and the
+statistic level it is bound to.
 
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), all other counts are 1.  Every
@@ -24,6 +26,7 @@ would signal an implementation bug, hence `InconsistentResult`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -62,23 +65,23 @@ class GonalKind(Enum):
     PLANTED = "planted"
 
 
-class ColorOutOfRange(ValueError):
+class ColorOutOfRange(ValidationError):
     """Pointed color must lie in 1..m."""
 
 
-class ColorRequired(ValueError):
+class ColorRequired(ValidationError):
     """Pointed counts at color/degree level need an explicit color."""
 
 
-class ColorForbidden(ValueError):
+class ColorForbidden(ValidationError):
     """Size-level pointed counts sum over colors; no color argument."""
 
 
-class STooSmall(ValueError):
+class STooSmall(ValidationError):
     """Automorphism strata exist only for order s >= 2."""
 
 
-class NonPositiveP(ValueError):
+class NonPositiveP(ValidationError):
     """Constellations need at least one polygon."""
 
 
@@ -132,23 +135,30 @@ def count_labelled(stat: Statistic) -> int:
     return p ** (stat.m - 2) * prod
 
 
-def count_pointed(stat: Statistic, color: int | None = None) -> int:
-    """Cacti pointed at a vertex; summed over colors at size level."""
-    p = stat.p
+def pointed_colors(stat: Statistic, color: int | None) -> range:
+    """The colors a pointed count sums over: all of them at size level, which
+    takes no color; else the one given color, which must lie in 1..m."""
     if isinstance(stat, SizeStat):
         if color is not None:
             raise ColorForbidden("size-level pointed counts take no color")
-        if p == 0:
-            return 1
-        total = sum(euler_phi(d) * binomial(p * stat.m // d, p // d)
-                    for d in divisors(p))
-        return _exact(Fraction(total, p), "pointed size count")
+        return range(1, stat.m + 1)
     if color is None:
         raise ColorRequired("pointed counts need a color at this level")
     if not 1 <= color <= stat.m:
         raise ColorOutOfRange(f"color {color} not in 1..{stat.m}")
+    return range(color, color + 1)
+
+
+def count_pointed(stat: Statistic, color: int | None = None) -> int:
+    """Cacti pointed at a vertex; summed over colors at size level."""
+    pointed_colors(stat, color)
+    p = stat.p
     if p == 0:
         return 1
+    if isinstance(stat, SizeStat):
+        total = sum(euler_phi(d) * binomial(p * stat.m // d, p // d)
+                    for d in divisors(p))
+        return _exact(Fraction(total, p), "pointed size count")
     stat = shift(stat, color - 1)
     if isinstance(stat, ColorStat):
         total = _color_sum(p, stat.counts, 0, euler_phi, min_d=1)
@@ -245,6 +255,11 @@ def count_asymmetric(stat: Statistic) -> int:
     return _count_plain(stat, moebius_mu, "asymmetric count")
 
 
+def _check_stratum(s: int) -> None:
+    if s < 2:
+        raise STooSmall(f"automorphism order s = {s} < 2")
+
+
 def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     """Classes whose automorphism group order is exactly s / a multiple of s.
 
@@ -337,3 +352,63 @@ def count_constellation_rooted(m: int, p: int) -> int:
     value = Fraction((m + 1) * m ** (p - 1),
                      ((m - 1) * p + 2) * ((m - 1) * p + 1))
     return _exact(value * binomial(m * p, p), "rooted constellation count")
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One counting mode, the same for every route.
+
+    `formula(stat, ...)` is the closed form.  `classes(members, stat, ...)`
+    counts the isomorphism classes `members` of the statistic `stat`,
+    reading of each only `aut_order`, `colors` and `pointed(color)`; it is
+    None where the oracle counts another way or not at all.  Both take the
+    options `color`, `s` and `kind` by keyword and ignore those their mode
+    does not read.  `level` is the one statistic type the mode accepts, if
+    it accepts just one.
+    """
+
+    formula: Callable[..., int]
+    classes: Callable[..., int] | None = None
+    level: type | None = None
+
+
+def _labelled_classes(members, stat: Statistic, **_) -> int:
+    """Sum of labellings / |Aut|: n! labellings at size level, else the
+    product of n_c! over the colors."""
+    if isinstance(stat, SizeStat):
+        return sum(math.factorial(stat.n) // st.aut_order for st in members)
+    return sum(math.prod(math.factorial(c) for c in st.colors.counts)
+               // st.aut_order for st in members)
+
+
+def _aut_mode(which: AutMode) -> Mode:
+    def classes(members, stat: Statistic, *, s: int, **_) -> int:
+        _check_stratum(s)
+        if which is AutMode.EXACTLY:
+            return sum(st.aut_order == s for st in members)
+        return sum(st.aut_order % s == 0 for st in members)
+
+    return Mode(lambda stat, *, s, **_: count_aut(stat, s, which), classes)
+
+
+MODES: dict[str, Mode] = {
+    "rooted": Mode(lambda stat, **_: count_rooted(stat)),
+    "labelled": Mode(lambda stat, **_: count_labelled(stat), _labelled_classes),
+    "pointed": Mode(
+        lambda stat, color=None, **_: count_pointed(stat, color),
+        lambda members, stat, color=None, **_: sum(
+            st.pointed(c) for c in pointed_colors(stat, color) for st in members)),
+    "unlabelled": Mode(lambda stat, **_: count_unlabelled(stat),
+                       lambda members, stat, **_: len(members)),
+    "asymmetric": Mode(lambda stat, **_: count_asymmetric(stat),
+                       lambda members, stat, **_: sum(st.aut_order == 1
+                                                      for st in members)),
+    "aut-exact": _aut_mode(AutMode.EXACTLY),
+    "aut-atleast": _aut_mode(AutMode.AT_LEAST),
+    "gonal": Mode(lambda stat, kind=GonalKind.UNLABELLED, **_:
+                  count_gonal(stat.m, stat.p, kind), level=SizeStat),
+    "free": Mode(lambda stat, **_: count_free_labelled(stat), level=ColorStat),
+    "constellation": Mode(lambda stat, **_:
+                          count_constellation_rooted(stat.m, stat.p),
+                          level=SizeStat),
+}

@@ -43,7 +43,7 @@ from itertools import combinations, permutations, product
 
 from . import formulas
 from .arith import divisors
-from .formulas import AutMode
+from .formulas import ColorOutOfRange  # raised by CactusStats.pointed
 from .stats import (
     ColorStat,
     DegreeStat,
@@ -62,10 +62,6 @@ FREE_P_BUDGET = 4
 
 class BudgetExceeded(ValueError):
     """Requested size is beyond the documented brute-force bounds."""
-
-
-class ColorOutOfRange(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,7 @@ class CactusStats:
 
     def pointed(self, color: int) -> int:
         """Orbits of colour-`color` vertices under the automorphism group."""
-        if not 1 <= color <= self.colors.m:
-            raise ColorOutOfRange(f"color {color} not in 1..{self.colors.m}")
+        formulas.pointed_colors(self.colors, color)
         fixed = int(self.centre == color)
         orbits, rest = divmod(self.colors.counts[color - 1] - fixed,
                               self.aut_order)
@@ -538,6 +533,13 @@ def verify(m: int, p_max: int) -> VerifyReport:
             detail = f"{what}: expected {exp}, got {act}"
         results.append(CheckResult(name, p, len(pairs), not bad, detail))
 
+    def compare(label: str, mode: str, stat, members: list[CactusStats],
+                **options) -> tuple[str, int, int]:
+        """The mode's closed form against its count over the classes."""
+        row = formulas.MODES[mode]
+        return (label, row.formula(stat, **options),
+                row.classes(members, stat, **options))
+
     for p in range(1, p_max + 1):
         size = size_stat(m, p)
         rooted = generate_rooted(m, p)
@@ -547,97 +549,53 @@ def verify(m: int, p_max: int) -> VerifyReport:
             raise InconsistentResult(
                 f"{len(classes)} classes have {rootings} rootings, "
                 f"but {len(rooted)} rooted cacti were generated")
+        groups: dict[ColorStat | DegreeStat, list[CactusStats]] = {}
+        for st in classes:
+            for stat in (st.colors, st.degrees):
+                groups.setdefault(stat, []).append(st)
         color_vectors = _all_color_vectors(m, p)
         degree_matrices = _all_degree_matrices(m, p)
+        levels = [("color", [(c, c.counts) for c in color_vectors]),
+                  ("degree", [(d, d.rows) for d in degree_matrices])]
 
         record("rooted size", p,
                [("count", formulas.count_rooted(size), len(rooted))])
-
-        by_color: Counter = Counter()
-        by_degree: Counter = Counter()
-        for rc in rooted:
-            colors, degrees = graph_stats(to_graph(rc))
-            by_color[colors] += 1
-            by_degree[degrees] += 1
-        record("rooted color", p,
-               [(str(c.counts), formulas.count_rooted(c), by_color.get(c, 0))
-                for c in color_vectors])
-        record("rooted degree", p,
-               [(str(d.rows), formulas.count_rooted(d), by_degree.get(d, 0))
-                for d in degree_matrices])
+        tally = Counter(st for rc in rooted for st in graph_stats(to_graph(rc)))
+        for level, keyed in levels:
+            record(f"rooted {level}", p, [(str(key), formulas.count_rooted(stat),
+                                           tally[stat]) for stat, key in keyed])
 
         strata = sorted(s for s in divisors(p) if s >= 2)
-        pairs = [("unlabelled", formulas.count_unlabelled(size), len(classes)),
-                 ("asymmetric", formulas.count_asymmetric(size),
-                  sum(1 for st in classes if st.aut_order == 1))]
+        pairs = [compare(mode, mode, size, classes)
+                 for mode in ("unlabelled", "asymmetric")]
         for s in strata:
-            pairs.append((f"aut={s}",
-                          formulas.count_aut(size, s, AutMode.EXACTLY),
-                          sum(1 for st in classes if st.aut_order == s)))
-            pairs.append((f"aut>={s}",
-                          formulas.count_aut(size, s, AutMode.AT_LEAST),
-                          sum(1 for st in classes if st.aut_order % s == 0)))
+            pairs.append(compare(f"aut={s}", "aut-exact", size, classes, s=s))
+            pairs.append(compare(f"aut>={s}", "aut-atleast", size, classes, s=s))
         record("classes size", p, pairs)
 
-        by_colors: dict[ColorStat, list[CactusStats]] = {}
-        by_degrees: dict[DegreeStat, list[CactusStats]] = {}
-        for st in classes:
-            by_colors.setdefault(st.colors, []).append(st)
-            by_degrees.setdefault(st.degrees, []).append(st)
+        for level, keyed in levels:
+            pairs = []
+            for stat, key in keyed:
+                members = groups.get(stat, [])
+                pairs += [compare(f"{mode} {key}", mode, stat, members)
+                          for mode in ("unlabelled", "asymmetric")]
+                pairs += [compare(f"aut={s} {key}", "aut-exact", stat, members, s=s)
+                          for s in strata]
+                if level == "degree":
+                    pairs.append((f"reciprocal {key}", formulas.aut_reciprocal_sum(stat),
+                                  sum(Fraction(1, st.aut_order)
+                                      for st in members) or Fraction(0)))
+            record(f"classes {level}", p, pairs)
 
-        pairs = []
-        for c in color_vectors:
-            members = by_colors.get(c, [])
-            pairs.append((f"unlabelled {c.counts}",
-                          formulas.count_unlabelled(c), len(members)))
-            pairs.append((f"asymmetric {c.counts}", formulas.count_asymmetric(c),
-                          sum(1 for st in members if st.aut_order == 1)))
-            for s in strata:
-                pairs.append((f"aut={s} {c.counts}",
-                              formulas.count_aut(c, s, AutMode.EXACTLY),
-                              sum(1 for st in members if st.aut_order == s)))
-        record("classes color", p, pairs)
+        record("labelled", p, [compare("size", "labelled", size, classes)] + [
+            compare(f"color {c.counts}", "labelled", c, groups.get(c, []))
+            for c in color_vectors])
 
-        pairs = []
-        for d in degree_matrices:
-            members = by_degrees.get(d, [])
-            pairs.append((f"unlabelled {d.rows}",
-                          formulas.count_unlabelled(d), len(members)))
-            pairs.append((f"asymmetric {d.rows}", formulas.count_asymmetric(d),
-                          sum(1 for st in members if st.aut_order == 1)))
-            for s in strata:
-                pairs.append((f"aut={s} {d.rows}",
-                              formulas.count_aut(d, s, AutMode.EXACTLY),
-                              sum(1 for st in members if st.aut_order == s)))
-            pairs.append((f"reciprocal {d.rows}", formulas.aut_reciprocal_sum(d),
-                          sum(Fraction(1, st.aut_order)
-                              for st in members) or Fraction(0)))
-        record("classes degree", p, pairs)
-
-        pairs = [("size", formulas.count_labelled(size),
-                  sum(math.factorial(size.n) // st.aut_order for st in classes))]
-        for c in color_vectors:
-            labellings = math.prod(math.factorial(x) for x in c.counts)
-            pairs.append((f"color {c.counts}", formulas.count_labelled(c),
-                          sum(labellings // st.aut_order
-                              for st in by_colors.get(c, []))))
-        record("labelled", p, pairs)
-
-        pairs = [("size", formulas.count_pointed(size),
-                  sum(st.pointed(color) for st in classes
-                      for color in range(1, m + 1)))]
-        for c in color_vectors:
-            for color in range(1, m + 1):
-                pairs.append((f"color {c.counts} @{color}",
-                              formulas.count_pointed(c, color),
-                              sum(st.pointed(color)
-                                  for st in by_colors.get(c, []))))
-        for d in degree_matrices:
-            for color in range(1, m + 1):
-                pairs.append((f"degree {d.rows} @{color}",
-                              formulas.count_pointed(d, color),
-                              sum(st.pointed(color)
-                                  for st in by_degrees.get(d, []))))
+        pairs = [compare("size", "pointed", size, classes)]
+        for level, keyed in levels:
+            pairs += [compare(f"{level} {key} @{color}", "pointed", stat,
+                              groups.get(stat, []), color=color)
+                      for stat, key in keyed for color in range(1, m + 1)]
         record("pointed orbits", p, pairs)
 
         if p <= FACT_BUDGET.get(m, 2):

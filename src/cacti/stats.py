@@ -26,7 +26,7 @@ from typing import Mapping, Sequence, Union
 
 
 class ValidationError(ValueError):
-    """A statistic violates one of the existence conditions."""
+    """A statistic, or an option of a count, is invalid."""
 
 
 class InconsistentResult(RuntimeError):

@@ -36,12 +36,20 @@ AUT_S = [["count", "--m", "2", "--p", "3", "--mode", mode, "--s", s]
          for mode in ("aut-exact", "aut-atleast") for s in ("0", "1", "-2")]
 POINTED_COLOR = [["count", "--m", "3", "--colors", "2,2,3", "--mode", "pointed",
                   "--color", color] for color in ("0", "4", "-1")]
+WRONG_LEVEL = [
+    ["count", "--m", "3", "--colors", "2,2,3", "--mode", "gonal"],
+    ["count", "--m", "2", "--degrees", "1^2; 2^1", "--mode", "gonal"],
+    ["count", "--m", "3", "--colors", "2,2,3", "--mode", "constellation"],
+    ["count", "--m", "2", "--p", "3", "--mode", "free"],
+]
+NO_COLOR = ["count", "--m", "3", "--colors", "2,2,3", "--mode", "pointed"]
 
 
 @pytest.mark.parametrize("argv, path",
                          [(argv, "oracle") for argv in AUT_S]
-                         + [(argv, path) for argv in POINTED_COLOR
-                            for path in ("series", "oracle")],
+                         + [(argv, path) for argv in POINTED_COLOR + WRONG_LEVEL
+                            for path in ("series", "oracle")]
+                         + [(NO_COLOR, "series")],
                          ids=lambda x: " ".join(x) if isinstance(x, list) else x)
 def test_other_routes_reject_what_the_formula_route_rejects(capsys, argv, path):
     assert cli.main(argv) == 2
