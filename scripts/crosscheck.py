@@ -4,9 +4,10 @@
 Exhaustively generates small cacti and compares every count against the
 closed forms, then checks the truncated rooted, unlabelled and pointed (one
 per colour) series coefficients against the closed forms of the mode table
-up to a total degree.  Exits nonzero on the first mismatch.  The
-exhaustive sweep covers the oracle's whole generation budget unless
---budgets narrows it.
+up to a total degree, and the one-sort rooted and unlabelled series for
+m = 2..7 to the CLI's order bound against the size-level closed forms.
+Exits nonzero on the first mismatch.  The exhaustive sweep covers the
+oracle's whole generation budget unless --budgets narrows it.
 
 Usage: python scripts/crosscheck.py [--degree 10] [--budgets "2:6,3:4,4:3"]
 """
@@ -16,6 +17,7 @@ import sys
 import time
 
 from cacti import formulas, oracle, series, stats
+from cacti.cli import SERIES_ONE_SORT_BOUND
 from cacti.formulas import GonalKind
 
 
@@ -25,6 +27,25 @@ def parse_budgets(text: str) -> dict[int, int]:
         m, p = pair.split(":")
         out[int(m)] = int(p)
     return out
+
+
+def one_sort_sweep(order: int) -> str | None:
+    """The first coefficient of the one-sort rooted or unlabelled series,
+    m = 2..7, that differs from the size-level closed form, or None.  The
+    coefficient of x^n counts the cacti with n = (m-1)p + 1 vertices."""
+    for m in range(2, 8):
+        rooted = series.solve_one_sort(m, order) - series.variable(1, order, 0)
+        unlabelled = series.series_unlabelled(m, order, one_sort=True)
+        for name, out, formula in (("rooted", rooted, formulas.count_rooted),
+                                   ("unlabelled", unlabelled,
+                                    formulas.count_unlabelled)):
+            expected = {((m - 1) * p + 1,): formula(stats.size_stat(m, p))
+                        for p in range((order - 1) // (m - 1) + 1)}
+            for n in sorted(set(expected) | set(out.coeffs)):
+                if out[n] != expected.get(n, 0):
+                    return (f"one-sort {name} m={m} at x^{n[0]}: series "
+                            f"{out[n]}, formula {expected.get(n, 0)}")
+    return None
 
 
 def main() -> int:
@@ -74,6 +95,12 @@ def main() -> int:
                     return 1
                 checked += 1
         print(f"series m={m} degree<={args.degree}: {checked} coefficients ok")
+
+    failure = one_sort_sweep(SERIES_ONE_SORT_BOUND)
+    if failure:
+        print(f"series mismatch in {failure}")
+        return 1
+    print(f"one-sort series m=2..7 order<={SERIES_ONE_SORT_BOUND}: ok")
 
     print(f"all cross-checks passed in {time.perf_counter() - start:.2f}s")
     return 0

@@ -157,7 +157,7 @@ def _count_oracle(mode: str, stat: Statistic, args) -> int:
         rooted = oracle.generate_rooted(m, p)
         if isinstance(stat, SizeStat):
             return len(rooted)
-        return sum(stat in oracle.graph_stats(oracle.to_graph(rc)) for rc in rooted)
+        return oracle.rooted_tally(rooted)[stat]
     members = [st for _, st in oracle.enumerate_unlabelled(m, p)
                if isinstance(stat, SizeStat) or stat in (st.colors, st.degrees)]
     return formulas.MODES[mode].classes(members, stat, color=args.color, s=args.s)

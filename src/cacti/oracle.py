@@ -49,6 +49,7 @@ from .stats import (
     DegreeStat,
     InconsistentResult,
     ValidationError,
+    color_marginal,
     color_stat,
     degree_stat,
     size_stat,
@@ -177,16 +178,6 @@ def _polygons_at(m: int, color: int, w: int) -> list[tuple[Planted, ...]]:
     return out
 
 
-def encode_planted(pc: Planted) -> str:
-    return f"{pc.color}(" + "".join(
-        "[" + ",".join(encode_planted(s) for s in poly) + "]"
-        for poly in pc.polygons) + ")"
-
-
-def encode_rooted(rc: Rooted) -> str:
-    return "{" + ",".join(encode_planted(c) for c in rc.components) + "}"
-
-
 def _rooted(m: int, p: int, cap: int) -> list[Rooted]:
     """Rooted cacti with p polygons and at most `cap` in each planted part."""
     return [Rooted(m, combo) for split in _compositions(p - 1, m)
@@ -260,14 +251,30 @@ def re_root(g: CactusGraph, pid: int) -> Rooted:
     return Rooted(g.m, comps)
 
 
+def _degree_rows(g: CactusGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sorted degree rows of an incidence structure, one per color."""
+    rows: list[dict[int, int]] = [{} for _ in range(g.m)]
+    for color, polys in zip(g.colors, g.vertex_polys):
+        row = rows[color - 1]
+        row[len(polys)] = row.get(len(polys), 0) + 1
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
 def graph_stats(g: CactusGraph) -> tuple[ColorStat, DegreeStat]:
     """Color and degree distributions read off an incidence structure."""
-    color_counts = [0] * g.m
-    rows: list[Counter] = [Counter() for _ in range(g.m)]
-    for v, color in enumerate(g.colors):
-        color_counts[color - 1] += 1
-        rows[color - 1][len(g.vertex_polys[v])] += 1
-    return color_stat(g.m, color_counts), degree_stat(g.m, rows)
+    degrees = DegreeStat(g.m, _degree_rows(g))
+    return color_marginal(degrees), degrees
+
+
+def rooted_tally(rooted: list[Rooted]) -> Counter:
+    """How many of the rooted cacti have each color and degree statistic:
+    each is read off its own graph, each distinct reading validated once."""
+    tally: Counter = Counter()
+    for rows, k in Counter(_degree_rows(to_graph(rc)) for rc in rooted).items():
+        degrees = DegreeStat(len(rows), rows)
+        tally[degrees] += k
+        tally[color_marginal(degrees)] += k
+    return tally
 
 
 def _necklaces(m: int, p: int) -> Iterator[
@@ -560,7 +567,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
 
         record("rooted size", p,
                [("count", formulas.count_rooted(size), len(rooted))])
-        tally = Counter(st for rc in rooted for st in graph_stats(to_graph(rc)))
+        tally = rooted_tally(rooted)
         for level, keyed in levels:
             record(f"rooted {level}", p, [(str(key), formulas.count_rooted(stat),
                                            tally[stat]) for stat, key in keyed])

@@ -3,8 +3,11 @@
 This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
 degree by degree, they give the rooted, pointed and plain unlabelled series.
-Coefficients are exact (ints, and Fractions in intermediate log
-computations).  The weighted variant marks a color-i vertex of degree h with
+Coefficients are exact ints.  The pointed series x_i * (1 + sum_d phi(d)/d *
+L(x^d)) takes one log L = log 1/(1 - hat(A_i)) for every d: its Euler
+derivative is solved in integers, and each pointed coefficient is one exact
+division by its total degree, which raises `InconsistentResult` if it leaves
+a remainder.  The weighted variant marks a color-i vertex of degree h with
 r[i,h], one more integer coordinate of the exponent after x_1..x_m.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add, gt, mul
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .arith import euler_phi
 from .stats import ColorStat, DegreeStat, InconsistentResult, ValidationError
@@ -35,14 +38,7 @@ class CoherenceViolation(ValueError):
     """Exponent data admits no integral inversion parameters."""
 
 
-Coeff = Union[int, Fraction]
 Box = Optional[tuple[int, ...]]  # one cap per exponent coordinate, or none
-
-
-def _normal(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def _meet(a: Box, b: Box) -> Box:
@@ -60,17 +56,17 @@ class Series:
 
     nvars: int
     bound: int
-    coeffs: dict[tuple[int, ...], Coeff] = field(default_factory=dict)
+    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
     box: Box = None
 
     def __post_init__(self):
         n, box = self.nvars, self.box
-        clean = {e: _normal(c) for e, c in self.coeffs.items()
+        clean = {e: c for e, c in self.coeffs.items()
                  if c and sum(e[:n]) <= self.bound
                  and (box is None or not any(map(gt, e, box)))}
         object.__setattr__(self, "coeffs", clean)
 
-    def __getitem__(self, exponents: Sequence[int]) -> Coeff:
+    def __getitem__(self, exponents: Sequence[int]) -> int:
         return self.coeffs.get(tuple(exponents), 0)
 
     def __eq__(self, other: object) -> bool:
@@ -78,7 +74,8 @@ class Series:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other: "Series") -> "Series":
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValidationError(f"series in {self.nvars} and {other.nvars} variables")
         merged = dict(self.coeffs)
         for e, c in other.coeffs.items():
             merged[e] = merged.get(e, 0) + c
@@ -92,11 +89,12 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValidationError(f"series in {self.nvars} and {other.nvars} variables")
         n, bound = self.nvars, min(self.bound, other.bound)
         terms_b = sorted(((sum(e[:n]), e, c) for e, c in other.coeffs.items()),
                          key=lambda t: t[0])
-        out: dict[tuple[int, ...], Coeff] = {}
+        out: dict[tuple[int, ...], int] = {}
         for ea, ca in self.coeffs.items():
             room = bound - sum(ea[:n])
             for db, eb, cb in terms_b:
@@ -106,7 +104,7 @@ class Series:
                 out[e] = out.get(e, 0) + ca * cb
         return Series(n, bound, out, _meet(self.box, other.box))
 
-    def scale(self, factor: Coeff) -> "Series":
+    def scale(self, factor: int) -> "Series":
         return Series(self.nvars, self.bound,
                       {e: factor * c for e, c in self.coeffs.items()}, self.box)
 
@@ -118,21 +116,6 @@ class Series:
             out[lifted] = c
         return Series(self.nvars, self.bound, out, self.box)
 
-    def power_substitute(self, d: int) -> "Series":
-        """Substitute x_i -> x_i^d for every variable."""
-        coeffs = {tuple(x * d for x in e): c for e, c in self.coeffs.items()}
-        return Series(self.nvars, self.bound, coeffs, self.box)
-
-    def homogeneous(self) -> dict[int, dict[tuple[int, ...], Coeff]]:
-        by_deg: dict[int, dict[tuple[int, ...], Coeff]] = {}
-        for e, c in self.coeffs.items():
-            by_deg.setdefault(sum(e[:self.nvars]), {})[e] = c
-        return by_deg
-
-
-def const(nvars: int, bound: int, value: Coeff) -> Series:
-    return Series(nvars, bound, {(0,) * nvars: value})
-
 
 def variable(nvars: int, bound: int, var: int) -> Series:
     e = tuple(1 if i == var else 0 for i in range(nvars))
@@ -143,7 +126,7 @@ def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int,
                   box: Box = None) -> dict:
     """Degree-d part of a product inside the box, both factors given as
     degree -> part."""
-    out: dict[tuple[int, ...], Coeff] = {}
+    out: dict[tuple[int, ...], int] = {}
     for da, part_a in a.items():
         part_b = b.get(d - da)
         if not part_b:
@@ -164,27 +147,22 @@ def _lift(part: dict, k: Optional[int], box: Box) -> dict:
             if box is None or e[k] < box[k]}
 
 
-def log_geometric(s: Series) -> Series:
-    """log(1 / (1 - s)) for a series with zero constant term.
-
-    Solved through the Euler derivative E (multiplying each monomial by its
-    total degree): E(log 1/(1-s)) = E(s) + s * E(log 1/(1-s)), which gives
-    the homogeneous parts by increasing degree without composing full logs.
-    Coefficients pick up exact rational factors 1/deg.
-    """
-    assert s[(0,) * s.nvars] == 0, "log_geometric needs zero constant term"
-    s_parts = s.homogeneous()
-    es_parts = {deg: {e: deg * c for e, c in part.items()}
-                for deg, part in s_parts.items()}
-    t_parts: dict[int, dict[tuple[int, ...], Coeff]] = {}
-    for deg in range(1, s.bound + 1):
-        part = _product_part(s_parts, t_parts, deg, s.box)
-        for e, c in es_parts.get(deg, {}).items():
-            part[e] = part.get(e, 0) + c
+def _log_parts(s: Series, bound: int, box: Box) -> dict[int, dict]:
+    """T = E(log 1/(1 - s)), s unweighted with zero constant term, as
+    degree -> part to total degree `bound` inside the box.  The Euler
+    derivative E scales each monomial by its total degree, and T = E(s) +
+    s * T gives the parts in integers by increasing degree; the log itself
+    is T / degree."""
+    s_parts: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in s.coeffs.items():
+        s_parts.setdefault(sum(e), {})[e] = c
+    t_parts: dict[int, dict[tuple[int, ...], int]] = {}
+    for deg in range(1, bound + 1):
+        part = _product_part(s_parts, t_parts, deg, box)
+        for e, c in s_parts.get(deg, {}).items():
+            part[e] = part.get(e, 0) + deg * c
         t_parts[deg] = part
-    return Series(s.nvars, s.bound, {e: Fraction(c, deg)
-                                     for deg, part in t_parts.items()
-                                     for e, c in part.items()}, s.box)
+    return t_parts
 
 
 @dataclass(frozen=True)
@@ -276,7 +254,7 @@ def series_rooted(family: PlantedFamily) -> Series:
     return family.hat(1) * family.series[0]
 
 
-def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> Coeff:
+def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
     """[x^exponents] of `series_rooted(family)`, summed over the coefficients
     of A_1 rather than read off the whole product."""
     target = tuple(exponents)
@@ -289,21 +267,36 @@ def series_pointed_unlabelled(family: PlantedFamily, color: int,
                               order: int | None = None) -> Series:
     """Unlabelled cacti pointed at a color-`color` vertex:
 
-        x_i * (1 + sum_{d >= 1} (phi(d)/d) * log 1/(1 - hat(A_i)(x^d))).
+        x_i * (1 + sum_{d >= 1} (phi(d)/d) * L(x^d)),  L = log 1/(1 - hat(A_i)).
+
+    The term T[e] of T = E(L), e of degree g, adds phi(d) * T[e] / (d*g) at
+    d*e, whose degree is d*g: each exponent inside the box (only those get
+    all their d) sums its numerators and divides once, exactly.
     """
     order = family.order if order is None else order
     if family.slots or order > family.order:
         raise ValidationError(f"a pointed series to order {order} needs an "
                               f"unweighted family of order >= {order}")
     hat = family.hat(color)
-    inner = Series(hat.nvars, order - 1, {(0,) * hat.nvars: 1}, hat.box)
-    d = 1
-    while d * (family.m - 1) <= order - 1:
-        sub = Series(hat.nvars, order - 1, hat.power_substitute(d).coeffs, hat.box)
-        inner = inner + log_geometric(sub).scale(Fraction(euler_phi(d), d))
-        d += 1
+    box = hat.box
+    # every term of hat, and so of T, has degree g >= m - 1
+    phi = [0] + [euler_phi(d) for d in range(1, (order - 1) // (family.m - 1) + 1)]
+    sums: dict[tuple[int, ...], int] = {}
+    for g, part in _log_parts(hat, order - 1, box).items():
+        for e, c in part.items():
+            for d in range(1, (order - 1) // g + 1):
+                de = tuple(d * x for x in e)
+                if box is not None and any(map(gt, de, box)):
+                    break
+                sums[de] = sums.get(de, 0) + phi[d] * c
+    inner = {(0,) * hat.nvars: 1}
+    for e, total in sums.items():
+        inner[e], rest = divmod(total, sum(e))
+        if rest:
+            raise InconsistentResult(f"pointed coefficient {total}/{sum(e)} "
+                                     f"at {e} is not an integer")
     var = color - 1 if hat.nvars > 1 else 0
-    return Series(hat.nvars, order, inner.coeffs, hat.box).shift(var)
+    return Series(hat.nvars, order, inner, box).shift(var)
 
 
 def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:

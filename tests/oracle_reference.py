@@ -5,16 +5,27 @@ orbits by Burnside's lemma.  The references here work from the rooted
 cacti instead: `orbit_classes` re-roots each generated cactus at every
 polygon and folds the orbits together, `canonical_unrooted` keys one cactus
 by its least rooting, and `count_pointed_orbits` keys every vertex of a
-class by the cyclic sequence of polygons around it.
+class by the cyclic sequence of polygons around it.  `encode_rooted` is the
+string form of a rooted cactus that these keys compare.
 """
 
 from cacti import oracle
 from cacti.stats import InconsistentResult
 
 
+def encode_planted(pc):
+    return f"{pc.color}(" + "".join(
+        "[" + ",".join(encode_planted(s) for s in poly) + "]"
+        for poly in pc.polygons) + ")"
+
+
+def encode_rooted(rc):
+    return "{" + ",".join(encode_planted(c) for c in rc.components) + "}"
+
+
 def canonical_unrooted(g):
     """Isomorphism-complete key: minimum rooted encoding over all rootings."""
-    return min(oracle.encode_rooted(oracle.re_root(g, pid))
+    return min(encode_rooted(oracle.re_root(g, pid))
                for pid in range(len(g.polygons)))
 
 
@@ -38,13 +49,13 @@ def orbit_classes(p, rooted):
             j = position.get(oracle.re_root(g, pid))
             if j is None or seen[j]:
                 raise InconsistentResult(
-                    f"re-rooting {oracle.encode_rooted(rc)} at polygon {pid} "
+                    f"re-rooting {encode_rooted(rc)} at polygon {pid} "
                     "gives a cactus that was not generated or lies in an "
                     "earlier orbit")
             orbit.add(j)
         if p % len(orbit):
             raise InconsistentResult(
-                f"{len(orbit)} rootings of {oracle.encode_rooted(rc)} "
+                f"{len(orbit)} rootings of {encode_rooted(rc)} "
                 f"do not divide p = {p}")
         for j in orbit:
             seen[j] = 1
@@ -59,7 +70,7 @@ def orbit_classes(p, rooted):
 def reference_classes(m, p):
     """`orbit_classes` of every rooted cactus, sorted by encoding."""
     return orbit_classes(p, sorted(oracle.generate_rooted(m, p),
-                                   key=oracle.encode_rooted))
+                                   key=encode_rooted))
 
 
 def _pointed_key(g, v):
@@ -68,7 +79,7 @@ def _pointed_key(g, v):
     Pointing removes the linear order at v, so the incident polygons are
     only cyclically ordered: minimize over rotations.
     """
-    parts = ["[" + ",".join(map(oracle.encode_planted,
+    parts = ["[" + ",".join(map(encode_planted,
                                 oracle._polygon_from(g, v, q))) + "]"
              for q in g.vertex_polys[v]]
     return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"

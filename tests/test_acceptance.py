@@ -202,7 +202,7 @@ def test_criterion_5_series_formula_agreement():
                 assert pointed[i][unit] == 1  # the matching-color pointing
             # inversion formula against direct coefficient extraction
             geo = [1] * (bound + 1)
-            lattice = {(0,) * m: series.const(m, bound, 1)}
+            lattice = {(0,) * m: series.Series(m, bound, {(0,) * m: 1})}
             alphas = sorted((a for a in product(range(bound + 1), repeat=m)
                              if 0 < sum(a) <= bound), key=sum)
             for alpha in alphas:

@@ -5,7 +5,7 @@ import pytest
 from cacti import formulas as F
 from cacti import oracle, stats
 from cacti.oracle import Planted, Rooted
-from oracle_reference import canonical_unrooted, count_pointed_orbits
+from oracle_reference import canonical_unrooted, count_pointed_orbits, encode_rooted
 
 
 def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
@@ -37,7 +37,7 @@ def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
 
 
 def parse_rooted(text: str) -> Rooted:
-    """Inverse of oracle.encode_rooted."""
+    """Inverse of oracle_reference.encode_rooted."""
     if not text.startswith("{") or not text.endswith("}"):
         raise ValueError(f"not a rooted encoding: {text!r}")
     pos = 1
@@ -64,7 +64,7 @@ def test_generate_rooted_is_deterministic_and_duplicate_free():
     first = oracle.generate_rooted(3, 3)
     second = oracle.generate_rooted(3, 3)
     assert first == second
-    encodings = [oracle.encode_rooted(rc) for rc in first]
+    encodings = [encode_rooted(rc) for rc in first]
     assert len(set(encodings)) == len(encodings)
 
 
@@ -81,6 +81,24 @@ def two_triangles_shared_color1() -> Rooted:
     leaf3 = Planted(3, ())
     hub = Planted(1, ((leaf2, leaf3),))
     return Rooted(3, (hub, leaf2, leaf3))
+
+
+def _read_stats(g):
+    """Color and degree statistics counted vertex by vertex."""
+    colors = stats.color_stat(g.m, [g.colors.count(c) for c in range(1, g.m + 1)])
+    rows = [Counter(len(polys) for polys, c in zip(g.vertex_polys, g.colors)
+                    if c == color) for color in range(1, g.m + 1)]
+    return colors, stats.degree_stat(g.m, rows)
+
+
+def test_rooted_tally_counts_every_cactus():
+    for m, top in oracle.GEN_BUDGET.items():
+        for p in range(1, top + 1):
+            rooted = oracle.generate_rooted(m, p)
+            expected = Counter(st for rc in rooted
+                               for st in _read_stats(oracle.to_graph(rc)))
+            assert oracle.rooted_tally(rooted) == expected
+            assert sum(expected.values()) == 2 * len(rooted)
 
 
 def test_to_graph_shapes():
@@ -103,7 +121,7 @@ def test_graph_round_trip():
 
 def test_encoding_round_trip():
     for rc in oracle.generate_rooted(3, 3):
-        assert parse_rooted(oracle.encode_rooted(rc)) == rc
+        assert parse_rooted(encode_rooted(rc)) == rc
 
 
 def test_canonical_unrooted():
@@ -151,11 +169,11 @@ def test_rooting_orbit_sizes():
 
 
 def test_export_lines_parse_back():
-    lines = [oracle.encode_rooted(rep)
+    lines = [encode_rooted(rep)
              for rep, _ in oracle.enumerate_unlabelled(3, 3)]
     assert len(lines) == F.count_unlabelled(stats.size_stat(3, 3))
     for line in lines:
-        assert oracle.encode_rooted(parse_rooted(line)) == line
+        assert encode_rooted(parse_rooted(line)) == line
 
 
 def test_count_pointed_orbits():
@@ -167,9 +185,9 @@ def test_count_pointed_orbits():
     assert all(count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
     # By Burnside: the centre of colour 1 is fixed, the two colour-2
     # vertices are swapped, and a single polygon has no centre vertex.
-    classes = {oracle.encode_rooted(rep): st
+    classes = {encode_rooted(rep): st
                for rep, st in oracle.enumerate_unlabelled(3, 2)}
-    st = classes[oracle.encode_rooted(two_triangles_shared_color1())]
+    st = classes[encode_rooted(two_triangles_shared_color1())]
     assert (st.centre, st.aut_order) == (1, 2)
     assert [st.pointed(c) for c in (1, 2, 3)] == [1, 1, 1]
     [(_, st)] = oracle.enumerate_unlabelled(3, 1)

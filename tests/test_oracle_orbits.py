@@ -19,6 +19,7 @@ from cacti.stats import InconsistentResult
 from oracle_reference import (
     canonical_unrooted,
     count_pointed_orbits,
+    encode_rooted,
     orbit_classes,
     reference_classes,
 )
@@ -36,7 +37,7 @@ def classes_by_canonical_key(m, p):
     out = []
     for key in sorted(groups):
         members = groups[key]
-        rep = next(rc for rc in members if oracle.encode_rooted(rc) == key)
+        rep = next(rc for rc in members if encode_rooted(rc) == key)
         colors, degrees = oracle.graph_stats(oracle.to_graph(rep))
         out.append((rep, p // len(members), colors, degrees))
     return out
@@ -88,7 +89,7 @@ def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
 
 
 def test_re_rooting_into_an_earlier_orbit_raises(monkeypatch):
-    first = min(oracle.generate_rooted(2, 3), key=oracle.encode_rooted)
+    first = min(oracle.generate_rooted(2, 3), key=encode_rooted)
     monkeypatch.setattr(oracle, "re_root", lambda g, pid: first)
     with pytest.raises(InconsistentResult, match="earlier orbit"):
         reference_classes(2, 3)
@@ -107,7 +108,7 @@ def test_orbit_size_not_dividing_p_raises(monkeypatch):
 def test_duplicate_rooted_cactus_raises():
     # The first copy of a duplicate never lands in an orbit: every lookup
     # of it finds the second copy.
-    rooted = sorted(oracle.generate_rooted(2, 3), key=oracle.encode_rooted)
+    rooted = sorted(oracle.generate_rooted(2, 3), key=encode_rooted)
     with pytest.raises(InconsistentResult, match="1 rooted cacti lie in no"):
         orbit_classes(3, rooted[:1] + rooted)
 

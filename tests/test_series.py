@@ -2,12 +2,13 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cacti
 from cacti import formulas as F
-from cacti import oracle, series, stats
+from cacti import arith, cli, oracle, series, stats
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
@@ -19,15 +20,46 @@ def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
     return d.color_counts + tuple(rows[i - 1].get(h, 0) for i, h in fam.slots)
 
 
+def const(nvars: int, bound: int, value: int) -> series.Series:
+    return series.Series(nvars, bound, {(0,) * nvars: value})
+
+
 def geometric(s: series.Series) -> series.Series:
     """1 / (1 - s) for a series with zero constant term: the plain sum of
     its first `bound` powers, since s^k starts at degree k."""
     assert s[(0,) * s.nvars] == 0, "geometric needs zero constant term"
-    out = power = series.const(s.nvars, s.bound, 1)
+    out = power = const(s.nvars, s.bound, 1)
     for _ in range(s.bound):
         power = power * s
         out = out + power
     return out
+
+
+def log_geometric(s: series.Series) -> series.Series:
+    """log(1 / (1 - s)) for a series with zero constant term: the plain sum
+    of s^k / k, in Fractions, until a power vanishes."""
+    out = series.Series(s.nvars, s.bound, {}, s.box)
+    power = series.Series(s.nvars, s.bound, {(0,) * s.nvars: 1}, s.box)
+    for k in range(1, s.bound + 1):
+        power = power * s
+        if not power.coeffs:
+            break
+        out = out + power.scale(Fraction(1, k))
+    return out
+
+
+def reference_pointed(fam: series.PlantedFamily, color: int) -> series.Series:
+    """The pointed series with one log per d, as the formula reads:
+    x_i * (1 + sum_d phi(d)/d * log 1/(1 - hat(A_i)(x^d)))."""
+    hat, order = fam.hat(color), fam.order
+    inner = series.Series(hat.nvars, order - 1, {(0,) * hat.nvars: 1}, hat.box)
+    for d in range(1, order):
+        sub = series.Series(hat.nvars, order - 1,
+                            {tuple(d * x for x in e): c for e, c in hat.coeffs.items()},
+                            hat.box)
+        inner = inner + log_geometric(sub).scale(Fraction(arith.euler_phi(d), d))
+    var = color - 1 if hat.nvars > 1 else 0
+    return series.Series(hat.nvars, order, inner.coeffs, hat.box).shift(var)
 
 
 def collapse_to_one_sort(s: series.Series, order: int) -> series.Series:
@@ -140,6 +172,75 @@ class TestPointedSeries:
         assert result.stdout == "raised\nraised\n"
 
 
+class TestSeriesOperators:
+    def test_nvars_mismatch_rejected(self):
+        one, two = series.variable(1, 3, 0), series.variable(2, 3, 1)
+        with pytest.raises(stats.ValidationError):
+            one + two
+        with pytest.raises(stats.ValidationError):
+            one * two
+
+    def test_nvars_mismatch_rejected_under_optimize(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        code = ("import operator\n"
+                "from cacti import series, stats\n"
+                "one, two = series.variable(1, 3, 0), series.variable(2, 3, 1)\n"
+                "for op in (operator.add, operator.mul):\n"
+                "    try:\n"
+                "        op(one, two)\n"
+                "    except stats.ValidationError:\n"
+                "        print('raised')\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "raised\nraised\n"
+
+
+class TestPointedAgainstReference:
+    """The one-log pointed series against one log per d."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_one_sort_every_order(self, m):
+        top = cli.SERIES_ONE_SORT_BOUND
+        full = reference_pointed(series.PlantedFamily(m, top, series._solve(m, top, 1)), 1)
+        for order in range(1, top + 1):
+            fam = series.PlantedFamily(m, order, series._solve(m, order, 1))
+            got = series.series_pointed_unlabelled(fam, 1).coeffs
+            assert got == {e: c for e, c in full.coeffs.items() if e[0] <= order}
+            assert all(type(c) is int for c in got.values())
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_color_at_multi_bound(self, m):
+        fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
+        for color in range(1, m + 1):
+            assert (series.series_pointed_unlabelled(fam, color).coeffs
+                    == reference_pointed(fam, color).coeffs)
+
+    @pytest.mark.parametrize("m, order", [(2, 12), (3, 13)])
+    def test_boxed_color_level_reads(self, m, order):
+        fam = series.solve_planted(m, order)
+        pointed = [reference_pointed(fam, c) for c in range(1, m + 1)]
+        rooted = series.series_rooted(fam)
+        for p in range(1, (order - 1) // (m - 1) + 1):
+            for counts in _color_vectors(m, p):
+                c = stats.color_stat(m, counts)
+                boxed = series.PlantedFamily(m, c.n, series._solve(m, c.n, m, (), counts))
+                for color in range(1, m + 1):
+                    assert (series.series_pointed_unlabelled(boxed, color).coeffs
+                            == reference_pointed(boxed, color).coeffs)
+                    assert (series.count_target(c, "pointed", color)
+                            == pointed[color - 1][counts])
+                assert series.count_target(c, "unlabelled") == (
+                    sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
+
+    def test_non_integral_numerator_raises(self, monkeypatch):
+        monkeypatch.setattr(series, "euler_phi", lambda d: 1)
+        with pytest.raises(stats.InconsistentResult, match="not an integer"):
+            series.series_unlabelled(2, 4, one_sort=True)
+
+
 class TestUnlabelledSeries:
     def test_multivariate(self):
         u = series.series_unlabelled(3, 13)
@@ -204,7 +305,7 @@ class TestChottin:
         m, bound = 2, 8
         fam = series.solve_planted(m, bound)
         geo = [1] * (bound + 1)
-        powers = {(0, 0): series.const(m, bound, 1)}
+        powers = {(0, 0): const(m, bound, 1)}
         for a1 in range(bound + 1):
             for a2 in range(bound + 1):
                 if (a1, a2) == (0, 0) or a1 + a2 > bound:
