@@ -266,8 +266,7 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     Automorphisms are rotations about a central vertex, so their order must
     divide p; the count is 0 whenever s does not.
     """
-    if s < 2:
-        raise STooSmall(f"automorphism order s = {s} < 2")
+    _check_stratum(s)
     p = stat.p
     if p == 0 or p % s:
         return 0

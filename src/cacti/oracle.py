@@ -28,6 +28,9 @@ by Burnside's lemma a class with automorphism order a and n_c vertices of
 colour c has (n_c - d) / a + d orbits of them, where d is 1 if the centre
 has colour c and 0 otherwise.
 
+Colour and degree statistics are read off the recursive form, where each
+planted cactus caches its vertex degrees; graphs are built only for gonal keys.
+
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
 """
@@ -39,6 +42,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from . import formulas
@@ -65,6 +69,9 @@ class BudgetExceeded(ValueError):
     """Requested size is beyond the documented brute-force bounds."""
 
 
+DegreeReading = tuple[tuple[tuple[int, int], int], ...]  # ((colour, degree), count)
+
+
 @dataclass(frozen=True)
 class Planted:
     """Planted cactus: ordered polygons at the root vertex, each polygon an
@@ -72,6 +79,17 @@ class Planted:
 
     color: int
     polygons: tuple[tuple["Planted", ...], ...]
+
+    @cached_property
+    def degrees(self) -> DegreeReading:
+        """Sorted ((colour, degree), count) pairs over the vertices; the
+        root's degree counts its stem."""
+        tally = {(self.color, len(self.polygons) + 1): 1}
+        for poly in self.polygons:
+            for sub in poly:
+                for key, k in sub.degrees:
+                    tally[key] = tally.get(key, 0) + k
+        return tuple(sorted(tally.items()))
 
 
 @dataclass(frozen=True)
@@ -251,27 +269,23 @@ def re_root(g: CactusGraph, pid: int) -> Rooted:
     return Rooted(g.m, comps)
 
 
-def _degree_rows(g: CactusGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The sorted degree rows of an incidence structure, one per color."""
-    rows: list[dict[int, int]] = [{} for _ in range(g.m)]
-    for color, polys in zip(g.colors, g.vertex_polys):
-        row = rows[color - 1]
-        row[len(polys)] = row.get(len(polys), 0) + 1
-    return tuple(tuple(sorted(row.items())) for row in rows)
-
-
-def graph_stats(g: CactusGraph) -> tuple[ColorStat, DegreeStat]:
-    """Color and degree distributions read off an incidence structure."""
-    degrees = DegreeStat(g.m, _degree_rows(g))
-    return color_marginal(degrees), degrees
+def _merged_degrees(readings: tuple[DegreeReading, ...]) -> DegreeStat:
+    """The degree matrix of a rooted cactus whose m components have these
+    `Planted.degrees` readings: the root polygon is each component's stem."""
+    rows: list[dict[int, int]] = [{} for _ in readings]
+    for reading in readings:
+        for (color, degree), k in reading:
+            rows[color - 1][degree] = rows[color - 1].get(degree, 0) + k
+    return DegreeStat(len(rows), tuple(tuple(sorted(row.items())) for row in rows))
 
 
 def rooted_tally(rooted: list[Rooted]) -> Counter:
     """How many of the rooted cacti have each color and degree statistic:
-    each is read off its own graph, each distinct reading validated once."""
+    each is read off its components, each distinct reading validated once."""
     tally: Counter = Counter()
-    for rows, k in Counter(_degree_rows(to_graph(rc)) for rc in rooted).items():
-        degrees = DegreeStat(len(rows), rows)
+    readings = Counter(tuple(pc.degrees for pc in rc.components) for rc in rooted)
+    for key, k in readings.items():
+        degrees = _merged_degrees(key)
         tally[degrees] += k
         tally[color_marginal(degrees)] += k
     return tally
@@ -314,8 +328,8 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
                 for color, branches, aut in _necklaces(m, p)]
     out = []
     for rep, centre, aut in classes:
-        colors, degrees = graph_stats(to_graph(rep))
-        out.append((rep, CactusStats(colors, degrees, aut, centre)))
+        degrees = _merged_degrees(tuple(pc.degrees for pc in rep.components))
+        out.append((rep, CactusStats(color_marginal(degrees), degrees, aut, centre)))
     return out
 
 
@@ -324,7 +338,7 @@ CycleType = tuple[tuple[int, int], ...]
 
 def _cycle_type(perm: tuple[int, ...]) -> CycleType:
     seen = [False] * len(perm)
-    lengths: Counter = Counter()
+    lengths: dict[int, int] = {}
     for start in range(len(perm)):
         if seen[start]:
             continue
@@ -334,7 +348,7 @@ def _cycle_type(perm: tuple[int, ...]) -> CycleType:
             seen[i] = True
             i = perm[i]
             length += 1
-        lengths[length] += 1
+        lengths[length] = lengths.get(length, 0) + 1
     return tuple(sorted(lengths.items()))
 
 
@@ -448,19 +462,16 @@ def enumerate_gonal(m: int, p: int) -> int:
 
     Canonical key: minimum colorless rooted encoding over all p rootings and
     all m rotations of the root polygon, since erasing colors allows the
-    root polygon itself to rotate.
+    root polygon itself to rotate.  One representative per coloured class
+    gives every key, since every gonal class has a colouring.
     """
     keys = set()
-    for rc in generate_rooted(m, p):
+    for rc, _ in enumerate_unlabelled(m, p):
         g = to_graph(rc)
-        best = None
-        for pid in range(len(g.polygons)):
-            comps = [_colorless_planted(c) for c in re_root(g, pid).components]
-            for r in range(m):
-                key = "{" + ",".join(comps[r:] + comps[:r]) + "}"
-                if best is None or key < best:
-                    best = key
-        keys.add(best)
+        rootings = [[_colorless_planted(c) for c in re_root(g, pid).components]
+                    for pid in range(len(g.polygons))]
+        keys.add(min("{" + ",".join(comps[r:] + comps[:r]) + "}"
+                     for comps in rootings for r in range(m)))
     return len(keys)
 
 
@@ -529,7 +540,7 @@ def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
 
 def verify(m: int, p_max: int) -> VerifyReport:
     """Compare every formula against exhaustive enumeration for p <= p_max."""
-    _check_gen_budget(m, p_max)
+    _check_size(m, p_max)
     results: list[CheckResult] = []
 
     def record(name: str, p: int, pairs: list[tuple[str, object, object]]) -> None:

@@ -7,10 +7,15 @@ polygon and folds the orbits together, `canonical_unrooted` keys one cactus
 by its least rooting, and `count_pointed_orbits` keys every vertex of a
 class by the cyclic sequence of polygons around it.  `encode_rooted` is the
 string form of a rooted cactus that these keys compare.
+
+`graph_stats` reads the colour and degree statistics off an explicit
+`CactusGraph`, vertex by vertex, where the oracle reads them off the
+recursive form.  `reference_gonal` keys every generated rooted cactus, where
+the oracle keys one representative per coloured class.
 """
 
 from cacti import oracle
-from cacti.stats import InconsistentResult
+from cacti.stats import DegreeStat, InconsistentResult, color_marginal
 
 
 def encode_planted(pc):
@@ -21,6 +26,21 @@ def encode_planted(pc):
 
 def encode_rooted(rc):
     return "{" + ",".join(encode_planted(c) for c in rc.components) + "}"
+
+
+def _degree_rows(g):
+    """The sorted degree rows of an incidence structure, one per color."""
+    rows = [{} for _ in range(g.m)]
+    for color, polys in zip(g.colors, g.vertex_polys):
+        row = rows[color - 1]
+        row[len(polys)] = row.get(len(polys), 0) + 1
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def graph_stats(g):
+    """Color and degree distributions read off an incidence structure."""
+    degrees = DegreeStat(g.m, _degree_rows(g))
+    return color_marginal(degrees), degrees
 
 
 def canonical_unrooted(g):
@@ -59,7 +79,7 @@ def orbit_classes(p, rooted):
                 f"do not divide p = {p}")
         for j in orbit:
             seen[j] = 1
-        colors, degrees = oracle.graph_stats(g)
+        colors, degrees = graph_stats(g)
         out.append((rc, p // len(orbit), colors, degrees))
     if not all(seen):
         raise InconsistentResult(
@@ -89,3 +109,21 @@ def _pointed_key(g, v):
 def count_pointed_orbits(g, color):
     """Orbits of colour-`color` vertices under the automorphism group."""
     return len({_pointed_key(g, v) for v, c in enumerate(g.colors) if c == color})
+
+
+def reference_gonal(m, p):
+    """Unlabelled plane m-gonal cacti with p polygons: the least colourless
+    key over all rootings and root rotations of every rooted cactus."""
+    keys = set()
+    for rc in oracle.generate_rooted(m, p):
+        g = oracle.to_graph(rc)
+        best = None
+        for pid in range(len(g.polygons)):
+            comps = [oracle._colorless_planted(c)
+                     for c in oracle.re_root(g, pid).components]
+            for r in range(m):
+                key = "{" + ",".join(comps[r:] + comps[:r]) + "}"
+                if best is None or key < best:
+                    best = key
+        keys.add(best)
+    return len(keys)

@@ -2,9 +2,8 @@
 
 Each call builds its own parser, with only the options of the subcommand
 named by its first argument; its stdout, stderr and exit code must be those
-of the parser with every subcommand's options.  On the oracle route it builds
-one graph per isomorphism class for pointed counts and none for size-level
-rooted counts.
+of the parser with every subcommand's options.  On the oracle route, class
+enumeration, pointed counts and rooted counts at every level build no graph.
 """
 
 import pytest
@@ -117,16 +116,24 @@ def _count_to_graph(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("m, p", [(3, 4), (2, 6)])
-def test_oracle_pointed_builds_one_graph_per_class(capsys, monkeypatch, m, p):
+def test_oracle_classes_and_counts_build_no_graph(capsys, monkeypatch, m, p):
     calls = _count_to_graph(monkeypatch)
-    classes = len(oracle.enumerate_unlabelled(m, p))
-    enumeration_calls = len(calls)
-    calls.clear()
-    assert cli.main(["count", "--m", str(m), "--p", str(p), "--mode", "pointed",
-                     "--path", "oracle"]) == 0
-    assert enumeration_calls == classes and len(calls) == enumeration_calls
-    expected = formulas.count_pointed(stats.size_stat(m, p), None)
-    assert int(capsys.readouterr().out) == expected
+    degrees = oracle.enumerate_unlabelled(m, p)[-1][1].degrees
+    assert calls == []
+    colors = stats.color_marginal(degrees)
+    queries = [
+        (["--p", str(p), "--mode", "pointed"],
+         formulas.count_pointed(stats.size_stat(m, p), None)),
+        (["--colors", ",".join(map(str, colors.counts)), "--mode", "rooted"],
+         formulas.count_rooted(colors)),
+        (["--degrees", "; ".join(" ".join(f"{j}^{k}" for j, k in row)
+                                 for row in degrees.rows), "--mode", "rooted"],
+         formulas.count_rooted(degrees)),
+    ]
+    for query, expected in queries:
+        assert cli.main(["count", "--m", str(m), *query, "--path", "oracle"]) == 0
+        assert int(capsys.readouterr().out) == expected
+        assert calls == [], query
 
 
 def test_oracle_rooted_size_level_counts_the_list(capsys, monkeypatch):

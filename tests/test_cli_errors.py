@@ -21,6 +21,8 @@ USAGE_ERRORS = [
     ["series", "--m", "1", "--order", "3", "--target", "rooted", "--one-sort"],
     ["table", "3", "--p-max", "-1"],
     ["table", "3", "--m-range", "5..2"],
+    ["verify", "--m", "2", "--p-max", "-1"],
+    ["verify", "--m", "2", "--p-max", "0"],
 ]
 
 

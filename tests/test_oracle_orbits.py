@@ -4,8 +4,10 @@
 pointed orbits by Burnside's lemma; `oracle_reference` re-roots every
 generated cactus instead, and keys every vertex for the pointed orbits.
 The re-rooting reference is itself checked against a grouping by
-`canonical_unrooted`.  `factorizations` counts the last two factors once
-per cycle type of their product; the reference recounts every tuple.
+`canonical_unrooted`.  `enumerate_gonal` keys one representative per
+coloured class; `reference_gonal` keys every rooted cactus.
+`factorizations` counts the last two factors once per cycle type of their
+product; the reference recounts every tuple.
 """
 
 from collections import Counter
@@ -13,15 +15,18 @@ from itertools import permutations, product
 
 import pytest
 
-from cacti import oracle
+from cacti import formulas, oracle
+from cacti.formulas import GonalKind
 from cacti.oracle import Planted, Rooted
 from cacti.stats import InconsistentResult
 from oracle_reference import (
     canonical_unrooted,
     count_pointed_orbits,
     encode_rooted,
+    graph_stats,
     orbit_classes,
     reference_classes,
+    reference_gonal,
 )
 
 SIZES = [(m, p) for m, p_max in oracle.GEN_BUDGET.items()
@@ -38,7 +43,7 @@ def classes_by_canonical_key(m, p):
     for key in sorted(groups):
         members = groups[key]
         rep = next(rc for rc in members if encode_rooted(rc) == key)
-        colors, degrees = oracle.graph_stats(oracle.to_graph(rep))
+        colors, degrees = graph_stats(oracle.to_graph(rep))
         out.append((rep, p // len(members), colors, degrees))
     return out
 
@@ -61,6 +66,13 @@ def test_centroid_classes_match_reference(m, p):
         expected[(canonical_unrooted(g), aut, colors, degrees,
                   tuple(count_pointed_orbits(g, c) for c in range(1, m + 1)))] += 1
     assert got == expected
+
+
+@pytest.mark.parametrize("m, p", SIZES)
+def test_gonal_classes_from_representatives_match_reference(m, p):
+    got = oracle.enumerate_gonal(m, p)
+    assert got == reference_gonal(m, p)
+    assert got == formulas.count_gonal(m, p, GonalKind.UNLABELLED)
 
 
 def factorizations_recounted(m, p):
