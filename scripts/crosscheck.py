@@ -22,10 +22,20 @@ from cacti.formulas import GonalKind
 
 
 def parse_budgets(text: str) -> dict[int, int]:
+    """The m:p_max pairs of --budgets, each within the generation budget."""
     out = {}
     for pair in text.split(","):
-        m, p = pair.split(":")
-        out[int(m)] = int(p)
+        try:
+            m, p = map(int, pair.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad m:p pair {pair!r}") from None
+        if m < 2 or p < 1:
+            raise argparse.ArgumentTypeError(f"need m >= 2 and p >= 1 in {pair!r}")
+        cap = oracle.GEN_BUDGET.get(m, 1)
+        if p > cap:
+            raise argparse.ArgumentTypeError(
+                f"{pair!r} is past the generation budget p <= {cap} for m = {m}")
+        out[m] = p
     return out
 
 
@@ -52,13 +62,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degree", type=int, default=10,
                         help="series agreement bound (total degree)")
-    parser.add_argument("--budgets", default=",".join(
+    parser.add_argument("--budgets", type=parse_budgets, default=",".join(
                             f"{m}:{p}" for m, p in oracle.GEN_BUDGET.items()),
                         help="m:p_max pairs for the exhaustive sweep")
     args = parser.parse_args()
     start = time.perf_counter()
 
-    for m, p_max in sorted(parse_budgets(args.budgets).items()):
+    for m, p_max in sorted(args.budgets.items()):
         verify_start = time.perf_counter()
         report = oracle.verify(m, p_max)
         seconds = time.perf_counter() - verify_start

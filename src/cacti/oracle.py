@@ -29,7 +29,8 @@ colour c has (n_c - d) / a + d orbits of them, where d is 1 if the centre
 has colour c and 0 otherwise.
 
 Colour and degree statistics are read off the recursive form, where each
-planted cactus caches its vertex degrees; graphs are built only for gonal keys.
+planted cactus caches its vertex degrees, and gonal keys are read off the
+branches at the centroid: the oracle builds no graph.
 
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
@@ -59,7 +60,7 @@ from .stats import (
     size_stat,
 )
 
-GEN_BUDGET = {2: 8, 3: 6, 4: 4}       # generate_rooted: max p per m
+GEN_BUDGET = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3}  # generate_rooted: max p per m
 FACT_BUDGET = {2: 7, 3: 5, 4: 4}      # factorizations: (p!)^(m-1) enumeration
 FREE_POOL_BUDGET = 16                 # free_labelled_bruteforce: candidate polygons
 FREE_P_BUDGET = 4
@@ -98,17 +99,6 @@ class Rooted:
 
     m: int
     components: tuple[Planted, ...]
-
-
-@dataclass
-class CactusGraph:
-    """Explicit incidence form: colors, cyclic polygon order per vertex,
-    and the m vertices of each polygon in color order."""
-
-    m: int
-    colors: list[int]
-    vertex_polys: list[list[int]]
-    polygons: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -210,65 +200,6 @@ def generate_rooted(m: int, p: int) -> list[Rooted]:
     return _rooted(m, p, p)
 
 
-def to_graph(rc: Rooted) -> CactusGraph:
-    """Expand the recursive form into an explicit incidence structure.
-
-    Polygon 0 is the root polygon; the cyclic order at each vertex starts
-    with the polygon through which the vertex was first reached.
-    """
-    g = CactusGraph(rc.m, [], [], [])
-    g.polygons.append([-1] * rc.m)
-    for color, pc in enumerate(rc.components, start=1):
-        v = _new_vertex(g, color, 0)
-        g.polygons[0][color - 1] = v
-        _attach(g, v, pc)
-    return g
-
-
-def _new_vertex(g: CactusGraph, color: int, parent_poly: int) -> int:
-    g.colors.append(color)
-    g.vertex_polys.append([parent_poly])
-    return len(g.colors) - 1
-
-
-def _attach(g: CactusGraph, v: int, pc: Planted) -> None:
-    color = g.colors[v]
-    for poly in pc.polygons:
-        pid = len(g.polygons)
-        g.polygons.append([-1] * g.m)
-        g.polygons[pid][color - 1] = v
-        g.vertex_polys[v].append(pid)
-        for k, sub in enumerate(poly, start=1):
-            c = ((color - 1 + k) % g.m) + 1
-            w = _new_vertex(g, c, pid)
-            g.polygons[pid][c - 1] = w
-            _attach(g, w, sub)
-
-
-def _planted_from(g: CactusGraph, v: int, parent_poly: int) -> Planted:
-    inc = g.vertex_polys[v]
-    i = inc.index(parent_poly)
-    polys = []
-    for q in inc[i + 1:] + inc[:i]:
-        polys.append(_polygon_from(g, v, q))
-    return Planted(g.colors[v], tuple(polys))
-
-
-def _polygon_from(g: CactusGraph, v: int, q: int) -> tuple[Planted, ...]:
-    color = g.colors[v]
-    members = []
-    for k in range(1, g.m):
-        c = ((color - 1 + k) % g.m) + 1
-        members.append(_planted_from(g, g.polygons[q][c - 1], q))
-    return tuple(members)
-
-
-def re_root(g: CactusGraph, pid: int) -> Rooted:
-    """Rebuild the rooted form with polygon `pid` as the root."""
-    comps = tuple(_planted_from(g, g.polygons[pid][c], pid) for c in range(g.m))
-    return Rooted(g.m, comps)
-
-
 def _merged_degrees(readings: tuple[DegreeReading, ...]) -> DegreeStat:
     """The degree matrix of a rooted cactus whose m components have these
     `Planted.degrees` readings: the root polygon is each component's stem."""
@@ -319,15 +250,24 @@ def _rooted_at_first(m: int, color: int,
     return Rooted(m, around[shift:] + around[:shift])
 
 
+def _classes(m: int, p: int) -> Iterator[tuple[Rooted, tuple, int | None, int]]:
+    """(representative, branches, centre colour, automorphism order) of each
+    class, built from its centroid: the branches are the m planted parts of a
+    centre polygon (centre colour None), or the polygons around a centre
+    vertex.  Polygon-centred classes come first, then the vertex-centred
+    ones by centre colour."""
+    for rc in _rooted(m, p, (p - 1) // 2):
+        yield rc, rc.components, None, 1
+    for color, branches, aut in _necklaces(m, p):
+        yield _rooted_at_first(m, color, branches), branches, color, aut
+
+
 def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
     """One representative per isomorphism class, with exact automorphism data,
     built from the class's centroid (see the module docstring)."""
     _check_size(m, p)
-    classes = [(rc, None, 1) for rc in _rooted(m, p, (p - 1) // 2)]
-    classes += [(_rooted_at_first(m, color, branches), color, aut)
-                for color, branches, aut in _necklaces(m, p)]
     out = []
-    for rep, centre, aut in classes:
+    for rep, _, centre, aut in _classes(m, p):
         degrees = _merged_degrees(tuple(pc.degrees for pc in rep.components))
         out.append((rep, CactusStats(color_marginal(degrees), degrees, aut, centre)))
     return out
@@ -453,25 +393,36 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
 
 
 def _colorless_planted(pc: Planted) -> str:
-    return "(" + "".join("[" + ",".join(_colorless_planted(s) for s in poly) + "]"
-                         for poly in pc.polygons) + ")"
+    return "(" + "".join(map(_colorless_polygon, pc.polygons)) + ")"
+
+
+def _colorless_polygon(poly: tuple[Planted, ...]) -> str:
+    return "[" + ",".join(map(_colorless_planted, poly)) + "]"
 
 
 def enumerate_gonal(m: int, p: int) -> int:
     """Unlabelled plane m-gonal cacti (colors erased) with p polygons.
 
-    Canonical key: minimum colorless rooted encoding over all p rootings and
-    all m rotations of the root polygon, since erasing colors allows the
-    root polygon itself to rotate.  One representative per coloured class
-    gives every key, since every gonal class has a colouring.
+    The centroid is chosen by polygon counts alone, so it survives erasing
+    the colours, and each gonal class is keyed at its centre.  Without
+    colours a centre polygon may rotate: its key is the least of the m
+    rotations of its colourless parts.  A centre vertex keys by the least
+    rotation of its colourless branches.  A colouring is fixed by the colour of one vertex,
+    and the centre is unique, so every vertex-centred gonal class has
+    exactly one colouring with a colour-1 centre: only those classes are
+    keyed.  Part keys start with "(" and branch keys with "[", so the two
+    cases never share a key.
     """
+    _check_size(m, p)
     keys = set()
-    for rc, _ in enumerate_unlabelled(m, p):
-        g = to_graph(rc)
-        rootings = [[_colorless_planted(c) for c in re_root(g, pid).components]
-                    for pid in range(len(g.polygons))]
-        keys.add(min("{" + ",".join(comps[r:] + comps[:r]) + "}"
-                     for comps in rootings for r in range(m)))
+    for _, branches, centre, _ in _classes(m, p):
+        if centre is None:
+            words = list(map(_colorless_planted, branches))
+        elif centre == 1:
+            words = list(map(_colorless_polygon, branches))
+        else:
+            break  # `_classes` yields the centre colours in order
+        keys.add(min("".join(words[r:] + words[:r]) for r in range(len(words))))
     return len(keys)
 
 

@@ -237,16 +237,10 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
     return solved * (m // nvars)
 
 
-def solve_planted(m: int, order: int, weighted: bool = False) -> PlantedFamily:
-    """The planted series, exact to the truncation order.
-
-    Unweighted: A_i = x_i / (1 - hat(A_i)).  Weighted: A_i = x_i * sum_{h>=1}
-    r[i,h] * hat(A_i)^(h-1), where r[i,h] marks a color-i vertex of degree h;
-    h <= (order - 1) // (m - 1) + 1, the planted root's stem included.
-    """
-    slots = tuple((i, h) for i in range(1, m + 1)
-                  for h in range(1, (order - 1) // (m - 1) + 2)) if weighted else ()
-    return PlantedFamily(m, order, _solve(m, order, m, slots), slots)
+def solve_planted(m: int, order: int) -> PlantedFamily:
+    """The planted series A_i = x_i / (1 - hat(A_i)), exact to the
+    truncation order."""
+    return PlantedFamily(m, order, _solve(m, order, m))
 
 
 def series_rooted(family: PlantedFamily) -> Series:

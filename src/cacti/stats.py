@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 
@@ -151,8 +152,10 @@ class DegreeStat:
     def n(self) -> int:
         return sum(k for row in self.rows for _, k in row)
 
-    @property
+    @cached_property
     def color_counts(self) -> tuple[int, ...]:
+        """Vertices per color, computed once per object; not a field, so
+        equality, hashing and repr ignore it."""
         return tuple(sum(k for _, k in row) for row in self.rows)
 
 

@@ -8,14 +8,90 @@ by its least rooting, and `count_pointed_orbits` keys every vertex of a
 class by the cyclic sequence of polygons around it.  `encode_rooted` is the
 string form of a rooted cactus that these keys compare.
 
-`graph_stats` reads the colour and degree statistics off an explicit
-`CactusGraph`, vertex by vertex, where the oracle reads them off the
-recursive form.  `reference_gonal` keys every generated rooted cactus, where
-the oracle keys one representative per coloured class.
+The oracle keeps one form of a cactus, the recursive one.  `to_graph`
+expands it into an explicit incidence graph, a `CactusGraph`, and
+`re_root` rebuilds the recursive form rooted at any polygon of the graph.
+`graph_stats` reads the colour and degree statistics off the graph, vertex
+by vertex, where the oracle reads them off the recursive form.
+`reference_gonal` keys every generated rooted cactus by its least colourless
+rooting, where the oracle keys each class at its centroid.
 """
 
+from dataclasses import dataclass
+
 from cacti import oracle
+from cacti.oracle import Planted, Rooted
 from cacti.stats import DegreeStat, InconsistentResult, color_marginal
+
+
+@dataclass
+class CactusGraph:
+    """Explicit incidence form: colors, cyclic polygon order per vertex,
+    and the m vertices of each polygon in color order."""
+
+    m: int
+    colors: list[int]
+    vertex_polys: list[list[int]]
+    polygons: list[list[int]]
+
+
+def to_graph(rc: Rooted) -> CactusGraph:
+    """Expand the recursive form into an explicit incidence structure.
+
+    Polygon 0 is the root polygon; the cyclic order at each vertex starts
+    with the polygon through which the vertex was first reached.
+    """
+    g = CactusGraph(rc.m, [], [], [])
+    g.polygons.append([-1] * rc.m)
+    for color, pc in enumerate(rc.components, start=1):
+        v = _new_vertex(g, color, 0)
+        g.polygons[0][color - 1] = v
+        _attach(g, v, pc)
+    return g
+
+
+def _new_vertex(g: CactusGraph, color: int, parent_poly: int) -> int:
+    g.colors.append(color)
+    g.vertex_polys.append([parent_poly])
+    return len(g.colors) - 1
+
+
+def _attach(g: CactusGraph, v: int, pc: Planted) -> None:
+    color = g.colors[v]
+    for poly in pc.polygons:
+        pid = len(g.polygons)
+        g.polygons.append([-1] * g.m)
+        g.polygons[pid][color - 1] = v
+        g.vertex_polys[v].append(pid)
+        for k, sub in enumerate(poly, start=1):
+            c = ((color - 1 + k) % g.m) + 1
+            w = _new_vertex(g, c, pid)
+            g.polygons[pid][c - 1] = w
+            _attach(g, w, sub)
+
+
+def _planted_from(g: CactusGraph, v: int, parent_poly: int) -> Planted:
+    inc = g.vertex_polys[v]
+    i = inc.index(parent_poly)
+    polys = []
+    for q in inc[i + 1:] + inc[:i]:
+        polys.append(_polygon_from(g, v, q))
+    return Planted(g.colors[v], tuple(polys))
+
+
+def _polygon_from(g: CactusGraph, v: int, q: int) -> tuple[Planted, ...]:
+    color = g.colors[v]
+    members = []
+    for k in range(1, g.m):
+        c = ((color - 1 + k) % g.m) + 1
+        members.append(_planted_from(g, g.polygons[q][c - 1], q))
+    return tuple(members)
+
+
+def re_root(g: CactusGraph, pid: int) -> Rooted:
+    """Rebuild the rooted form with polygon `pid` as the root."""
+    comps = tuple(_planted_from(g, g.polygons[pid][c], pid) for c in range(g.m))
+    return Rooted(g.m, comps)
 
 
 def encode_planted(pc):
@@ -45,7 +121,7 @@ def graph_stats(g):
 
 def canonical_unrooted(g):
     """Isomorphism-complete key: minimum rooted encoding over all rootings."""
-    return min(encode_rooted(oracle.re_root(g, pid))
+    return min(encode_rooted(re_root(g, pid))
                for pid in range(len(g.polygons)))
 
 
@@ -63,10 +139,10 @@ def orbit_classes(p, rooted):
     for i, rc in enumerate(rooted):
         if seen[i]:
             continue
-        g = oracle.to_graph(rc)
+        g = to_graph(rc)
         orbit = set()
         for pid in range(len(g.polygons)):
-            j = position.get(oracle.re_root(g, pid))
+            j = position.get(re_root(g, pid))
             if j is None or seen[j]:
                 raise InconsistentResult(
                     f"re-rooting {encode_rooted(rc)} at polygon {pid} "
@@ -100,7 +176,7 @@ def _pointed_key(g, v):
     only cyclically ordered: minimize over rotations.
     """
     parts = ["[" + ",".join(map(encode_planted,
-                                oracle._polygon_from(g, v, q))) + "]"
+                                _polygon_from(g, v, q))) + "]"
              for q in g.vertex_polys[v]]
     return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"
                for r in range(len(parts)))
@@ -116,11 +192,11 @@ def reference_gonal(m, p):
     key over all rootings and root rotations of every rooted cactus."""
     keys = set()
     for rc in oracle.generate_rooted(m, p):
-        g = oracle.to_graph(rc)
+        g = to_graph(rc)
         best = None
         for pid in range(len(g.polygons)):
             comps = [oracle._colorless_planted(c)
-                     for c in oracle.re_root(g, pid).components]
+                     for c in re_root(g, pid).components]
             for r in range(m):
                 key = "{" + ",".join(comps[r:] + comps[:r]) + "}"
                 if best is None or key < best:

@@ -75,6 +75,14 @@ class TestCount:
                                  "--mode", "asymmetric", "--check", "oracle")
         assert code == 1 and "MISMATCH" in err
 
+    def test_gonal_oracle_within_and_past_the_m5_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--m", "5", "--p", "4",
+                               "--mode", "gonal", "--path", "oracle")
+        assert code == 0 and out == "17\n"
+        code, out, err = run_cli(capsys, "count", "--m", "5", "--p", "5",
+                                 "--mode", "gonal", "--path", "oracle")
+        assert code == 2 and out == "" and "BudgetExceeded" in err
+
     def test_validation_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "--m", "2", "--degrees",
                                "1^5 3^2; 2^7", "--mode", "rooted")

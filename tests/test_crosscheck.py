@@ -1,8 +1,11 @@
-"""The sweeps of `scripts/crosscheck.py` that run without the oracle."""
+"""The sweeps of `scripts/crosscheck.py` that run without the oracle, and
+its rejection of bad --budgets."""
 
 import importlib.util
 import pathlib
 import sys
+
+import pytest
 
 from cacti import cli, formulas, stats
 
@@ -32,3 +35,19 @@ def test_falsified_unlabelled_count_exits_1(capsys, monkeypatch):
     assert out.endswith("series mismatch in one-sort unlabelled m=3 at x^41: "
                         f"series {count(stats.size_stat(3, 20))}, "
                         f"formula {count(stats.size_stat(3, 20)) + 1}\n")
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ("2-3", "bad m:p pair '2-3'"),
+    ("2:0", "need m >= 2 and p >= 1 in '2:0'"),
+    ("2:9", "'2:9' is past the generation budget p <= 8 for m = 2"),
+])
+def test_bad_budgets_exit_2(capsys, monkeypatch, budgets, message):
+    crosscheck = _crosscheck()
+    monkeypatch.setattr(sys, "argv", ["crosscheck.py", "--budgets", budgets])
+    with pytest.raises(SystemExit) as exc:
+        crosscheck.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --budgets: {message}\n")

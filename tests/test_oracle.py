@@ -5,7 +5,13 @@ import pytest
 from cacti import formulas as F
 from cacti import oracle, stats
 from cacti.oracle import Planted, Rooted
-from oracle_reference import canonical_unrooted, count_pointed_orbits, encode_rooted
+from oracle_reference import (
+    canonical_unrooted,
+    count_pointed_orbits,
+    encode_rooted,
+    re_root,
+    to_graph,
+)
 
 
 def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
@@ -96,17 +102,17 @@ def test_rooted_tally_counts_every_cactus():
         for p in range(1, top + 1):
             rooted = oracle.generate_rooted(m, p)
             expected = Counter(st for rc in rooted
-                               for st in _read_stats(oracle.to_graph(rc)))
+                               for st in _read_stats(to_graph(rc)))
             assert oracle.rooted_tally(rooted) == expected
             assert sum(expected.values()) == 2 * len(rooted)
 
 
 def test_to_graph_shapes():
     single = Rooted(3, (Planted(1, ()), Planted(2, ()), Planted(3, ())))
-    g = oracle.to_graph(single)
+    g = to_graph(single)
     assert len(g.colors) == 3 and len(g.polygons) == 1
 
-    g = oracle.to_graph(two_triangles_shared_color1())
+    g = to_graph(two_triangles_shared_color1())
     assert len(g.colors) == 5 and len(g.polygons) == 2
     shared = [v for v in range(len(g.colors)) if len(g.vertex_polys[v]) == 2]
     assert len(shared) == 1 and g.colors[shared[0]] == 1
@@ -115,8 +121,8 @@ def test_to_graph_shapes():
 def test_graph_round_trip():
     for m, p in [(2, 4), (3, 3)]:
         for rc in oracle.generate_rooted(m, p):
-            g = oracle.to_graph(rc)
-            assert oracle.re_root(g, 0) == rc
+            g = to_graph(rc)
+            assert re_root(g, 0) == rc
 
 
 def test_encoding_round_trip():
@@ -127,15 +133,15 @@ def test_encoding_round_trip():
 def test_canonical_unrooted():
     # all rootings of one cactus share a key
     for rc in oracle.generate_rooted(2, 4):
-        g = oracle.to_graph(rc)
-        keys = {canonical_unrooted(oracle.to_graph(oracle.re_root(g, pid)))
+        g = to_graph(rc)
+        keys = {canonical_unrooted(to_graph(re_root(g, pid)))
                 for pid in range(len(g.polygons))}
         assert len(keys) == 1
     # the 3-vertex paths colored 1-2-1 and 2-1-2 are distinct classes, each
     # with a single rooting up to isomorphism (the end swap is an automorphism)
     path_rootings = oracle.generate_rooted(2, 2)
     assert len(path_rootings) == 2
-    keys = {canonical_unrooted(oracle.to_graph(rc)) for rc in path_rootings}
+    keys = {canonical_unrooted(to_graph(rc)) for rc in path_rootings}
     assert len(keys) == 2
     # the 4-vertex path 1-2-1-2 is a single class with three distinct rootings
     classes = oracle.enumerate_unlabelled(2, 3)
@@ -143,7 +149,7 @@ def test_canonical_unrooted():
     assert len(path) == 1 and path[0].aut_order == 1
     # sharing at color 1 vs color 2 gives different cacti
     m3p2 = oracle.generate_rooted(3, 2)
-    keys = {canonical_unrooted(oracle.to_graph(rc)) for rc in m3p2}
+    keys = {canonical_unrooted(to_graph(rc)) for rc in m3p2}
     assert len(keys) == 3
 
 
@@ -177,11 +183,11 @@ def test_export_lines_parse_back():
 
 
 def test_count_pointed_orbits():
-    g = oracle.to_graph(two_triangles_shared_color1())
+    g = to_graph(two_triangles_shared_color1())
     assert count_pointed_orbits(g, 1) == 1
     assert count_pointed_orbits(g, 2) == 1
     single = Rooted(3, (Planted(1, ()), Planted(2, ()), Planted(3, ())))
-    gs = oracle.to_graph(single)
+    gs = to_graph(single)
     assert all(count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
     # By Burnside: the centre of colour 1 is fixed, the two colour-2
     # vertices are swapped, and a single polygon has no centre vertex.

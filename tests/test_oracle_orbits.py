@@ -4,8 +4,8 @@
 pointed orbits by Burnside's lemma; `oracle_reference` re-roots every
 generated cactus instead, and keys every vertex for the pointed orbits.
 The re-rooting reference is itself checked against a grouping by
-`canonical_unrooted`.  `enumerate_gonal` keys one representative per
-coloured class; `reference_gonal` keys every rooted cactus.
+`canonical_unrooted`.  `enumerate_gonal` keys each class at its centroid;
+`reference_gonal` keys every rooted cactus at every rooting.
 `factorizations` counts the last two factors once per cycle type of their
 product; the reference recounts every tuple.
 """
@@ -19,6 +19,7 @@ from cacti import formulas, oracle
 from cacti.formulas import GonalKind
 from cacti.oracle import Planted, Rooted
 from cacti.stats import InconsistentResult
+import oracle_reference
 from oracle_reference import (
     canonical_unrooted,
     count_pointed_orbits,
@@ -27,23 +28,24 @@ from oracle_reference import (
     orbit_classes,
     reference_classes,
     reference_gonal,
+    to_graph,
 )
 
 SIZES = [(m, p) for m, p_max in oracle.GEN_BUDGET.items()
-         for p in range(1, p_max + 1)] + [(5, 1)]
+         for p in range(1, p_max + 1)]
 
 
 def classes_by_canonical_key(m, p):
     """(representative, aut order, colours, degrees) per class, by key."""
     groups = {}
     for rc in oracle.generate_rooted(m, p):
-        key = canonical_unrooted(oracle.to_graph(rc))
+        key = canonical_unrooted(to_graph(rc))
         groups.setdefault(key, []).append(rc)
     out = []
     for key in sorted(groups):
         members = groups[key]
         rep = next(rc for rc in members if encode_rooted(rc) == key)
-        colors, degrees = graph_stats(oracle.to_graph(rep))
+        colors, degrees = graph_stats(to_graph(rep))
         out.append((rep, p // len(members), colors, degrees))
     return out
 
@@ -57,12 +59,12 @@ def test_orbit_pass_matches_canonical_grouping(m, p):
 def test_centroid_classes_match_reference(m, p):
     got = Counter()
     for rep, st in oracle.enumerate_unlabelled(m, p):
-        got[(canonical_unrooted(oracle.to_graph(rep)), st.aut_order,
+        got[(canonical_unrooted(to_graph(rep)), st.aut_order,
              st.colors, st.degrees,
              tuple(st.pointed(c) for c in range(1, m + 1)))] += 1
     expected = Counter()
     for rep, aut, colors, degrees in reference_classes(m, p):
-        g = oracle.to_graph(rep)
+        g = to_graph(rep)
         expected[(canonical_unrooted(g), aut, colors, degrees,
                   tuple(count_pointed_orbits(g, c) for c in range(1, m + 1)))] += 1
     assert got == expected
@@ -73,6 +75,14 @@ def test_gonal_classes_from_representatives_match_reference(m, p):
     got = oracle.enumerate_gonal(m, p)
     assert got == reference_gonal(m, p)
     assert got == formulas.count_gonal(m, p, GonalKind.UNLABELLED)
+
+
+def test_gonal_classes_build_no_statistic(monkeypatch):
+    def no_statistic(readings):
+        raise AssertionError("enumerate_gonal read a degree statistic")
+
+    monkeypatch.setattr(oracle, "_merged_degrees", no_statistic)
+    assert oracle.enumerate_gonal(3, 5) == 19
 
 
 def factorizations_recounted(m, p):
@@ -95,14 +105,14 @@ def test_factorizations_match_recount(m, p):
 
 def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
     stray = Rooted(2, (Planted(1, ()), Planted(2, ((Planted(1, ()),),) * 9)))
-    monkeypatch.setattr(oracle, "re_root", lambda g, pid: stray)
+    monkeypatch.setattr(oracle_reference, "re_root", lambda g, pid: stray)
     with pytest.raises(InconsistentResult, match="not generated"):
         reference_classes(2, 3)
 
 
 def test_re_rooting_into_an_earlier_orbit_raises(monkeypatch):
     first = min(oracle.generate_rooted(2, 3), key=encode_rooted)
-    monkeypatch.setattr(oracle, "re_root", lambda g, pid: first)
+    monkeypatch.setattr(oracle_reference, "re_root", lambda g, pid: first)
     with pytest.raises(InconsistentResult, match="earlier orbit"):
         reference_classes(2, 3)
 
@@ -110,8 +120,8 @@ def test_re_rooting_into_an_earlier_orbit_raises(monkeypatch):
 def test_orbit_size_not_dividing_p_raises(monkeypatch):
     # Re-rooting only at polygons 0 and 1 gives the 4-vertex path, whose
     # three rootings are distinct, an orbit of two.
-    re_root = oracle.re_root
-    monkeypatch.setattr(oracle, "re_root",
+    re_root = oracle_reference.re_root
+    monkeypatch.setattr(oracle_reference, "re_root",
                         lambda g, pid: re_root(g, min(pid, 1)))
     with pytest.raises(InconsistentResult, match="do not divide p = 3"):
         reference_classes(2, 3)

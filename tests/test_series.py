@@ -13,6 +13,15 @@ from cacti import arith, cli, oracle, series, stats
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
 
+def weighted_family(m: int, order: int) -> series.PlantedFamily:
+    """The unboxed weighted planted family: A_i = x_i * sum_{h>=1} r[i,h] *
+    hat(A_i)^(h-1), where r[i,h] marks a color-i vertex of degree h, for
+    h <= (order - 1) // (m - 1) + 1, the planted root's stem included."""
+    slots = tuple((i, h) for i in range(1, m + 1)
+                  for h in range(1, (order - 1) // (m - 1) + 2))
+    return series.PlantedFamily(m, order, series._solve(m, order, m, slots), slots)
+
+
 def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
     """A degree statistic's exponent in a weighted family: color counts, then
     the multiplicity of each marker slot (color, degree)."""
@@ -85,7 +94,7 @@ class TestPlanted:
 
     def test_weighted_residual_and_single_polygon(self):
         m, order = 3, 7
-        fam = series.solve_planted(m, order, weighted=True)
+        fam = weighted_family(m, order)
         width = m + len(fam.slots)
         for i in range(1, m + 1):
             hat = fam.hat(i)
@@ -101,7 +110,7 @@ class TestPlanted:
 
     def test_weighted_collapse(self):
         for m in (2, 3):
-            weighted = series.solve_planted(m, 7, weighted=True)
+            weighted = weighted_family(m, 7)
             plain = series.solve_planted(m, 7)
             for ws, ps in zip(weighted.series, plain.series):
                 collapsed: dict = {}
@@ -110,7 +119,7 @@ class TestPlanted:
                 assert series.Series(m, 7, collapsed) == ps
 
     def test_weighted_monomials_count_degree_distributions(self):
-        fam = series.solve_planted(2, 9, weighted=True)
+        fam = weighted_family(2, 9)
         rooted = series.series_rooted(fam)
         for spec in ("1^2 2^2; 1 2 3", "1^3 3^1; 2^3"):
             d = stats.parse_degree_spec(spec)
@@ -129,7 +138,7 @@ class TestRootedSeries:
     @pytest.mark.parametrize("m, order, weighted", [
         (2, 9, False), (3, 10, False), (4, 9, False), (2, 9, True), (3, 7, True)])
     def test_one_coefficient_equals_the_full_product(self, m, order, weighted):
-        fam = series.solve_planted(m, order, weighted=weighted)
+        fam = (weighted_family if weighted else series.solve_planted)(m, order)
         rooted = series.series_rooted(fam)
         markers = (0,) * len(fam.slots)
         exponents = set(rooted.coeffs) | {
@@ -149,7 +158,7 @@ class TestPointedSeries:
         assert series.series_pointed_unlabelled(fam3, 2)[(1, 2, 2)] == 1
 
     def test_weighted_family_rejected(self):
-        fam = series.solve_planted(2, 4, weighted=True)
+        fam = weighted_family(2, 4)
         with pytest.raises(stats.ValidationError):
             series.series_pointed_unlabelled(fam, 1)
         with pytest.raises(stats.ValidationError):
@@ -160,7 +169,10 @@ class TestPointedSeries:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, env.get("PYTHONPATH")) if p)
         code = ("from cacti import series, stats\n"
-                "for fam, order in ((series.solve_planted(2, 4, weighted=True), None),\n"
+                "slots = tuple((i, h) for i in (1, 2) for h in range(1, 5))\n"
+                "weighted = series.PlantedFamily(2, 4, series._solve(2, 4, 2, slots),\n"
+                "                                slots)\n"
+                "for fam, order in ((weighted, None),\n"
                 "                   (series.solve_planted(2, 4), 5)):\n"
                 "    try:\n"
                 "        series.series_pointed_unlabelled(fam, 1, order)\n"

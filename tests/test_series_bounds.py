@@ -8,6 +8,7 @@ import pytest
 from cacti import cli
 from cacti import formulas as F
 from cacti import oracle, series, stats
+from test_series import weighted_family
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -33,7 +34,7 @@ def test_color_level_at_multi_bound(m):
 
 def test_degree_level_at_multi_bound(capsys):
     order = cli.SERIES_MULTI_BOUND
-    fam = series.solve_planted(2, order, weighted=True)
+    fam = weighted_family(2, order)
     rooted = series.series_rooted(fam)
     by_colors: dict = {}
     visited = set()
