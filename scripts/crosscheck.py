@@ -2,14 +2,16 @@
 """Run the full formula / series / oracle cross-validation sweep.
 
 Exhaustively generates small cacti and compares every count against the
-closed forms, then checks the truncated rooted, unlabelled and pointed (one
-per colour) series coefficients against the closed forms of the mode table
-up to a total degree, and the one-sort rooted and unlabelled series for
-m = 2..7 to the CLI's order bound against the size-level closed forms.
-Exits nonzero on the first mismatch.  The exhaustive sweep covers the
-oracle's whole generation budget unless --budgets narrows it.
+closed forms.  Then it checks every count that the series route answers
+(rooted, labelled, pointed, unlabelled, asymmetric and every automorphism
+stratum) against the closed forms of the mode table: each realizable colour
+vector for m = 2, 3 up to a total degree, read off the centre series and
+the rooted series, and each polygon count for m = 2..7 read off the
+one-sort series to the CLI's order bound.  Exits nonzero on the first
+mismatch.  The exhaustive sweep covers the oracle's whole generation budget
+unless --budgets narrows it.
 
-Usage: python scripts/crosscheck.py [--degree 10] [--budgets "2:6,3:4,4:3"]
+Usage: python scripts/crosscheck.py [--degree 16] [--budgets "2:6,3:4,4:3"]
 """
 
 import argparse
@@ -17,7 +19,7 @@ import sys
 import time
 
 from cacti import formulas, oracle, series, stats
-from cacti.cli import SERIES_ONE_SORT_BOUND
+from cacti.cli import SERIES_MULTI_BOUND, SERIES_ONE_SORT_BOUND
 from cacti.formulas import GonalKind
 
 
@@ -39,28 +41,77 @@ def parse_budgets(text: str) -> dict[int, int]:
     return out
 
 
+def parse_degree(text: str) -> int:
+    """The total degree of --degree, at least 1."""
+    try:
+        degree = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad degree {text!r}") from None
+    if degree < 1:
+        raise argparse.ArgumentTypeError(f"need a degree >= 1, got {degree}")
+    return degree
+
+
+def _queries(stat):
+    """Every (mode, options) that the series route answers for `stat`."""
+    for mode, entry in formulas.MODES.items():
+        if entry.centres is None:
+            continue
+        if mode.startswith("aut-"):
+            yield from ((mode, {"s": s}) for s in range(2, stat.p + 1))
+        elif mode == "pointed" and not isinstance(stat, stats.SizeStat):
+            yield from ((mode, {"color": c}) for c in range(1, stat.m + 1))
+        else:
+            yield mode, {}
+
+
+def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, int]:
+    """The first count of `statistics` whose centre and rooted series
+    coefficients differ from the closed form, or None, and the number of
+    counts compared.  The family's colours share one series if it is
+    one-sort."""
+    rooted, centres, checked = series.series_rooted(family), {}, 0
+    nvars = family.series[0].nvars
+    for stat in statistics:
+        target = (stat.n,) if nvars == 1 else stat.counts
+        for mode, options in _queries(stat):
+            form = formulas.MODES[mode].centres(stat, **options)
+            value = form.rooted * rooted[target]
+            for color in form.colors:
+                key = ((color - 1) % nvars, form.weight, form.s)
+                if key not in centres:
+                    centres[key] = series.series_centre(family, color, form.weight,
+                                                        form.s)
+                value += centres[key][target]
+            expected = formulas.MODES[mode].formula(stat, **options)
+            if value != expected:
+                where = f"x^{stat.n}" if nvars == 1 else target
+                flags = "".join(f" {k}={v}" for k, v in options.items())
+                return (f"{mode}{flags} m={stat.m} at {where}: series {value}, "
+                        f"formula {expected}"), checked
+            checked += 1
+    return None, checked
+
+
 def one_sort_sweep(order: int) -> str | None:
-    """The first coefficient of the one-sort rooted or unlabelled series,
-    m = 2..7, that differs from the size-level closed form, or None.  The
-    coefficient of x^n counts the cacti with n = (m-1)p + 1 vertices."""
+    """The first size-level count, m = 2..7, whose one-sort series
+    coefficient differs from the closed form, or None.  The coefficient of
+    x^n counts the cacti with n = (m-1)p + 1 vertices; the unlabelled
+    series that `cacti series --one-sort` prints has no other term."""
     for m in range(2, 8):
-        rooted = series.solve_one_sort(m, order) - series.variable(1, order, 0)
-        unlabelled = series.series_unlabelled(m, order, one_sort=True)
-        for name, out, formula in (("rooted", rooted, formulas.count_rooted),
-                                   ("unlabelled", unlabelled,
-                                    formulas.count_unlabelled)):
-            expected = {((m - 1) * p + 1,): formula(stats.size_stat(m, p))
-                        for p in range((order - 1) // (m - 1) + 1)}
-            for n in sorted(set(expected) | set(out.coeffs)):
-                if out[n] != expected.get(n, 0):
-                    return (f"one-sort {name} m={m} at x^{n[0]}: series "
-                            f"{out[n]}, formula {expected.get(n, 0)}")
+        sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
+        failure, _ = centre_sweep(series._solve(m, order, 1), sizes[1:])
+        if failure:
+            return f"one-sort {failure}"
+        printed = series.series_unlabelled(m, order, one_sort=True).coeffs
+        if printed != {(s.n,): formulas.count_unlabelled(s) for s in sizes}:
+            return f"one-sort unlabelled series m={m}: not the closed forms"
     return None
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degree", type=int, default=10,
+    parser.add_argument("--degree", type=parse_degree, default=SERIES_MULTI_BOUND,
                         help="series agreement bound (total degree)")
     parser.add_argument("--budgets", type=parse_budgets, default=",".join(
                             f"{m}:{p}" for m, p in oracle.GEN_BUDGET.items()),
@@ -89,22 +140,13 @@ def main() -> int:
         print(f"gonal m={m} p<={p_max}: ok")
 
     for m in (2, 3):
-        fam = series.solve_planted(m, args.degree)
-        sweeps = [("rooted", {}, series.series_rooted(fam)),
-                  ("unlabelled", {}, series.series_unlabelled(m, args.degree))]
-        sweeps += [("pointed", {"color": c}, series.series_pointed_unlabelled(fam, c))
-                   for c in range(1, m + 1)]
-        checked = 0
-        for mode, options, out in sweeps:
-            formula = formulas.MODES[mode].formula
-            for counts, coeff in sorted(out.coeffs.items()):
-                if sum(counts) == 1:  # the single vertex keeps its own conventions
-                    continue
-                if coeff != formula(stats.color_stat(m, counts), **options):
-                    print(f"series mismatch in {mode} {options} at {counts}")
-                    return 1
-                checked += 1
-        print(f"series m={m} degree<={args.degree}: {checked} coefficients ok")
+        vectors = [c for p in range(1, (args.degree - 1) // (m - 1) + 1)
+                   for c in oracle._all_color_vectors(m, p)]
+        failure, checked = centre_sweep(series.solve_planted(m, args.degree), vectors)
+        if failure:
+            print(f"series mismatch in {failure}")
+            return 1
+        print(f"series m={m} degree<={args.degree}: {checked} counts ok")
 
     failure = one_sort_sweep(SERIES_ONE_SORT_BOUND)
     if failure:

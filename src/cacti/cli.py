@@ -114,31 +114,22 @@ def _count_formula(mode: str, stat: Statistic, args) -> int:
 
 
 def _count_series(mode: str, stat: Statistic, args) -> int:
-    # The truncated-series route only covers the plain counting modes; the
-    # p = 0 row is reconciled with the single-vertex conventions here rather
-    # than inside the series module.
-    if mode not in ("rooted", "pointed", "unlabelled"):
+    # The series route counts what the mode's `Centres` express; the p = 0
+    # row is reconciled with the single-vertex conventions here rather than
+    # inside the series module.
+    centres = formulas.MODES[mode].centres
+    if centres is None:
         raise UsageError(f"--path series does not support mode {mode!r}")
-    if mode == "pointed":
-        formulas.pointed_colors(stat, args.color)
     if stat.p == 0:
         return _count_formula(mode, stat, args)
-    order = stat.n
-    if isinstance(stat, SizeStat):
-        if mode == "pointed":
-            raise UsageError("--path series: pointed needs --colors")
-        if order > SERIES_ONE_SORT_BOUND:
-            raise oracle.BudgetExceeded(
-                f"series order {order} > {SERIES_ONE_SORT_BOUND}")
-        if mode == "rooted":
-            a = series.solve_one_sort(stat.m, order)
-            return int((a - series.variable(1, order, 0))[(order,)])
-        return int(series.series_unlabelled(stat.m, order, one_sort=True)[(order,)])
-    if order > SERIES_MULTI_BOUND:
-        raise oracle.BudgetExceeded(f"series order {order} > {SERIES_MULTI_BOUND}")
-    if isinstance(stat, DegreeStat) and mode != "rooted":
-        raise UsageError("--path series at degree level supports --mode rooted only")
-    return series.count_target(stat, mode, args.color)
+    form = centres(stat, color=args.color, s=args.s)
+    bound = SERIES_ONE_SORT_BOUND if isinstance(stat, SizeStat) else SERIES_MULTI_BOUND
+    if stat.n > bound:
+        raise oracle.BudgetExceeded(f"series order {stat.n} > {bound}")
+    if isinstance(stat, DegreeStat) and form.colors:
+        raise UsageError("--path series at degree level counts no centres: "
+                         "--mode rooted or labelled only")
+    return series.count_target(stat, *form)
 
 
 def _count_oracle(mode: str, stat: Statistic, args) -> int:
@@ -317,22 +308,16 @@ def cmd_series(args) -> int:
             f"--order must be within 1..{bound} for this target")
     if args.color is not None and not 1 <= args.color <= args.m:
         raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{args.m}")
-    if one_sort:
-        if args.target == "planted":
-            out = series.solve_one_sort(args.m, args.order)
-        elif args.target == "rooted":
-            a = series.solve_one_sort(args.m, args.order)
-            out = a - series.variable(1, args.order, 0)
-        else:
-            out = series.series_unlabelled(args.m, args.order, one_sort=True)
+    if args.target == "unlabelled":
+        out = series.series_unlabelled(args.m, args.order, one_sort)
+    elif one_sort:
+        out = series.solve_one_sort(args.m, args.order)
+        if args.target == "rooted":
+            out = out - series.variable(1, args.order, 0)
     else:
         family = series.solve_planted(args.m, args.order)
-        if args.target == "planted":
-            out = family.series[(args.color or 1) - 1]
-        elif args.target == "rooted":
-            out = series.series_rooted(family)
-        else:
-            out = series.series_unlabelled(args.m, args.order)
+        out = (family.series[(args.color or 1) - 1] if args.target == "planted"
+               else series.series_rooted(family))
     items = sorted(out.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     if args.format == "json":
         print(json.dumps({

@@ -11,11 +11,19 @@ come in five flavours per statistic level:
 * asymmetric  -- classes with trivial automorphism group,
 
 plus the strata count_aut for classes whose automorphism group has order
-exactly s / a multiple of s.  Unlabelled and pointed counts are divisor sums
-weighted by Euler's phi; replacing phi by the Moebius function turns them
-into asymmetric / exact-order counts.  `MODES` names each mode once for
-every route: its closed form, its count over isomorphism classes and the
-statistic level it is bound to.
+exactly s / a multiple of s.  Every count of classes follows the
+dissymmetry theorem (Bergeron, Labelle and Leroux): a sum of centre sums,
+one per colour of the centre vertex, plus a multiple of the rooted count.
+The colour-i centre sum at weight w and stretch s sums w(d/s) over the d
+with s | d that divide the statistic less one colour-i vertex:
+
+* pointed at i              -- centre_i(phi, 1),
+* unlabelled / asymmetric   -- sum_i centre_i(phi / mu, 1) - (m - 1) rooted,
+* aut-atleast / aut-exact s -- sum_i centre_i(phi / mu, s), s >= 2.
+
+`MODES` names each mode once for every route: its closed form, its count
+over isomorphism classes, the statistic level it is bound to and its
+`Centres`, which the series route reads.
 
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), all other counts are 1.  Every
@@ -29,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import (
     binomial,
@@ -47,7 +55,6 @@ from .stats import (
     SizeStat,
     Statistic,
     ValidationError,
-    shift,
     size_stat,
 )
 
@@ -91,16 +98,6 @@ def _exact(value: Fraction, context: str) -> int:
     return int(value)
 
 
-def _row_parts(row: tuple[tuple[int, int], ...], scale: int = 1) -> list[int]:
-    """Multiplicities of a degree row, each divided by `scale`."""
-    return [k // scale for _, k in row]
-
-
-def _row_minus_unit(row: tuple[tuple[int, int], ...], h: int) -> list[int]:
-    """Multiplicities of a row with one degree-h vertex removed."""
-    return [k - 1 if j == h else k for j, k in row]
-
-
 def count_rooted(stat: Statistic) -> int:
     """Cacti with a distinguished polygon (these have no symmetries)."""
     p = stat.p
@@ -112,7 +109,7 @@ def count_rooted(stat: Statistic) -> int:
         prod = math.prod(binomial(p, c) for c in stat.counts)
         return _exact(Fraction(prod, p), "rooted color count")
     counts = stat.color_counts
-    prod = math.prod(multinomial(c, _row_parts(row))
+    prod = math.prod(multinomial(c, [k for _, k in row])
                      for c, row in zip(counts, stat.rows))
     return _exact(Fraction(p ** (stat.m - 1) * prod, math.prod(counts)),
                   "rooted degree count")
@@ -130,7 +127,7 @@ def count_labelled(stat: Statistic) -> int:
         prod = math.prod(rising_factorial(p - c + 1, c - 1) for c in stat.counts)
         return p ** (stat.m - 2) * prod
     counts = stat.color_counts
-    prod = math.prod(math.factorial(c - 1) * multinomial(c, _row_parts(row))
+    prod = math.prod(math.factorial(c - 1) * multinomial(c, [k for _, k in row])
                      for c, row in zip(counts, stat.rows))
     return p ** (stat.m - 2) * prod
 
@@ -149,115 +146,106 @@ def pointed_colors(stat: Statistic, color: int | None) -> range:
     return range(color, color + 1)
 
 
+class Centres(NamedTuple):
+    """A count by the dissymmetry theorem: the centre sums of the 1-based
+    `colors` at `weight` and stretch `s`, plus `rooted` times the rooted
+    count (-(m - 1) for the classes at s = 1, 0 for pointed counts)."""
+
+    colors: Sequence[int]
+    weight: Callable[[int], int] | None
+    s: int
+    rooted: int | Fraction
+
+
+def pointed_centres(stat: Statistic, color: int | None = None) -> Centres:
+    return Centres(pointed_colors(stat, color), euler_phi, 1, 0)
+
+
+def class_centres(stat: Statistic, weight: Callable[[int], int],
+                  s: int = 1) -> Centres:
+    """Classes: plain (phi) or asymmetric (mu) at s = 1, else those whose
+    automorphism order is a multiple of s (phi) or exactly s (mu).  Past
+    s = 1 the centre is a vertex, so no rooted term corrects the sum."""
+    return Centres(range(1, stat.m + 1), weight, s, (1 - stat.m) * (s == 1))
+
+
+def _centre(stat: Statistic, colors: Sequence[int],
+            weight: Callable[[int], int], s: int, min_d: int) -> tuple[int, int]:
+    """The centre sums of `colors` as a numerator over the level's
+    denominator, p, p^2 or n_1 ... n_m.  The colour-i term of d >= min_d,
+    s | d, is weight(d/s) times a count of the statistic less a colour-i
+    vertex (of degree h at degree level, summed over h), each part over d."""
+    p, m = stat.p, stat.m
+
+    def strides(values: list[int]) -> list[int]:
+        return [d for d in common_divisors(values) if d >= min_d and not d % s]
+
+    if isinstance(stat, SizeStat):
+        # Colour rotation maps the colour-i centres onto the colour-(i+1) ones.
+        total = sum(weight(d // s) * binomial(m * p // d - 1, p // d - 1)
+                    for d in strides([p]))
+        return s * len(colors) * total, p
+    if isinstance(stat, ColorStat):
+        total = 0
+        for i in colors:
+            lowered = list(stat.counts)
+            lowered[i - 1] -= 1
+            total += (p - lowered[i - 1]) * sum(
+                weight(d // s) * math.prod(binomial(p // d, c // d) for c in lowered)
+                for d in strides([p] + lowered))
+        return s * total, p * p
+    counts = stat.color_counts
+    total = 0
+    for i in colors:
+        for h, _ in stat.rows[i - 1]:
+            rows = [[k - (j == i - 1 and g == h) for g, k in row]
+                    for j, row in enumerate(stat.rows)]
+            total += counts[i - 1] * sum(
+                weight(d // s) * math.prod(multinomial(sum(row) // d,
+                                                       [k // d for k in row])
+                                           for row in rows)
+                for d in strides([h, p] + [k for row in rows for k in row]))
+    return s * p ** (m - 2) * total, math.prod(counts)
+
+
+def _count_centred(stat: Statistic, centres: Centres, context: str) -> int:
+    """A pointed or class count in closed form.  With rooted = -(m - 1),
+    the d = 1 terms of the m centre sums and the rooted term together are
+    the rooted count over p, so the sums start at d = 2."""
+    colors, weight, s, rooted = centres
+    p = stat.p
+    if p == 0:
+        return int(s == 1)
+    num, den = _centre(stat, colors, weight, s, 2 if rooted else 1)
+    if rooted:
+        num += count_rooted(stat) * den // p
+    return _exact(Fraction(num, den), context)
+
+
 def count_pointed(stat: Statistic, color: int | None = None) -> int:
     """Cacti pointed at a vertex; summed over colors at size level."""
-    pointed_colors(stat, color)
-    p = stat.p
-    if p == 0:
-        return 1
-    if isinstance(stat, SizeStat):
-        total = sum(euler_phi(d) * binomial(p * stat.m // d, p // d)
-                    for d in divisors(p))
-        return _exact(Fraction(total, p), "pointed size count")
-    stat = shift(stat, color - 1)
-    if isinstance(stat, ColorStat):
-        total = _color_sum(p, stat.counts, 0, euler_phi, min_d=1)
-        return _exact(Fraction((p - stat.counts[0] + 1) * total, p * p),
-                      "pointed color count")
-    total = _degree_sum(stat, 0, euler_phi, min_d=1)
-    rest = math.prod(stat.color_counts[1:])
-    return _exact(Fraction(p ** (stat.m - 2) * total, rest),
-                  "pointed degree count")
-
-
-def _color_sum(p: int, counts: tuple[int, ...], i0: int,
-               weight: Callable[[int], int], min_d: int,
-               s: int = 1) -> int:
-    """Inner divisor sum of the pointed/unlabelled color formulas.
-
-    Sums weight(d/s) * C(p/d, (n_i - 1)/d) * prod_{j != i} C(p/d, n_j/d)
-    over d > min_d - 1 with s | d and d dividing p and every component of
-    the count vector lowered by one unit at position i0.
-    """
-    lowered = [c - 1 if j == i0 else c for j, c in enumerate(counts)]
-    total = 0
-    for d in common_divisors([p] + lowered):
-        if d < min_d or d % s:
-            continue
-        term = weight(d // s) * binomial(p // d, lowered[i0] // d)
-        for j, c in enumerate(counts):
-            if j != i0:
-                term *= binomial(p // d, c // d)
-        total += term
-    return total
-
-
-def _degree_sum(stat: DegreeStat, i0: int, weight: Callable[[int], int],
-                min_d: int, s: int = 1) -> int:
-    """Inner (h, d) sum of the pointed/unlabelled degree formulas.
-
-    Pairs (h, d) run over degrees h present in row i0 and d with s | d,
-    d >= min_d, d dividing h, p and every entry of the matrix after one
-    degree-h vertex of color i0 is removed.
-    """
-    p = stat.p
-    counts = stat.color_counts
-    other_entries = [k for i, row in enumerate(stat.rows) if i != i0
-                     for _, k in row]
-    total = 0
-    for h, _ in stat.rows[i0]:
-        lowered = _row_minus_unit(stat.rows[i0], h)
-        for d in common_divisors([h, p] + lowered + other_entries):
-            if d < min_d or d % s:
-                continue
-            term = weight(d // s) * multinomial(
-                (counts[i0] - 1) // d, [k // d for k in lowered])
-            for i, row in enumerate(stat.rows):
-                if i != i0:
-                    term *= multinomial(counts[i] // d, _row_parts(row, d))
-            total += term
-    return total
-
-
-def _count_plain(stat: Statistic, weight: Callable[[int], int],
-                 context: str) -> int:
-    """Shared body of count_unlabelled (weight = phi) / count_asymmetric (mu)."""
-    p = stat.p
-    if p == 0:
-        return 1
-    if isinstance(stat, SizeStat):
-        total = Fraction(binomial(stat.m * p, p), stat.n)
-        total += sum(weight(p // d) * binomial(stat.m * d, d)
-                     for d in divisors(p) if d < p)
-        return _exact(total / p, context)
-    if isinstance(stat, ColorStat):
-        total = math.prod(binomial(p, c) for c in stat.counts)
-        for i, c in enumerate(stat.counts):
-            total += (p - c + 1) * _color_sum(p, stat.counts, i, weight, min_d=2)
-        return _exact(Fraction(total, p * p), context)
-    counts = stat.color_counts
-    total = Fraction(math.prod(multinomial(c, _row_parts(row))
-                               for c, row in zip(counts, stat.rows)),
-                     math.prod(counts))
-    for i in range(stat.m):
-        rest = math.prod(c for j, c in enumerate(counts) if j != i)
-        total += Fraction(_degree_sum(stat, i, weight, min_d=2), rest)
-    return _exact(p ** (stat.m - 2) * total, context)
+    return _count_centred(stat, pointed_centres(stat, color), "pointed count")
 
 
 def count_unlabelled(stat: Statistic) -> int:
     """Isomorphism classes of cacti with the given statistic."""
-    return _count_plain(stat, euler_phi, "unlabelled count")
+    return _count_centred(stat, class_centres(stat, euler_phi), "unlabelled count")
 
 
 def count_asymmetric(stat: Statistic) -> int:
     """Isomorphism classes with trivial automorphism group."""
-    return _count_plain(stat, moebius_mu, "asymmetric count")
+    return _count_centred(stat, class_centres(stat, moebius_mu), "asymmetric count")
 
 
 def _check_stratum(s: int) -> None:
     if s < 2:
         raise STooSmall(f"automorphism order s = {s} < 2")
+
+
+def _aut_centres(stat: Statistic, s: int, mode: AutMode) -> Centres:
+    _check_stratum(s)
+    return class_centres(stat, moebius_mu if mode is AutMode.EXACTLY
+                         else euler_phi, s)
 
 
 def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
@@ -266,28 +254,7 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     Automorphisms are rotations about a central vertex, so their order must
     divide p; the count is 0 whenever s does not.
     """
-    _check_stratum(s)
-    p = stat.p
-    if p == 0 or p % s:
-        return 0
-    weight = moebius_mu if mode is AutMode.EXACTLY else euler_phi
-    if isinstance(stat, SizeStat):
-        total = sum(weight(d) * binomial(p * stat.m // (s * d), p // (s * d))
-                    for d in divisors(p // s))
-        return _exact(Fraction(s * total, p), "aut size count")
-    if isinstance(stat, ColorStat):
-        total = Fraction(0)
-        for i, c in enumerate(stat.counts):
-            inner = _color_sum(p, stat.counts, i, weight, min_d=s, s=s)
-            total += Fraction(s * (p - c + 1) * inner, p * p)
-        return _exact(total, "aut color count")
-    counts = stat.color_counts
-    total = Fraction(0)
-    for i in range(stat.m):
-        rest = math.prod(c for j, c in enumerate(counts) if j != i)
-        inner = _degree_sum(stat, i, weight, min_d=s, s=s)
-        total += Fraction(p ** (stat.m - 2) * s * inner, rest)
-    return _exact(total, "aut degree count")
+    return _count_centred(stat, _aut_centres(stat, s, mode), "aut count")
 
 
 def aut_reciprocal_sum(stat: DegreeStat) -> Fraction:
@@ -360,24 +327,26 @@ class Mode:
     `formula(stat, ...)` is the closed form.  `classes(members, stat, ...)`
     counts the isomorphism classes `members` of the statistic `stat`,
     reading of each only `aut_order`, `colors` and `pointed(color)`; it is
-    None where the oracle counts another way or not at all.  Both take the
-    options `color`, `s` and `kind` by keyword and ignore those their mode
-    does not read.  `level` is the one statistic type the mode accepts, if
-    it accepts just one.
+    None where the oracle counts another way or not at all.  `centres(stat,
+    ...)` writes the count as centre sums plus a multiple of the rooted
+    count, for a statistic with p >= 1; it is None where the series route
+    has no such form.  All three take the options `color`, `s` and `kind`
+    by keyword and ignore those their mode does not read.  `level` is the
+    one statistic type the mode accepts, if it accepts just one.
     """
 
     formula: Callable[..., int]
     classes: Callable[..., int] | None = None
     level: type | None = None
+    centres: Callable[..., Centres] | None = None
 
 
-def _labelled_classes(members, stat: Statistic, **_) -> int:
-    """Sum of labellings / |Aut|: n! labellings at size level, else the
-    product of n_c! over the colors."""
+def _labellings(stat: Statistic) -> int:
+    """n! at size level, else the product of n_c! over the colors."""
     if isinstance(stat, SizeStat):
-        return sum(math.factorial(stat.n) // st.aut_order for st in members)
-    return sum(math.prod(math.factorial(c) for c in st.colors.counts)
-               // st.aut_order for st in members)
+        return math.factorial(stat.n)
+    counts = stat.counts if isinstance(stat, ColorStat) else stat.color_counts
+    return math.prod(map(math.factorial, counts))
 
 
 def _aut_mode(which: AutMode) -> Mode:
@@ -387,21 +356,31 @@ def _aut_mode(which: AutMode) -> Mode:
             return sum(st.aut_order == s for st in members)
         return sum(st.aut_order % s == 0 for st in members)
 
-    return Mode(lambda stat, *, s, **_: count_aut(stat, s, which), classes)
+    return Mode(lambda stat, *, s, **_: count_aut(stat, s, which), classes,
+                centres=lambda stat, *, s, **_: _aut_centres(stat, s, which))
 
 
 MODES: dict[str, Mode] = {
-    "rooted": Mode(lambda stat, **_: count_rooted(stat)),
-    "labelled": Mode(lambda stat, **_: count_labelled(stat), _labelled_classes),
+    "rooted": Mode(lambda stat, **_: count_rooted(stat),
+                   centres=lambda stat, **_: Centres((), None, 1, 1)),
+    # The sum over classes of labellings / |Aut| is labellings * rooted / p.
+    "labelled": Mode(lambda stat, **_: count_labelled(stat),
+                     lambda members, stat, **_: sum(
+                         _labellings(stat) // st.aut_order for st in members),
+                     centres=lambda stat, **_: Centres(
+                         (), None, 1, Fraction(_labellings(stat), stat.p))),
     "pointed": Mode(
         lambda stat, color=None, **_: count_pointed(stat, color),
         lambda members, stat, color=None, **_: sum(
-            st.pointed(c) for c in pointed_colors(stat, color) for st in members)),
+            st.pointed(c) for c in pointed_colors(stat, color) for st in members),
+        centres=lambda stat, color=None, **_: pointed_centres(stat, color)),
     "unlabelled": Mode(lambda stat, **_: count_unlabelled(stat),
-                       lambda members, stat, **_: len(members)),
+                       lambda members, stat, **_: len(members),
+                       centres=lambda stat, **_: class_centres(stat, euler_phi)),
     "asymmetric": Mode(lambda stat, **_: count_asymmetric(stat),
                        lambda members, stat, **_: sum(st.aut_order == 1
-                                                      for st in members)),
+                                                      for st in members),
+                       centres=lambda stat, **_: class_centres(stat, moebius_mu)),
     "aut-exact": _aut_mode(AutMode.EXACTLY),
     "aut-atleast": _aut_mode(AutMode.AT_LEAST),
     "gonal": Mode(lambda stat, kind=GonalKind.UNLABELLED, **_:

@@ -2,13 +2,14 @@
 
 This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
-degree by degree, they give the rooted, pointed and plain unlabelled series.
-Coefficients are exact ints.  The pointed series x_i * (1 + sum_d phi(d)/d *
-L(x^d)) takes one log L = log 1/(1 - hat(A_i)) for every d: its Euler
-derivative is solved in integers, and each pointed coefficient is one exact
-division by its total degree, which raises `InconsistentResult` if it leaves
-a remainder.  The weighted variant marks a color-i vertex of degree h with
-r[i,h], one more integer coordinate of the exponent after x_1..x_m.
+degree by degree, they give the rooted series and the centre series, whose
+sums give every class count (the dissymmetry theorem).  Coefficients are
+exact ints.  The centre series at weight w (phi or mu) and stretch s takes
+one log L = log 1/(1 - hat(A_i)) for every d: its Euler derivative is
+solved in integers, and each coefficient is one exact division by its total
+degree, which raises `InconsistentResult` if it leaves a remainder.  The
+weighted variant marks a color-i vertex of degree h with r[i,h], one more
+integer coordinate of the exponent after x_1..x_m.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
 polygon bound.  A count of one statistic solves inside a box instead, one
@@ -24,14 +25,16 @@ powers of the defining one-variable series, with the rational constant
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import add, gt, mul
-from typing import Mapping, Optional, Sequence
+from operator import add, gt
+from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import euler_phi
-from .stats import ColorStat, DegreeStat, InconsistentResult, ValidationError
+from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
+                    ValidationError)
 
 
 class CoherenceViolation(ValueError):
@@ -169,22 +172,24 @@ def _log_parts(s: Series, bound: int, box: Box) -> dict[int, dict]:
 class PlantedFamily:
     """The m planted series (one per root color), solved to a common bound.
 
-    A weighted family has one marker coordinate per (color, degree) pair of
-    `slots`, in that order, after the m coordinates x_i.
+    `hats` holds each H_i = hat(i) to total degree order - 1, all that is
+    read of it.  A weighted family has one marker coordinate per (color,
+    degree) pair of `slots`, in that order, after the m coordinates x_i.
     """
 
     m: int
     order: int
     series: tuple[Series, ...]
+    hats: tuple[Series, ...]
     slots: tuple[tuple[int, int], ...] = ()
 
     def hat(self, i: int) -> Series:
         """Product of all planted series except the one of 1-based color i."""
-        return reduce(mul, (s for j, s in enumerate(self.series, start=1) if j != i))
+        return self.hats[i - 1]
 
 
 def _solve(m: int, order: int, nvars: int, slots: tuple = (),
-           box: Box = None) -> tuple[Series, ...]:
+           box: Box = None) -> PlantedFamily:
     """The m planted series, built part by part in increasing total degree.
 
     A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
@@ -193,7 +198,7 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
     marker r[i,h] adds one to coordinate nvars + k for (i, h) = slots[k]; a
     marker without a slot, and a term above the box, is dropped as soon as
     its part is formed.  With nvars = 1 every color is graded by one x and
-    shares one series, solved once.
+    shares one series, solved once.  The family keeps each H_i it builds.
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
@@ -231,16 +236,20 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
                 lifted = _lift(powers[i][k][d], coord.get((i + 1, k + 1)), box)
                 for e, c in lifted.items():
                     part[e] = part.get(e, 0) + c
-    solved = tuple(Series(nvars, order, {e: c for part in ai.values()
-                                         for e, c in part.items()}, box)
-                   for ai in a)
-    return solved * (m // nvars)
+
+    def whole(parts: dict) -> Series:
+        return Series(nvars, order, {e: c for part in parts.values()
+                                     for e, c in part.items()}, box)
+
+    copies = m // nvars
+    return PlantedFamily(m, order, tuple(map(whole, a)) * copies,
+                         tuple(map(whole, hats)) * copies, slots)
 
 
 def solve_planted(m: int, order: int) -> PlantedFamily:
     """The planted series A_i = x_i / (1 - hat(A_i)), exact to the
     truncation order."""
-    return PlantedFamily(m, order, _solve(m, order, m))
+    return _solve(m, order, m)
 
 
 def series_rooted(family: PlantedFamily) -> Series:
@@ -257,37 +266,39 @@ def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
                for e, c in family.series[0].coeffs.items())
 
 
-def series_pointed_unlabelled(family: PlantedFamily, color: int,
-                              order: int | None = None) -> Series:
-    """Unlabelled cacti pointed at a color-`color` vertex:
+def series_centre(family: PlantedFamily, color: int,
+                  weight: Callable[[int], int], s: int = 1,
+                  order: int | None = None) -> Series:
+    """The centre series of color i = `color` at weight w and stretch s:
 
-        x_i * (1 + sum_{d >= 1} (phi(d)/d) * L(x^d)),  L = log 1/(1 - hat(A_i)).
+        x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log 1/(1 - hat(A_i)).
 
-    The term T[e] of T = E(L), e of degree g, adds phi(d) * T[e] / (d*g) at
-    d*e, whose degree is d*g: each exponent inside the box (only those get
-    all their d) sums its numerators and divides once, exactly.
+    With w = phi and s = 1 it counts the cacti pointed at a color-i vertex.
+    The term T[e] of T = E(L), e of degree g, adds s * w(d) * T[e] / (s*d*g)
+    at s*d*e, whose degree is s*d*g: each exponent inside the box (only
+    those get all their d) sums its numerators and divides once, exactly.
     """
     order = family.order if order is None else order
     if family.slots or order > family.order:
-        raise ValidationError(f"a pointed series to order {order} needs an "
+        raise ValidationError(f"a centre series to order {order} needs an "
                               f"unweighted family of order >= {order}")
     hat = family.hat(color)
     box = hat.box
     # every term of hat, and so of T, has degree g >= m - 1
-    phi = [0] + [euler_phi(d) for d in range(1, (order - 1) // (family.m - 1) + 1)]
+    w = [0] + [weight(d) for d in range(1, (order - 1) // (s * (family.m - 1)) + 1)]
     sums: dict[tuple[int, ...], int] = {}
-    for g, part in _log_parts(hat, order - 1, box).items():
+    for g, part in _log_parts(hat, (order - 1) // s, box).items():
         for e, c in part.items():
-            for d in range(1, (order - 1) // g + 1):
-                de = tuple(d * x for x in e)
+            for d in range(1, (order - 1) // (s * g) + 1):
+                de = tuple(s * d * x for x in e)
                 if box is not None and any(map(gt, de, box)):
                     break
-                sums[de] = sums.get(de, 0) + phi[d] * c
-    inner = {(0,) * hat.nvars: 1}
+                sums[de] = sums.get(de, 0) + s * w[d] * c
+    inner = {(0,) * hat.nvars: int(s == 1)}
     for e, total in sums.items():
         inner[e], rest = divmod(total, sum(e))
         if rest:
-            raise InconsistentResult(f"pointed coefficient {total}/{sum(e)} "
+            raise InconsistentResult(f"centre coefficient {total}/{sum(e)} "
                                      f"at {e} is not an integer")
     var = color - 1 if hat.nvars > 1 else 0
     return Series(hat.nvars, order, inner, box).shift(var)
@@ -301,43 +312,48 @@ def series_unlabelled(m: int, order: int, one_sort: bool = False) -> Series:
     same combination collapsed, minus (m-1)x so the single-vertex cactus is
     counted once rather than once per color.
     """
-    family = PlantedFamily(m, order, _solve(m, order, 1 if one_sort else m))
+    family = _solve(m, order, 1 if one_sort else m)
     if one_sort:
-        pointed = (series_pointed_unlabelled(family, 1).scale(m)
+        pointed = (series_centre(family, 1, euler_phi).scale(m)
                    - variable(1, order, 0).scale(m - 1))
     else:
-        pointed = reduce(add, (series_pointed_unlabelled(family, color)
+        pointed = reduce(add, (series_centre(family, color, euler_phi)
                                for color in range(1, m + 1)))
     return pointed - series_rooted(family).scale(m - 1)
 
 
-def count_target(stat: ColorStat | DegreeStat, mode: str,
-                 color: int | None = None) -> int:
-    """The rooted, pointed (at `color`) or unlabelled count of a color or
-    degree statistic with p >= 1, read off the planted family solved inside
-    its box: each x_i capped at n_i and, at degree level, one slot per
-    (color, degree) pair of the rows, capped at its multiplicity.  So the
-    box is the target exponent."""
-    if isinstance(stat, ColorStat):
-        slots, target = (), stat.counts
+def count_target(stat: Statistic, colors: Sequence[int],
+                 weight: Callable[[int], int] | None, s: int,
+                 rooted: int | Fraction) -> int:
+    """The count of a statistic with p >= 1 by `formulas.Centres`: the sum
+    over the 1-based `colors` of the centre series at `weight` and stretch
+    `s`, plus `rooted` times the rooted count.  Size level solves one-sort,
+    so that every color shares one series.  Else the family is solved inside
+    the statistic's exponent: each x_i capped at n_i and, at degree level,
+    one slot per (color, degree) pair of the rows, capped at its multiplicity.
+    """
+    nvars, slots, box = stat.m, (), None  # one-sort: the order caps x
+    if isinstance(stat, SizeStat):
+        nvars = 1
+    elif isinstance(stat, ColorStat):
+        box = stat.counts
     else:
         slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
                       for h, _ in row)
-        target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
-    family = PlantedFamily(stat.m, stat.n, _solve(stat.m, stat.n, stat.m, slots, target),
-                           slots)
-    if mode == "pointed":
-        return int(series_pointed_unlabelled(family, color)[target])
-    rooted = rooted_coefficient(family, target)
-    if mode == "rooted":
-        return int(rooted)
-    return int(sum(series_pointed_unlabelled(family, c)[target]
-                   for c in range(1, stat.m + 1)) - (stat.m - 1) * rooted)
+        box = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
+    target = box or (stat.n,)
+    family = _solve(stat.m, stat.n, nvars, slots, box)
+    total = rooted * rooted_coefficient(family, target) if rooted else 0
+    for color, times in Counter((c - 1) % nvars + 1 for c in colors).items():
+        total += times * series_centre(family, color, weight, s)[target]
+    if Fraction(total).denominator != 1:
+        raise InconsistentResult(f"count {total} at {target} is not an integer")
+    return int(total)
 
 
 def solve_one_sort(m: int, order: int) -> Series:
     """Univariate planted series A with A = x + A^m."""
-    return _solve(m, order, 1)[0]
+    return _solve(m, order, 1).series[0]
 
 
 def _upoly_mul(a: list, b: list, bound: int) -> list:

@@ -18,7 +18,7 @@ import pytest
 from maps_oracle import count_rooted_bipartite_maps
 
 from cacti import cli, formulas as F, oracle, series, stats
-from cacti.arith import divisors
+from cacti.arith import divisors, euler_phi
 from cacti.formulas import AutMode, GonalKind
 
 # --- frozen table data -----------------------------------------------------
@@ -181,7 +181,7 @@ def test_criterion_5_series_formula_agreement():
             fam = series.solve_planted(m, bound)
             rooted = series.series_rooted(fam)
             unlabelled = series.series_unlabelled(m, bound)
-            pointed = [series.series_pointed_unlabelled(fam, c)
+            pointed = [series.series_centre(fam, c, euler_phi)
                        for c in range(1, m + 1)]
             valid = {}
             for p in range(1, (bound - 1) // (m - 1) + 1):

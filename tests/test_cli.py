@@ -55,14 +55,32 @@ class TestCount:
         assert code == 0 and out.strip() == "3"
 
     def test_alternate_paths_agree(self, capsys):
-        for path in ("formula", "series", "oracle"):
-            code, out, _ = run_cli(capsys, "count", "--m", "3", "--colors",
-                                   "4,4,5", "--mode", "rooted", "--path", path)
-            assert code == 0 and out.strip() == "225"
-        for path in ("formula", "series", "oracle"):
-            code, out, _ = run_cli(capsys, "count", "--m", "2", "--p", "6",
-                                   "--mode", "unlabelled", "--path", path)
-            assert code == 0 and out.strip() == "28"
+        for flags, expected in [
+                (["--m", "3", "--colors", "4,4,5", "--mode", "rooted"], "225"),
+                (["--m", "2", "--p", "6", "--mode", "unlabelled"], "28"),
+                (["--m", "3", "--p", "4", "--mode", "pointed"], "129"),
+                (["--m", "3", "--p", "4", "--mode", "aut-exact", "--s", "2"], "6"),
+                (["--m", "3", "--colors", "1,4,4", "--mode", "aut-atleast",
+                  "--s", "2"], "1"),
+                (["--m", "3", "--colors", "3,3,3", "--mode", "asymmetric"], "4"),
+                (["--m", "3", "--colors", "2,3,4", "--mode", "labelled"], "432"),
+                (["--m", "3", "--degrees", "1^2 2^1; 1^2 2^1; 1^2 2^1",
+                  "--mode", "labelled"], "864")]:
+            for path in ("formula", "series", "oracle"):
+                code, out, _ = run_cli(capsys, "count", *flags, "--path", path)
+                assert code == 0 and out == f"{expected}\n", (flags, path)
+
+    def test_series_route_refuses_what_it_has_no_centres_for(self, capsys):
+        for flags, message in [
+                (["--degrees", "1^2 2^1; 1^2 2^1; 1^2 2^1", "--mode", "unlabelled"],
+                 "--path series at degree level counts no centres: "
+                 "--mode rooted or labelled only"),
+                (["--p", "3", "--mode", "gonal"],
+                 "--path series does not support mode 'gonal'")]:
+            code, out, err = run_cli(capsys, "count", "--m", "3", *flags,
+                                     "--path", "series")
+            assert code == 2 and out == ""
+            assert err == f"error: UsageError: {message}\n"
 
     def test_check_oracle_passes(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--m", "3", "--p", "3",

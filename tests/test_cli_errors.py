@@ -48,8 +48,7 @@ NO_COLOR = ["count", "--m", "3", "--colors", "2,2,3", "--mode", "pointed"]
 
 
 @pytest.mark.parametrize("argv, path",
-                         [(argv, "oracle") for argv in AUT_S]
-                         + [(argv, path) for argv in POINTED_COLOR + WRONG_LEVEL
+                         [(argv, path) for argv in AUT_S + POINTED_COLOR + WRONG_LEVEL
                             for path in ("series", "oracle")]
                          + [(NO_COLOR, "series")],
                          ids=lambda x: " ".join(x) if isinstance(x, list) else x)

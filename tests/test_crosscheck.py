@@ -1,5 +1,5 @@
 """The sweeps of `scripts/crosscheck.py` that run without the oracle, and
-its rejection of bad --budgets."""
+its rejection of bad --budgets and --degree."""
 
 import importlib.util
 import pathlib
@@ -51,3 +51,32 @@ def test_bad_budgets_exit_2(capsys, monkeypatch, budgets, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument --budgets: {message}\n")
+
+
+@pytest.mark.parametrize("degree, message", [
+    ("0", "need a degree >= 1, got 0"),
+    ("-3", "need a degree >= 1, got -3"),
+    ("x", "bad degree 'x'"),
+])
+def test_bad_degree_exits_2(capsys, monkeypatch, degree, message):
+    crosscheck = _crosscheck()
+    monkeypatch.setattr(sys, "argv", ["crosscheck.py", "--budgets", "2:1",
+                                      "--degree", degree])
+    with pytest.raises(SystemExit) as exc:
+        crosscheck.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --degree: {message}\n")
+
+
+def test_falsified_stratum_exits_1(capsys, monkeypatch):
+    crosscheck = _crosscheck()
+    count = formulas.count_aut
+    monkeypatch.setattr(formulas, "count_aut", lambda stat, s, mode: count(
+        stat, s, mode) + (stat.m == 2 and s == 3 and mode is formulas.AutMode.EXACTLY))
+    monkeypatch.setattr(sys, "argv", ["crosscheck.py", "--budgets", "2:1",
+                                      "--degree", "7"])
+    assert crosscheck.main() == 1
+    assert capsys.readouterr().out.endswith(
+        "series mismatch in aut-exact s=3 m=2 at (1, 3): series 1, formula 2\n")

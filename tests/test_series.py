@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 import cacti
 from cacti import formulas as F
 from cacti import arith, cli, oracle, series, stats
+from cacti.arith import euler_phi
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
@@ -19,7 +22,7 @@ def weighted_family(m: int, order: int) -> series.PlantedFamily:
     h <= (order - 1) // (m - 1) + 1, the planted root's stem included."""
     slots = tuple((i, h) for i in range(1, m + 1)
                   for h in range(1, (order - 1) // (m - 1) + 2))
-    return series.PlantedFamily(m, order, series._solve(m, order, m, slots), slots)
+    return series._solve(m, order, m, slots)
 
 
 def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
@@ -92,6 +95,18 @@ class TestPlanted:
                 expected = geometric(fam.hat(i + 1)).shift(i)
                 assert expected == fam.series[i]
 
+    @pytest.mark.parametrize("m, order, nvars", [(2, 9, 2), (3, 10, 3), (4, 13, 4),
+                                                 (3, 20, 1), (3, 7, "weighted")])
+    def test_kept_hats_are_the_products_below_the_order(self, m, order, nvars):
+        fam = (weighted_family(m, order) if nvars == "weighted"
+               else series._solve(m, order, nvars))
+        n = fam.series[0].nvars
+        for i in range(1, m + 1):
+            product = functools.reduce(operator.mul, (s for j, s in enumerate(
+                fam.series, start=1) if j != i))
+            assert fam.hat(i).coeffs == {e: c for e, c in product.coeffs.items()
+                                         if sum(e[:n]) < order}
+
     def test_weighted_residual_and_single_polygon(self):
         m, order = 3, 7
         fam = weighted_family(m, order)
@@ -151,31 +166,31 @@ class TestRootedSeries:
 class TestPointedSeries:
     def test_values(self):
         fam = series.solve_planted(2, 6)
-        pointed = series.series_pointed_unlabelled(fam, 1)
+        pointed = series.series_centre(fam, 1, euler_phi)
         assert pointed[(1, 0)] == 1
         assert pointed[(2, 2)] == 2
         fam3 = series.solve_planted(3, 9)
-        assert series.series_pointed_unlabelled(fam3, 2)[(1, 2, 2)] == 1
+        assert series.series_centre(fam3, 2, euler_phi)[(1, 2, 2)] == 1
 
     def test_weighted_family_rejected(self):
         fam = weighted_family(2, 4)
         with pytest.raises(stats.ValidationError):
-            series.series_pointed_unlabelled(fam, 1)
+            series.series_centre(fam, 1, euler_phi)
         with pytest.raises(stats.ValidationError):
-            series.series_pointed_unlabelled(series.solve_planted(2, 4), 1, order=5)
+            series.series_centre(series.solve_planted(2, 4), 1, euler_phi, order=5)
 
     def test_weighted_family_rejected_under_optimize(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, env.get("PYTHONPATH")) if p)
         code = ("from cacti import series, stats\n"
+                "from cacti.arith import euler_phi\n"
                 "slots = tuple((i, h) for i in (1, 2) for h in range(1, 5))\n"
-                "weighted = series.PlantedFamily(2, 4, series._solve(2, 4, 2, slots),\n"
-                "                                slots)\n"
+                "weighted = series._solve(2, 4, 2, slots)\n"
                 "for fam, order in ((weighted, None),\n"
                 "                   (series.solve_planted(2, 4), 5)):\n"
                 "    try:\n"
-                "        series.series_pointed_unlabelled(fam, 1, order)\n"
+                "        series.series_centre(fam, 1, euler_phi, 1, order)\n"
                 "    except stats.ValidationError:\n"
                 "        print('raised')\n")
         result = subprocess.run([sys.executable, "-O", "-c", code],
@@ -216,10 +231,10 @@ class TestPointedAgainstReference:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_every_order(self, m):
         top = cli.SERIES_ONE_SORT_BOUND
-        full = reference_pointed(series.PlantedFamily(m, top, series._solve(m, top, 1)), 1)
+        full = reference_pointed(series._solve(m, top, 1), 1)
         for order in range(1, top + 1):
-            fam = series.PlantedFamily(m, order, series._solve(m, order, 1))
-            got = series.series_pointed_unlabelled(fam, 1).coeffs
+            fam = series._solve(m, order, 1)
+            got = series.series_centre(fam, 1, euler_phi).coeffs
             assert got == {e: c for e, c in full.coeffs.items() if e[0] <= order}
             assert all(type(c) is int for c in got.values())
 
@@ -227,7 +242,7 @@ class TestPointedAgainstReference:
     def test_every_color_at_multi_bound(self, m):
         fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
         for color in range(1, m + 1):
-            assert (series.series_pointed_unlabelled(fam, color).coeffs
+            assert (series.series_centre(fam, color, euler_phi).coeffs
                     == reference_pointed(fam, color).coeffs)
 
     @pytest.mark.parametrize("m, order", [(2, 12), (3, 13)])
@@ -238,16 +253,18 @@ class TestPointedAgainstReference:
         for p in range(1, (order - 1) // (m - 1) + 1):
             for counts in _color_vectors(m, p):
                 c = stats.color_stat(m, counts)
-                boxed = series.PlantedFamily(m, c.n, series._solve(m, c.n, m, (), counts))
+                boxed = series._solve(m, c.n, m, (), counts)
                 for color in range(1, m + 1):
-                    assert (series.series_pointed_unlabelled(boxed, color).coeffs
+                    assert (series.series_centre(boxed, color, euler_phi).coeffs
                             == reference_pointed(boxed, color).coeffs)
-                    assert (series.count_target(c, "pointed", color)
+                    assert (series.count_target(c, *F.pointed_centres(c, color))
                             == pointed[color - 1][counts])
-                assert series.count_target(c, "unlabelled") == (
+                assert series.count_target(c, *F.class_centres(c, euler_phi)) == (
                     sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
 
     def test_non_integral_numerator_raises(self, monkeypatch):
+        with pytest.raises(stats.InconsistentResult, match="not an integer"):
+            series.series_centre(series.solve_planted(2, 6), 1, lambda d: 1)
         monkeypatch.setattr(series, "euler_phi", lambda d: 1)
         with pytest.raises(stats.InconsistentResult, match="not an integer"):
             series.series_unlabelled(2, 4, one_sort=True)
@@ -340,7 +357,7 @@ class TestSeriesAgainstFormulas:
         fam = series.solve_planted(m, bound)
         rooted = series.series_rooted(fam)
         unlabelled = series.series_unlabelled(m, bound)
-        pointed = [series.series_pointed_unlabelled(fam, c)
+        pointed = [series.series_centre(fam, c, euler_phi)
                    for c in range(1, m + 1)]
         for p in range(1, (bound - 1) // (m - 1) + 1):
             for counts in _color_vectors(m, p):

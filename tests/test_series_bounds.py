@@ -8,6 +8,7 @@ import pytest
 from cacti import cli
 from cacti import formulas as F
 from cacti import oracle, series, stats
+from cacti.arith import euler_phi
 from test_series import weighted_family
 
 
@@ -17,7 +18,7 @@ def test_color_level_at_multi_bound(m):
     fam = series.solve_planted(m, order)
     rooted = series.series_rooted(fam)
     unlabelled = series.series_unlabelled(m, order)
-    pointed = [series.series_pointed_unlabelled(fam, c) for c in range(1, m + 1)]
+    pointed = [series.series_centre(fam, c, euler_phi) for c in range(1, m + 1)]
     checked = set()
     for p in range(1, (order - 1) // (m - 1) + 1):
         for counts in itertools.product(range(1, p + 1), repeat=m):
@@ -64,10 +65,12 @@ def test_every_degree_matrix_through_the_cli(m, p_max, capsys):
     checked = 0
     for p in range(1, p_max + 1):
         for d in oracle._all_degree_matrices(m, p):
-            code = cli.main(["count", "--m", str(m), "--degrees", _degree_spec(d),
-                             "--mode", "rooted", "--path", "series"])
-            assert code == 0
-            assert capsys.readouterr().out == f"{F.count_rooted(d)}\n", d
+            for mode, formula in (("rooted", F.count_rooted),
+                                  ("labelled", F.count_labelled)):
+                code = cli.main(["count", "--m", str(m), "--degrees", _degree_spec(d),
+                                 "--mode", mode, "--path", "series"])
+                assert code == 0
+                assert capsys.readouterr().out == f"{formula(d)}\n", (d, mode)
             checked += 1
     assert checked > 100
 
@@ -101,3 +104,48 @@ def test_solver_rejects_bad_input(m, order):
         series.solve_planted(m, order)
     with pytest.raises(stats.ValidationError):
         series.solve_one_sort(m, order)
+
+
+def _centre_queries(stat, strata) -> list[list[str]]:
+    """The flags of every count by centres that `count --path series` has
+    answered since it reads each mode's `Centres`: labelled, asymmetric
+    and the automorphism strata at `strata`, plus pointed at size level."""
+    flags = [["labelled"], ["asymmetric"]]
+    flags += [[mode, "--s", str(s)] for mode in ("aut-exact", "aut-atleast")
+              for s in strata]
+    if isinstance(stat, stats.SizeStat):
+        flags.append(["pointed"])
+    return flags
+
+
+def _formula_count(argv: list[str], capsys) -> str:
+    assert cli.main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m,p_max", [(2, 10), (3, 5), (4, 4)])
+def test_centre_modes_on_every_color_vector_through_the_cli(m, p_max, capsys):
+    checked = 0
+    for p in range(1, p_max + 1):
+        for c in oracle._all_color_vectors(m, p):
+            base = ["count", "--m", str(m), "--colors", ",".join(map(str, c.counts)),
+                    "--mode"]
+            for flags in _centre_queries(c, range(2, p + 1)):
+                expected = _formula_count(base + flags, capsys)
+                assert cli.main(base + flags + ["--path", "series"]) == 0
+                assert capsys.readouterr().out == expected, base + flags
+                checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_centre_modes_at_the_one_sort_bound_through_the_cli(m, capsys):
+    p_max = (cli.SERIES_ONE_SORT_BOUND - 1) // (m - 1)
+    for p in (p_max - 1, p_max):
+        stat = stats.size_stat(m, p)
+        strata = [s for s in range(2, p + 1) if p % s == 0] + [p + 1]
+        base = ["count", "--m", str(m), "--p", str(p), "--mode"]
+        for flags in _centre_queries(stat, strata):
+            expected = _formula_count(base + flags, capsys)
+            assert cli.main(base + flags + ["--path", "series"]) == 0
+            assert capsys.readouterr().out == expected, base + flags
