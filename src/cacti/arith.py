@@ -20,10 +20,6 @@ class SumMismatch(ValueError):
     """Multinomial parts do not sum to the declared total."""
 
 
-class NegativeLength(ValueError):
-    """Rising factorial of negative length."""
-
-
 class NonPositive(ValueError):
     """Argument must be >= 1."""
 
@@ -50,16 +46,6 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
         result *= math.comb(total, part)
     if total != n:
         raise SumMismatch(f"parts sum to {total}, expected {n}")
-    return result
-
-
-def rising_factorial(x: int, k: int) -> int:
-    """x (x+1) ... (x+k-1); the empty product 1 when k == 0."""
-    if k < 0:
-        raise NegativeLength(f"length {k} < 0")
-    result = 1
-    for i in range(k):
-        result *= x + i
     return result
 
 

@@ -1,9 +1,9 @@
 """Command-line front end: counting, table reproduction, verification, series.
 
 Exit codes are a stable contract: 0 success, 1 cross-check mismatch,
-2 usage / validation / budget errors.  Counts are always rendered as exact
-decimal strings (they outgrow 64-bit integers quickly), and JSON output
-never encodes a count as a native number.
+2 usage / validation / budget errors and failed exactness guards.  Counts
+are always rendered as exact decimal strings (they outgrow 64-bit integers
+quickly), and JSON output never encodes a count as a native number.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import decimal
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import formulas, oracle, series, stats
 from .formulas import GonalKind
-from .stats import ColorStat, DegreeStat, SizeStat, Statistic, ValidationError
+from .stats import (ColorStat, DegreeStat, InconsistentResult, SizeStat,
+                    Statistic, ValidationError)
 
 SERIES_MULTI_BOUND = 16
 SERIES_ONE_SORT_BOUND = 64
@@ -55,17 +55,6 @@ TABLE2_ROWS: list[tuple[int, ...]] = [
 
 class UsageError(ValueError):
     """Incompatible or missing flags."""
-
-
-@dataclass
-class Report:
-    query: dict
-    count: int
-    path: str
-
-    def as_dict(self) -> dict:
-        return {"query": self.query, "count": _exact_str(self.count),
-                "path": self.path}
 
 
 def _exact_str(value) -> str:
@@ -179,9 +168,9 @@ def cmd_count(args) -> int:
         query["s"] = args.s
     if args.mode == "gonal":
         query["kind"] = args.kind
-    report = Report(query, count, args.path)
     if args.format == "json":
-        print(json.dumps(report.as_dict()))
+        print(json.dumps({"query": query, "count": _exact_str(count),
+                          "path": args.path}))
     else:
         print(_exact_str(count))
     return 0
@@ -421,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UsageError, oracle.BudgetExceeded) as exc:
+    except (ValidationError, UsageError, oracle.BudgetExceeded,
+            InconsistentResult) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

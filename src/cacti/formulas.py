@@ -46,7 +46,6 @@ from .arith import (
     euler_phi,
     moebius_mu,
     multinomial,
-    rising_factorial,
 )
 from .stats import (
     ColorStat,
@@ -115,21 +114,25 @@ def count_rooted(stat: Statistic) -> int:
                   "rooted degree count")
 
 
+def _labellings(stat: Statistic) -> int:
+    """n! at size level, else the product of n_c! over the colors."""
+    if isinstance(stat, SizeStat):
+        return math.factorial(stat.n)
+    counts = stat.counts if isinstance(stat, ColorStat) else stat.color_counts
+    return math.prod(map(math.factorial, counts))
+
+
 def count_labelled(stat: Statistic) -> int:
-    """Cacti on labelled vertices (labels distinct within each color)."""
+    """Cacti on labelled vertices (labels distinct within each color).
+
+    A rooted cactus is rigid, so it takes every labelling, and a labelled
+    cactus has p rootings: labellings * rooted / p.
+    """
     p = stat.p
     if p == 0:
         return 1
-    if isinstance(stat, SizeStat):
-        value = Fraction(math.factorial(stat.n - 1) * binomial(stat.m * p, p), p)
-        return _exact(value, "labelled size count")
-    if isinstance(stat, ColorStat):
-        prod = math.prod(rising_factorial(p - c + 1, c - 1) for c in stat.counts)
-        return p ** (stat.m - 2) * prod
-    counts = stat.color_counts
-    prod = math.prod(math.factorial(c - 1) * multinomial(c, [k for _, k in row])
-                     for c, row in zip(counts, stat.rows))
-    return p ** (stat.m - 2) * prod
+    return _exact(Fraction(_labellings(stat) * count_rooted(stat), p),
+                  "labelled count")
 
 
 def pointed_colors(stat: Statistic, color: int | None) -> range:
@@ -339,14 +342,6 @@ class Mode:
     classes: Callable[..., int] | None = None
     level: type | None = None
     centres: Callable[..., Centres] | None = None
-
-
-def _labellings(stat: Statistic) -> int:
-    """n! at size level, else the product of n_c! over the colors."""
-    if isinstance(stat, SizeStat):
-        return math.factorial(stat.n)
-    counts = stat.counts if isinstance(stat, ColorStat) else stat.color_counts
-    return math.prod(map(math.factorial, counts))
 
 
 def _aut_mode(which: AutMode) -> Mode:

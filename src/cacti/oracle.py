@@ -121,20 +121,13 @@ class CactusStats:
         return orbits + fixed
 
 
-def _gen_budget(m: int) -> int:
-    return GEN_BUDGET.get(m, 1)
-
-
 def _check_size(m: int, p: int) -> None:
     if m < 2 or p < 1:
         raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
-    _check_gen_budget(m, p)
-
-
-def _check_gen_budget(m: int, p: int) -> None:
-    if p > _gen_budget(m):
+    budget = GEN_BUDGET.get(m, 1)
+    if p > budget:
         raise BudgetExceeded(
-            f"generation capped at p <= {_gen_budget(m)} for m = {m}, got p = {p}")
+            f"generation capped at p <= {budget} for m = {m}, got p = {p}")
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

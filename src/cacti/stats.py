@@ -21,7 +21,7 @@ of polygon corners.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
@@ -176,13 +176,6 @@ def degree_stat(m: int, rows: Sequence[Mapping[int, int]]) -> DegreeStat:
     """Validated degree distribution from one degree->multiplicity map per color."""
     return DegreeStat(m, tuple(tuple(sorted((j, k) for j, k in row.items() if k))
                                for row in rows))
-
-
-def validate(stat: Statistic) -> Statistic:
-    """Re-run validation on an already-built statistic, returning it."""
-    if not isinstance(stat, (SizeStat, ColorStat, DegreeStat)):
-        raise TypeError(f"not a statistic: {stat!r}")
-    return replace(stat)
 
 
 def color_marginal(stat: DegreeStat) -> ColorStat:

@@ -38,15 +38,6 @@ def test_multinomial_times_part_factorials(parts):
     assert value * math.prod(math.factorial(x) for x in parts) == math.factorial(n)
 
 
-def test_rising_factorial():
-    assert arith.rising_factorial(2, 3) == 24
-    assert arith.rising_factorial(17, 0) == 1
-    assert arith.rising_factorial(1, 4) == 24
-    assert arith.rising_factorial(-3, 2) == 6
-    with pytest.raises(arith.NegativeLength):
-        arith.rising_factorial(2, -1)
-
-
 def test_euler_phi():
     assert arith.euler_phi(1) == 1
     assert arith.euler_phi(4) == 2

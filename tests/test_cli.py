@@ -1,10 +1,18 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import cacti
 from cacti import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -215,3 +223,19 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "39"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_reproduce_tables_script(capsys, fmt):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), "--format", fmt],
+        capture_output=True, env=env)
+    assert result.returncode == 0 and result.stderr == b""
+    expected = ""
+    for which in ("1", "2", "3"):
+        assert cli.main(["table", which, "--format", fmt]) == 0
+        expected += f"# table {which}\n{capsys.readouterr().out}\n"
+    assert result.stdout.decode() == expected

