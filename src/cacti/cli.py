@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import io
 import json
@@ -22,6 +23,10 @@ from .stats import (ColorStat, DegreeStat, InconsistentResult, SizeStat,
 
 SERIES_MULTI_BOUND = 16
 SERIES_ONE_SORT_BOUND = 64
+
+# The options a JSON count echoes as its query, in this order; `kind` only
+# for --mode gonal.
+QUERY_OPTIONS = ("mode", "m", "p", "colors", "degrees", "color", "s", "kind")
 
 # Degree rows of the published degree-distribution table; the first row is
 # incoherent (its rows disagree on the polygon count) and must be annotated,
@@ -122,17 +127,18 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
 
 
 def _count_oracle(mode: str, stat: Statistic, args) -> int:
+    # The refusals come before the p = 0 row, so they hold at every p.
+    if mode == "gonal" and GonalKind(args.kind) is not GonalKind.UNLABELLED:
+        raise UsageError("--path oracle supports only unlabelled gonal counts")
+    if mode == "constellation":
+        raise UsageError("no exhaustive constellation generator; use --path formula")
     if stat.p == 0:
         return _count_formula(mode, stat, args)
     m, p = stat.m, stat.p
     if mode == "free":
         return oracle.free_labelled_bruteforce(stat)
     if mode == "gonal":
-        if GonalKind(args.kind) is not GonalKind.UNLABELLED:
-            raise UsageError("--path oracle supports only unlabelled gonal counts")
         return oracle.enumerate_gonal(m, p)
-    if mode == "constellation":
-        raise UsageError("no exhaustive constellation generator; use --path formula")
     if mode == "rooted":
         rooted = oracle.generate_rooted(m, p)
         if isinstance(stat, SizeStat):
@@ -155,20 +161,10 @@ def cmd_count(args) -> int:
             print(f"MISMATCH: {args.path} gives {count}, oracle gives {other}",
                   file=sys.stderr)
             return 1
-    query = {"mode": args.mode, "m": args.m}
-    if args.p is not None:
-        query["p"] = args.p
-    if args.colors is not None:
-        query["colors"] = args.colors
-    if args.degrees is not None:
-        query["degrees"] = args.degrees
-    if args.color is not None:
-        query["color"] = args.color
-    if args.s is not None:
-        query["s"] = args.s
-    if args.mode == "gonal":
-        query["kind"] = args.kind
     if args.format == "json":
+        query = {name: getattr(args, name) for name in QUERY_OPTIONS
+                 if getattr(args, name) is not None
+                 and (name != "kind" or args.mode == "gonal")}
         print(json.dumps({"query": query, "count": _exact_str(count),
                           "path": args.path}))
     else:
@@ -176,83 +172,53 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _table1_rows() -> list[dict]:
+def _table1(args) -> list[list]:
     rows = []
     for m, spec in TABLE1_ROWS:
-        entry: dict = {"m": m, "degrees": spec}
         try:
             matrix = stats.parse_degree_spec(spec)
         except ValidationError as exc:
-            entry["error"] = f"COHERENCE-FAIL ({type(exc).__name__}: {exc})"
-            rows.append(entry)
+            rows.append([m, spec, f"COHERENCE-FAIL ({type(exc).__name__}: {exc})",
+                         "", "", ""])
             continue
-        entry["pointed"] = [formulas.count_pointed(matrix, c)
-                            for c in range(1, m + 1)]
-        entry["rooted"] = formulas.count_rooted(matrix)
-        entry["unlabelled"] = formulas.count_unlabelled(matrix)
-        entry["asymmetric"] = formulas.count_asymmetric(matrix)
-        rows.append(entry)
+        rows.append([m, spec, " ".join(str(formulas.count_pointed(matrix, c))
+                                       for c in range(1, m + 1)),
+                     formulas.count_rooted(matrix), formulas.count_unlabelled(matrix),
+                     formulas.count_asymmetric(matrix)])
     return rows
 
 
-def _table2_rows() -> list[dict]:
-    rows = []
-    for counts in TABLE2_ROWS:
-        c = stats.color_stat(len(counts), counts)
-        rows.append({"colors": list(counts),
-                     "rooted": formulas.count_rooted(c),
-                     "unlabelled": formulas.count_unlabelled(c),
-                     "asymmetric": formulas.count_asymmetric(c)})
-    return rows
+def _table2(args) -> list[list]:
+    return [[",".join(map(str, counts)), formulas.count_rooted(c),
+             formulas.count_unlabelled(c), formulas.count_asymmetric(c)]
+            for counts in TABLE2_ROWS
+            for c in [stats.color_stat(len(counts), counts)]]
 
 
-def _table3_rows(m_lo: int, m_hi: int, p_max: int) -> list[dict]:
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        for p in range(p_max + 1):
-            rows.append({
-                "m": m, "p": p, "n": (m - 1) * p + 1,
-                "unlabelled": formulas.count_unlabelled(stats.size_stat(m, p)),
-                "asymmetric": formulas.count_asymmetric(stats.size_stat(m, p)),
-                "gonal": formulas.count_gonal(m, p, GonalKind.UNLABELLED),
-            })
-    return rows
-
-
-def _parse_m_range(text: str) -> tuple[int, int]:
+def _table3(args) -> list[list]:
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        m_lo, m_hi = map(int, args.m_range.split(".."))
     except ValueError as exc:
-        raise UsageError(f"bad --m-range {text!r}, expected like 2..7") from exc
+        raise UsageError(f"bad --m-range {args.m_range!r}, expected like 2..7") from exc
+    if m_lo > m_hi or args.p_max < 0:
+        raise UsageError(f"empty table: --m-range {args.m_range} --p-max {args.p_max}")
+    return [[m, p, stat.n, formulas.count_unlabelled(stat),
+             formulas.count_asymmetric(stat),
+             formulas.count_gonal(m, p, GonalKind.UNLABELLED)]
+            for m in range(m_lo, m_hi + 1) for p in range(args.p_max + 1)
+            for stat in [stats.size_stat(m, p)]]
+
+
+TABLES = {  # which: (header, the rows of cells for the parsed options)
+    1: (["m", "degrees", "pointed", "rooted", "unlabelled", "asymmetric"], _table1),
+    2: (["colors", "rooted", "unlabelled", "asymmetric"], _table2),
+    3: (["m", "p", "n", "unlabelled", "asymmetric", "gonal"], _table3),
+}
 
 
 def cmd_table(args) -> int:
-    if args.which == 1:
-        rows = _table1_rows()
-        header = ["m", "degrees", "pointed", "rooted", "unlabelled", "asymmetric"]
-        def cells(r):
-            if "error" in r:
-                return [r["m"], r["degrees"], r["error"], "", "", ""]
-            return [r["m"], r["degrees"],
-                    " ".join(str(x) for x in r["pointed"]),
-                    r["rooted"], r["unlabelled"], r["asymmetric"]]
-    elif args.which == 2:
-        rows = _table2_rows()
-        header = ["colors", "rooted", "unlabelled", "asymmetric"]
-        def cells(r):
-            return [",".join(str(x) for x in r["colors"]),
-                    r["rooted"], r["unlabelled"], r["asymmetric"]]
-    else:
-        m_lo, m_hi = _parse_m_range(args.m_range)
-        if m_lo > m_hi or args.p_max < 0:
-            raise UsageError(
-                f"empty table: --m-range {args.m_range} --p-max {args.p_max}")
-        rows = _table3_rows(m_lo, m_hi, args.p_max)
-        header = ["m", "p", "n", "unlabelled", "asymmetric", "gonal"]
-        def cells(r):
-            return [r[h] for h in header]
-    table = [[_exact_str(c) for c in cells(r)] for r in rows]
+    header, rows = TABLES[args.which]
+    table = [[_exact_str(c) for c in row] for row in rows(args)]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -273,10 +239,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(json.dumps({
             "m": report.m, "p_max": report.p_max, "passed": report.passed,
-            "results": [{"name": r.name, "p": r.p,
-                         "comparisons": r.comparisons,
-                         "passed": r.passed, "detail": r.detail}
-                        for r in report.results]}))
+            "results": [dataclasses.asdict(r) for r in report.results]}))
     else:
         for r in report.results:
             mark = "PASS" if r.passed else "FAIL"

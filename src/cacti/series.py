@@ -257,8 +257,7 @@ def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
 
 
 def series_centre(family: PlantedFamily, color: int,
-                  weight: Callable[[int], int], s: int = 1,
-                  order: int | None = None) -> Series:
+                  weight: Callable[[int], int], s: int = 1) -> Series:
     """The centre series of color i = `color` at weight w and stretch s:
 
         x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log 1/(1 - hat(A_i)).
@@ -268,10 +267,9 @@ def series_centre(family: PlantedFamily, color: int,
     at s*d*e, whose degree is s*d*g: each exponent inside the box (only
     those get all their d) sums its numerators and divides once, exactly.
     """
-    order = family.order if order is None else order
-    if family.slots or order > family.order:
-        raise ValidationError(f"a centre series to order {order} needs an "
-                              f"unweighted family of order >= {order}")
+    if family.slots:
+        raise ValidationError("a centre series needs an unweighted family")
+    order = family.order
     hat = family.hat(color)
     box = hat.box
     # every term of hat, and so of T, has degree g >= m - 1

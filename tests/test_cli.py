@@ -48,6 +48,27 @@ class TestCount:
         assert isinstance(payload["count"], str)
         assert int(payload["count"]) == 2379912355
 
+    @pytest.mark.parametrize("argv, query", [
+        (["--m", "3", "--colors", "4,4,5", "--mode", "unlabelled"],
+         [("mode", "unlabelled"), ("m", 3), ("colors", "4,4,5")]),
+        (["--m", "2", "--degrees", "1^2 2^2 4^1; 1^2 2^4", "--mode", "rooted"],
+         [("mode", "rooted"), ("m", 2), ("degrees", "1^2 2^2 4^1; 1^2 2^4")]),
+        (["--m", "3", "--colors", "2,2,3", "--mode", "pointed", "--color", "1"],
+         [("mode", "pointed"), ("m", 3), ("colors", "2,2,3"), ("color", 1)]),
+        (["--m", "3", "--p", "4", "--mode", "aut-exact", "--s", "2"],
+         [("mode", "aut-exact"), ("m", 3), ("p", 4), ("s", 2)]),
+        (["--m", "3", "--p", "4", "--mode", "gonal", "--kind", "rooted"],
+         [("mode", "gonal"), ("m", 3), ("p", 4), ("kind", "rooted")]),
+        (["--m", "3", "--p", "4", "--mode", "unlabelled", "--kind", "rooted"],
+         [("mode", "unlabelled"), ("m", 3), ("p", 4)]),
+    ], ids=["colors", "degrees", "color", "s", "gonal-kind", "no-kind"])
+    def test_json_query_key_order(self, capsys, argv, query):
+        code, out, _ = run_cli(capsys, "count", *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["query", "count", "path"]
+        assert list(payload["query"].items()) == query
+
     def test_aut_and_gonal_and_free(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--m", "3", "--p", "4",
                                "--mode", "aut-exact", "--s", "2")
@@ -175,6 +196,16 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert all(r["passed"] for r in payload["results"])
+
+    def test_json_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--p-max", "3",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["m", "p_max", "passed", "results"]
+        assert payload["results"]
+        for result in payload["results"]:
+            assert list(result) == ["name", "p", "comparisons", "passed", "detail"]
 
     def test_budget_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--m", "2", "--p-max", "99")

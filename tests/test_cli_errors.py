@@ -13,6 +13,7 @@ from cacti import cli
 from cacti import formulas as F
 from cacti import stats
 
+BAD_M_RANGES = ["x", "2..", "1..2..3", "a..b"]
 USAGE_ERRORS = [
     ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "0"],
     ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "-1"],
@@ -21,6 +22,7 @@ USAGE_ERRORS = [
     ["series", "--m", "1", "--order", "3", "--target", "rooted", "--one-sort"],
     ["table", "3", "--p-max", "-1"],
     ["table", "3", "--m-range", "5..2"],
+    *(["table", "3", "--m-range", bad] for bad in BAD_M_RANGES),
     ["verify", "--m", "2", "--p-max", "-1"],
     ["verify", "--m", "2", "--p-max", "0"],
 ]
@@ -32,6 +34,13 @@ def test_usage_error_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", BAD_M_RANGES)
+def test_bad_m_range_text(capsys, bad):
+    assert cli.main(["table", "3", "--m-range", bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: UsageError: bad --m-range {bad!r}, expected like 2..7\n")
 
 
 AUT_S = [["count", "--m", "2", "--p", "3", "--mode", mode, "--s", s]
@@ -58,6 +67,33 @@ def test_other_routes_reject_what_the_formula_route_rejects(capsys, argv, path):
     assert formula.out == "" and formula.err.startswith("error: ")
     assert cli.main(argv + ["--path", path]) == 2
     assert capsys.readouterr() == formula
+
+
+MODE_FLAGS = [[mode, *flags] for mode in F.MODES
+              for flags in ([("--kind", k.value) for k in F.GonalKind]
+                            if mode == "gonal" else
+                            [("--s", "2")] if mode.startswith("aut-") else [()])]
+ROUTES = [["--path", "oracle"], ["--path", "series"], ["--check", "oracle"]]
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=" ".join)
+@pytest.mark.parametrize("mode_flags", MODE_FLAGS, ids=" ".join)
+def test_route_refusals_hold_at_p_0(capsys, mode_flags, route):
+    """At p = 0 a route answers as the formula route, or refuses as it
+    refuses at p = 1; under --check the formula route runs first, so its own
+    refusal at p = 0 comes first."""
+    mode, *flags = mode_flags
+
+    def run(p, extra):
+        stat = ["--colors", f"1,{p}"] if mode == "free" else ["--p", str(p)]
+        code = cli.main(["count", "--m", "2", *stat, "--mode", mode, *flags, *extra])
+        return code, *capsys.readouterr()
+
+    at_1, at_0, formula_0 = run(1, route), run(0, route), run(0, [])
+    if at_1[0] == 2 and not (route[0] == "--check" and formula_0[0] == 2):
+        assert at_0 == at_1
+    else:
+        assert at_0 == formula_0
 
 
 def test_usage_errors_exit_2_under_optimize():
