@@ -83,10 +83,10 @@ def _build_stat(args) -> Statistic:
         except ValueError as exc:
             raise UsageError(f"bad --colors value {args.colors!r}") from exc
         return stats.color_stat(args.m, counts)
-    matrix = stats.parse_degree_spec(args.degrees)
-    if matrix.m != args.m:
-        raise UsageError(f"--degrees has {matrix.m} rows but --m is {args.m}")
-    return matrix
+    rows = args.degrees.count(";") + 1  # as parse_degree_spec splits them
+    if rows != args.m:
+        raise UsageError(f"--degrees has {rows} rows but --m is {args.m}")
+    return stats.parse_degree_spec(args.degrees)
 
 
 # How a level-bound mode names the level it works at.
@@ -347,30 +347,35 @@ SUBCOMMANDS = {  # name: (help line, function adding its options)
 }
 
 
-def build_parser(first_arg: str | None = None) -> argparse.ArgumentParser:
-    """The grammar of `cacti`.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The grammar of `cacti`, or of `cacti <command>` alone.
 
-    When `first_arg`, the first command-line argument, names a subcommand,
-    argparse hands every later argument to that subcommand's parser, so the
-    options of the other subcommands take no part in the parse and are left
-    out: adding them is about a third of the cost of building the parser,
-    which every call of `main` pays.
+    Given a subcommand name, the parser holds only that subcommand's options
+    and reads the arguments after the name, as the full grammar's subparser
+    of the same prog does.  Without one, it holds every subcommand; `main`
+    builds it only to print the help or an error, since building options
+    that the parse never reads dominates the cost of a small count.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"cacti {command}")
+        SUBCOMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="cacti",
         description="Exact counts of cyclically colored polygonal plane cacti.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_options) in SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=text)
-        if first_arg not in SUBCOMMANDS or first_arg == name:
-            add_options(subparser)
+        add_options(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args, rest = (build_parser(argv[0]).parse_known_args(argv[1:])
+                  if argv and argv[0] in SUBCOMMANDS else (None, True))
+    if rest:  # no subcommand, or arguments it left: the full grammar's help or error
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, UsageError, oracle.BudgetExceeded,

@@ -1,14 +1,19 @@
 """What one call of `cli.main` builds.
 
-Each call builds its own parser, with only the options of the subcommand
-named by its first argument; its stdout, stderr and exit code must be those
-of the parser with every subcommand's options.  On the oracle route, pointed
-counts and rooted counts at every level print the closed forms' values.
+A call whose first argument names a subcommand builds one parser, with only
+that subcommand's options; the parser with every subcommand's options is
+built only for the help, an unknown command or arguments left over.  Either
+way stdout, stderr and exit code must be those of the full grammar.  On the
+oracle route, pointed counts and rooted counts at every level print the
+closed forms' values.
 """
+
+import argparse
 
 import pytest
 
 from cacti import cli, formulas, oracle, stats
+from cli_reference import main_full_grammar
 
 # (argv, whether the oracle route is replaced by one that answers -1)
 SEQUENCE = [
@@ -51,49 +56,71 @@ SEQUENCE = [
 ]
 
 
-def _outcomes(capsys, monkeypatch) -> list[tuple]:
+# The calls of SEQUENCE with arguments that the subcommand's parser leaves.
+LEFTOVER = [
+    ["count", "--m", "3", "--p", "3", "--mode", "rooted", "--bogus"],
+    ["count", "--m", "3", "--p", "3", "--mode", "rooted", "--order", "5"],
+    ["verify", "--m", "2", "--p-max", "3", "extra"],
+]
+
+
+def _outcomes(capsys, monkeypatch, main) -> list[tuple]:
+    """(exit code, stdout, stderr, argument parsers built) of each call."""
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
     results = []
     for argv, broken_oracle in SEQUENCE:
+        built.clear()
         with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "__init__", counted)
             if broken_oracle:
                 patch.setattr(cli, "_count_oracle", lambda mode, stat, args: -1)
             try:
-                code = cli.main(argv)
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         captured = capsys.readouterr()
-        results.append((code, captured.out, captured.err))
+        results.append((code, captured.out, captured.err, len(built)))
     return results
 
 
 def test_each_call_matches_the_full_grammar(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    build_parser = cli.build_parser
-    firsts = []
-
-    def counted(first_arg=None):
-        firsts.append(first_arg)
-        return build_parser(first_arg)
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    partial = _outcomes(capsys, monkeypatch)
-    assert firsts == [argv[0] if argv else None for argv, _ in SEQUENCE]
-    monkeypatch.setattr(cli, "build_parser", lambda first_arg=None: build_parser())
-    full = _outcomes(capsys, monkeypatch)
-    for (argv, _), a, b in zip(SEQUENCE, partial, full):
-        assert a == b, argv
-    codes = [code for code, _, _ in partial]
+    calls = _outcomes(capsys, monkeypatch, cli.main)
+    full = _outcomes(capsys, monkeypatch, main_full_grammar)
+    for (argv, _), a, b in zip(SEQUENCE, calls, full):
+        assert a[:3] == b[:3], argv
+    grammar = 1 + len(cli.SUBCOMMANDS)  # the top level and each subcommand
+    assert {b[3] for b in full} == {grammar}
+    assert [a[3] for a in calls] == [
+        grammar if not argv or argv[0] not in cli.SUBCOMMANDS
+        else 1 + grammar if argv in LEFTOVER else 1
+        for argv, _ in SEQUENCE]
+    codes = [code for code, _, _, _ in calls]
     assert {0, 1, 2} <= set(codes)
 
 
-def test_other_subcommands_get_no_options():
+def test_other_subcommands_get_no_options(capsys):
     parser = cli.build_parser("table")
+    assert parser.parse_args(["2"]).which == 2
     with pytest.raises(SystemExit):
-        parser.parse_args(["count", "--m", "2", "--p", "3", "--mode", "rooted"])
-    assert parser.parse_args(["table", "2"]).which == 2
-    full = cli.build_parser("--help")
-    assert full.parse_args(["count", "--m", "2", "--p", "3",
-                            "--mode", "rooted"]).m == 2
+        parser.parse_args(["2", "--mode", "rooted", "--colors", "4,4,5"])
+    assert capsys.readouterr().err.endswith(
+        "cacti table: error: unrecognized arguments: --mode rooted --colors 4,4,5\n")
+    full = cli.build_parser()
+    for argv, handler in [
+            (["count", "--m", "2", "--p", "3", "--mode", "rooted"], cli.cmd_count),
+            (["table", "2"], cli.cmd_table),
+            (["verify", "--m", "2", "--p-max", "3"], cli.cmd_verify),
+            (["series", "--m", "2", "--order", "3", "--target", "rooted"],
+             cli.cmd_series)]:
+        assert full.parse_args(argv).func is handler
+        assert cli.build_parser(argv[0]).parse_args(argv[1:]).func is handler
 
 
 def test_a_replaced_handler_runs(capsys, monkeypatch):

@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 
 from cacti import cli, formulas
 from cacti.formulas import GonalKind
+from cli_reference import main_full_grammar
 
 SMALL = st.integers(-1, 5)
 CONTRACT = settings(max_examples=200, deadline=None, derandomize=True)
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
+def run(argv: list[str], main=cli.main) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -85,6 +86,20 @@ def count_argv(draw) -> list[str]:
             + draw(optional("--format", st.just("json"))))
 
 
+# Arguments added to a `count` argv: unknown flags and abbreviated options
+# (`--c` is ambiguous), then perhaps a trailing positional.
+JUNK_OPTIONS = st.sampled_from([[], ["--bogus"], ["--order", "5"], ["--mo", "rooted"],
+                                ["--form", "json"], ["--c", "1"]])
+
+
+@st.composite
+def count_argv_with_junk(draw) -> list[str]:
+    argv = draw(count_argv())
+    at = draw(st.integers(1, len(argv)))
+    return (argv[:at] + draw(JUNK_OPTIONS) + argv[at:]
+            + draw(st.sampled_from([[], ["extra"]])))
+
+
 ROUTE = st.sampled_from([[], ["--path", "formula"], ["--path", "series"],
                          ["--path", "oracle"]])
 CHECK = st.sampled_from([[], ["--check", "oracle"]])
@@ -136,3 +151,9 @@ def test_other_routes_print_only_what_the_formula_route_prints(argv, path, check
         formula_code, formula_out = check_contract(argv)
         assert formula_code == 0, argv
         assert _payload(out, argv) == _payload(formula_out, argv), argv
+
+
+@CONTRACT
+@given(count_argv_with_junk())
+def test_count_prints_what_the_full_grammar_prints(argv):
+    assert run(argv) == run(argv, main_full_grammar), argv

@@ -14,6 +14,8 @@ from cacti import formulas as F
 from cacti import stats
 
 BAD_M_RANGES = ["x", "2..", "1..2..3", "a..b"]
+# (--m, --degrees, its row count): the rows are not m, and invalid besides.
+MISSIZED_DEGREES = [("2", "1^5", 1), ("3", "1^1; 1^2", 2)]
 USAGE_ERRORS = [
     ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "0"],
     ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "-1"],
@@ -25,6 +27,8 @@ USAGE_ERRORS = [
     *(["table", "3", "--m-range", bad] for bad in BAD_M_RANGES),
     ["verify", "--m", "2", "--p-max", "-1"],
     ["verify", "--m", "2", "--p-max", "0"],
+    *(["count", "--m", m, "--degrees", degrees, "--mode", "rooted"]
+      for m, degrees, _ in MISSIZED_DEGREES),
 ]
 
 
@@ -41,6 +45,13 @@ def test_bad_m_range_text(capsys, bad):
     assert cli.main(["table", "3", "--m-range", bad]) == 2
     assert capsys.readouterr().err == (
         f"error: UsageError: bad --m-range {bad!r}, expected like 2..7\n")
+
+
+@pytest.mark.parametrize("m, degrees, rows", MISSIZED_DEGREES)
+def test_degree_row_count_is_checked_first(capsys, m, degrees, rows):
+    assert cli.main(["count", "--m", m, "--degrees", degrees, "--mode", "rooted"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: UsageError: --degrees has {rows} rows but --m is {m}\n")
 
 
 AUT_S = [["count", "--m", "2", "--p", "3", "--mode", mode, "--s", s]
