@@ -66,24 +66,25 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
+def phi_mu(d: int) -> tuple[int, int]:
+    """Euler's totient and the Moebius function of d, from one factorization."""
+    if d < 1:
+        raise NonPositive(f"phi_mu({d})")
+    phi, mu = d, 1
+    for prime, e in _factorize(d):
+        phi = phi // prime * (prime - 1)
+        mu = 0 if e > 1 else -mu
+    return phi, mu
+
+
 def euler_phi(d: int) -> int:
     """Euler's totient: the number of 1 <= k <= d coprime to d."""
-    if d < 1:
-        raise NonPositive(f"euler_phi({d})")
-    result = d
-    for prime, _ in _factorize(d):
-        result = result // prime * (prime - 1)
-    return result
+    return phi_mu(d)[0]
 
 
 def moebius_mu(d: int) -> int:
     """Moebius function: (-1)^(#prime factors) if squarefree, else 0."""
-    if d < 1:
-        raise NonPositive(f"moebius_mu({d})")
-    factors = _factorize(d)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
+    return phi_mu(d)[1]
 
 
 def divisors(n: int) -> list[int]:

@@ -183,14 +183,13 @@ def _table1(args) -> list[list]:
             continue
         rows.append([m, spec, " ".join(str(formulas.count_pointed(matrix, c))
                                        for c in range(1, m + 1)),
-                     formulas.count_rooted(matrix), formulas.count_unlabelled(matrix),
-                     formulas.count_asymmetric(matrix)])
+                     formulas.count_rooted(matrix), *formulas.count_classes(matrix)])
     return rows
 
 
 def _table2(args) -> list[list]:
     return [[",".join(map(str, counts)), formulas.count_rooted(c),
-             formulas.count_unlabelled(c), formulas.count_asymmetric(c)]
+             *formulas.count_classes(c)]
             for counts in TABLE2_ROWS
             for c in [stats.color_stat(len(counts), counts)]]
 
@@ -202,11 +201,11 @@ def _table3(args) -> list[list]:
         raise UsageError(f"bad --m-range {args.m_range!r}, expected like 2..7") from exc
     if m_lo > m_hi or args.p_max < 0:
         raise UsageError(f"empty table: --m-range {args.m_range} --p-max {args.p_max}")
-    return [[m, p, stat.n, formulas.count_unlabelled(stat),
-             formulas.count_asymmetric(stat),
-             formulas.count_gonal(m, p, GonalKind.UNLABELLED)]
+    return [[m, p, stat.n, unlabelled, asymmetric,
+             formulas.gonal_orbits(stat, unlabelled)]
             for m in range(m_lo, m_hi + 1) for p in range(args.p_max + 1)
-            for stat in [stats.size_stat(m, p)]]
+            for stat in [stats.size_stat(m, p)]
+            for unlabelled, asymmetric in [formulas.count_classes(stat)]]
 
 
 TABLES = {  # which: (header, the rows of cells for the parsed options)

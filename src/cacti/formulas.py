@@ -21,14 +21,16 @@ with s | d that divide the statistic less one colour-i vertex:
 * unlabelled / asymmetric   -- sum_i centre_i(phi / mu, 1) - (m - 1) rooted,
 * aut-atleast / aut-exact s -- sum_i centre_i(phi / mu, s), s >= 2.
 
+`count_classes` forms each centre term once for phi and mu together, and
+`gonal_orbits` reads the uncoloured gonal counts off the coloured ones.
 `MODES` names each mode once for every route: its closed form, its count
 over isomorphism classes, the statistic level it is bound to and its
 `Centres`, which the series route reads.
 
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), all other counts are 1.  Every
-division in the formulas below cancels exactly; a failed conversion to int
-would signal an implementation bug, hence `InconsistentResult`.
+division in the formulas below cancels exactly; `_exact` raises
+`InconsistentResult` on a remainder, which would signal an implementation bug.
 """
 
 from __future__ import annotations
@@ -39,23 +41,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .arith import (
-    binomial,
-    common_divisors,
-    divisors,
-    euler_phi,
-    moebius_mu,
-    multinomial,
-)
-from .stats import (
-    ColorStat,
-    DegreeStat,
-    InconsistentResult,
-    SizeStat,
-    Statistic,
-    ValidationError,
-    size_stat,
-)
+from .arith import (binomial, common_divisors, divisors, euler_phi, moebius_mu,
+                    multinomial, phi_mu)
+from .stats import (ColorStat, DegreeStat, InconsistentResult, SizeStat,
+                    Statistic, ValidationError, size_stat)
 
 
 class AutMode(Enum):
@@ -91,10 +80,11 @@ class NonPositiveP(ValidationError):
     """Constellations need at least one polygon."""
 
 
-def _exact(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise InconsistentResult(f"non-integral {context}: {value}")
-    return int(value)
+def _exact(value: int | Fraction, context: str, den: int = 1) -> int:
+    quotient, rest = divmod(value, den)
+    if rest:
+        raise InconsistentResult(f"non-integral {context}: {Fraction(value, den)}")
+    return quotient
 
 
 def count_rooted(stat: Statistic) -> int:
@@ -103,15 +93,15 @@ def count_rooted(stat: Statistic) -> int:
     if p == 0:
         return 0
     if isinstance(stat, SizeStat):
-        return _exact(Fraction(binomial(stat.m * p, p), stat.n), "rooted size count")
+        return _exact(binomial(stat.m * p, p), "rooted size count", stat.n)
     if isinstance(stat, ColorStat):
         prod = math.prod(binomial(p, c) for c in stat.counts)
-        return _exact(Fraction(prod, p), "rooted color count")
+        return _exact(prod, "rooted color count", p)
     counts = stat.color_counts
     prod = math.prod(multinomial(c, [k for _, k in row])
                      for c, row in zip(counts, stat.rows))
-    return _exact(Fraction(p ** (stat.m - 1) * prod, math.prod(counts)),
-                  "rooted degree count")
+    return _exact(p ** (stat.m - 1) * prod, "rooted degree count",
+                  math.prod(counts))
 
 
 def _labellings(stat: Statistic) -> int:
@@ -131,8 +121,7 @@ def count_labelled(stat: Statistic) -> int:
     p = stat.p
     if p == 0:
         return 1
-    return _exact(Fraction(_labellings(stat) * count_rooted(stat), p),
-                  "labelled count")
+    return _exact(_labellings(stat) * count_rooted(stat), "labelled count", p)
 
 
 def pointed_colors(stat: Statistic, color: int | None) -> range:
@@ -147,6 +136,9 @@ def pointed_colors(stat: Statistic, color: int | None) -> range:
     if not 1 <= color <= stat.m:
         raise ColorOutOfRange(f"color {color} not in 1..{stat.m}")
     return range(color, color + 1)
+
+
+Weigh = Callable[[int], tuple[int, ...]]  # weights at e = d / s, all 1 at e = 1
 
 
 class Centres(NamedTuple):
@@ -164,7 +156,7 @@ def pointed_centres(stat: Statistic, color: int | None = None) -> Centres:
     return Centres(pointed_colors(stat, color), euler_phi, 1, 0)
 
 
-def class_centres(stat: Statistic, weight: Callable[[int], int],
+def class_centres(stat: Statistic, weight: Callable[[int], int] | None,
                   s: int = 1) -> Centres:
     """Classes: plain (phi) or asymmetric (mu) at s = 1, else those whose
     automorphism order is a multiple of s (phi) or exactly s (mu).  Past
@@ -172,83 +164,85 @@ def class_centres(stat: Statistic, weight: Callable[[int], int],
     return Centres(range(1, stat.m + 1), weight, s, (1 - stat.m) * (s == 1))
 
 
-def _centre(stat: Statistic, colors: Sequence[int],
-            weight: Callable[[int], int], s: int, min_d: int) -> tuple[int, int]:
-    """The centre sums of `colors` as a numerator over the level's
-    denominator, p, p^2 or n_1 ... n_m.  The colour-i term of d >= min_d,
-    s | d, is weight(d/s) times a count of the statistic less a colour-i
-    vertex (of degree h at degree level, summed over h), each part over d."""
+def _centre(stat: Statistic, colors: Sequence[int], weigh: Weigh, s: int,
+            min_d: int) -> tuple[list[int], int]:
+    """The centre sums of `colors` at each weight, as numerators over the
+    level's denominator, p, p^2 or n_1 ... n_m.  The colour-i term of d >=
+    min_d, s | d, is weight(d/s) times a count of the statistic less a
+    colour-i vertex (of degree h at degree level, summed over h), each part
+    over d, formed once for all the weights."""
     p, m = stat.p, stat.m
+    totals = [0] * len(weigh(1))
 
-    def strides(values: list[int]) -> list[int]:
-        return [d for d in common_divisors(values) if d >= min_d and not d % s]
+    def add(factor: int, values: list[int], term: Callable[[int], int]) -> None:
+        for d in common_divisors(values):
+            if d >= min_d and not d % s:
+                t = factor * term(d)
+                for k, w in enumerate(weigh(d // s)):
+                    totals[k] += w * t
 
     if isinstance(stat, SizeStat):
         # Colour rotation maps the colour-i centres onto the colour-(i+1) ones.
-        total = sum(weight(d // s) * binomial(m * p // d - 1, p // d - 1)
-                    for d in strides([p]))
-        return s * len(colors) * total, p
+        add(s * len(colors), [p], lambda d: binomial(m * p // d - 1, p // d - 1))
+        return totals, p
     if isinstance(stat, ColorStat):
-        total = 0
         for i in colors:
             lowered = list(stat.counts)
             lowered[i - 1] -= 1
-            total += (p - lowered[i - 1]) * sum(
-                weight(d // s) * math.prod(binomial(p // d, c // d) for c in lowered)
-                for d in strides([p] + lowered))
-        return s * total, p * p
+            add(s * (p - lowered[i - 1]), [p] + lowered,
+                lambda d: math.prod(binomial(p // d, c // d) for c in lowered))
+        return totals, p * p
     counts = stat.color_counts
-    total = 0
     for i in colors:
         for h, _ in stat.rows[i - 1]:
             rows = [[k - (j == i - 1 and g == h) for g, k in row]
                     for j, row in enumerate(stat.rows)]
-            total += counts[i - 1] * sum(
-                weight(d // s) * math.prod(multinomial(sum(row) // d,
-                                                       [k // d for k in row])
-                                           for row in rows)
-                for d in strides([h, p] + [k for row in rows for k in row]))
-    return s * p ** (m - 2) * total, math.prod(counts)
+            add(s * p ** (m - 2) * counts[i - 1],
+                [h, p] + [k for row in rows for k in row],
+                lambda d: math.prod(multinomial(sum(row) // d, [k // d for k in row])
+                                    for row in rows))
+    return totals, math.prod(counts)
 
 
-def _count_centred(stat: Statistic, centres: Centres, context: str) -> int:
-    """A pointed or class count in closed form.  With rooted = -(m - 1),
-    the d = 1 terms of the m centre sums and the rooted term together are
-    the rooted count over p, so the sums start at d = 2."""
+def _count_centred(stat: Statistic, centres: Centres, context: str,
+                   weigh: Weigh | None = None) -> tuple[int, ...]:
+    """Counts at the weights of `weigh`, else the centres' own.  The d = 1
+    terms and rooted = -(m - 1) make the rooted count over p: d starts at 2."""
     colors, weight, s, rooted = centres
-    p = stat.p
-    if p == 0:
-        return int(s == 1)
-    num, den = _centre(stat, colors, weight, s, 2 if rooted else 1)
-    if rooted:
-        num += count_rooted(stat) * den // p
-    return _exact(Fraction(num, den), context)
+    weigh = weigh or (lambda e: (weight(e),))
+    if stat.p == 0:
+        return (int(s == 1),) * len(weigh(1))
+    nums, den = _centre(stat, colors, weigh, s, 2 if rooted else 1)
+    base = count_rooted(stat) * den // stat.p if rooted else 0
+    return tuple(_exact(num + base, context, den) for num in nums)
 
 
 def count_pointed(stat: Statistic, color: int | None = None) -> int:
     """Cacti pointed at a vertex; summed over colors at size level."""
-    return _count_centred(stat, pointed_centres(stat, color), "pointed count")
+    return _count_centred(stat, pointed_centres(stat, color), "pointed count")[0]
+
+
+def _check_stratum(s: int, least: int = 2) -> None:
+    if s < least:
+        raise STooSmall(f"automorphism order s = {s} < {least}")
+
+
+def count_classes(stat: Statistic, s: int = 1) -> tuple[int, int]:
+    """The class counts at weights phi and mu, from one pass over the centres:
+    (unlabelled, asymmetric) at s = 1, else (aut-atleast s, aut-exact s)."""
+    _check_stratum(s, 1)
+    return _count_centred(stat, class_centres(stat, None, s), "class count",
+                          phi_mu)
 
 
 def count_unlabelled(stat: Statistic) -> int:
     """Isomorphism classes of cacti with the given statistic."""
-    return _count_centred(stat, class_centres(stat, euler_phi), "unlabelled count")
+    return count_classes(stat)[0]
 
 
 def count_asymmetric(stat: Statistic) -> int:
     """Isomorphism classes with trivial automorphism group."""
-    return _count_centred(stat, class_centres(stat, moebius_mu), "asymmetric count")
-
-
-def _check_stratum(s: int) -> None:
-    if s < 2:
-        raise STooSmall(f"automorphism order s = {s} < 2")
-
-
-def _aut_centres(stat: Statistic, s: int, mode: AutMode) -> Centres:
-    _check_stratum(s)
-    return class_centres(stat, moebius_mu if mode is AutMode.EXACTLY
-                         else euler_phi, s)
+    return count_classes(stat)[1]
 
 
 def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
@@ -257,47 +251,48 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     Automorphisms are rotations about a central vertex, so their order must
     divide p; the count is 0 whenever s does not.
     """
-    return _count_centred(stat, _aut_centres(stat, s, mode), "aut count")
+    _check_stratum(s)
+    return count_classes(stat, s)[mode is AutMode.EXACTLY]
 
 
 def aut_reciprocal_sum(stat: DegreeStat) -> Fraction:
-    """Sum of 1/|Aut| over unlabelled cacti with this degree distribution.
-
-    Equals the rooted count divided by p, since each class contributes
-    p/|Aut| distinct rootings; useful as a completeness check when listing
-    classes exhaustively.
-    """
+    """Sum of 1/|Aut| over unlabelled cacti with this degree distribution:
+    the rooted count over p, since each class has p/|Aut| rootings."""
     if stat.p == 0:
         raise ValidationError("reciprocal sum needs p >= 1")
     return Fraction(count_rooted(stat), stat.p)
 
 
-def count_gonal(m: int, p: int, kind: GonalKind) -> int:
-    """Plane cacti on m-gons without the cyclic coloring.
+def gonal_orbits(stat: SizeStat, coloured: int) -> int:
+    """Uncoloured gonal cacti, unlabelled or rooted, from the coloured count.
 
-    Rooted gonal cacti are no longer rigid (the root polygon may rotate),
-    so unlabelled gonal counts combine pointed, rooted and planted counts:
-    unlabelled = pointed + rooted - planted.
+    By Burnside's lemma over the m colour rotations: a rotation of order
+    d >= 2 fixes a cactus only by turning a centre polygon, so d divides m
+    and p - 1, and the phi(d) such rotations fix C(mp/d, (p - 1)/d) / p each.
     """
-    size_stat(m, p)  # range checks
+    m, p = stat.m, stat.p
     if p == 0:
-        return 0 if kind is GonalKind.ROOTED else 1
-    n = (m - 1) * p + 1
-    if kind is GonalKind.LABELLED:
-        return _exact(Fraction(math.factorial(n - 1) * binomial(m * p, p), m * p),
-                      "labelled gonal count")
-    if kind is GonalKind.PLANTED:
-        return _exact(Fraction(binomial(m * p, p), n), "planted gonal count")
-    if kind is GonalKind.POINTED:
-        total = sum(euler_phi(p // d) * binomial(d * m, d) for d in divisors(p))
-        return _exact(Fraction(total, m * p), "pointed gonal count")
-    if kind is GonalKind.ROOTED:
-        total = sum(euler_phi(d) * binomial(p * m // d, (p - 1) // d)
-                    for d in divisors(math.gcd(m, p - 1)))
-        return _exact(Fraction(total, m * p), "rooted gonal count")
-    return (count_gonal(m, p, GonalKind.POINTED)
-            + count_gonal(m, p, GonalKind.ROOTED)
-            - count_gonal(m, p, GonalKind.PLANTED))
+        return coloured
+    fixed = sum(euler_phi(d) * binomial(m * p // d, (p - 1) // d)
+                for d in divisors(math.gcd(m, p - 1)) if d >= 2)
+    return _exact(p * coloured + fixed, "gonal count", m * p)
+
+
+def count_gonal(m: int, p: int, kind: GonalKind) -> int:
+    """Plane cacti on m-gons without the cyclic coloring.  The colour
+    rotations act freely on labelled and on pointed cacti, so those counts
+    are the coloured ones over m; a planted gonal cactus, its root coloured
+    1, is a coloured rooted one; the rest are orbits (`gonal_orbits`)."""
+    stat = size_stat(m, p)
+    if p == 0:
+        return int(kind is not GonalKind.ROOTED)
+    if kind in (GonalKind.LABELLED, GonalKind.POINTED):
+        coloured = (count_labelled if kind is GonalKind.LABELLED else count_pointed)(stat)
+        return _exact(coloured, f"{kind.value} gonal count", m)
+    if kind is GonalKind.UNLABELLED:
+        return gonal_orbits(stat, count_unlabelled(stat))
+    rooted = count_rooted(stat)
+    return rooted if kind is GonalKind.PLANTED else gonal_orbits(stat, rooted)
 
 
 def count_free_labelled(colors: ColorStat) -> int:
@@ -351,8 +346,13 @@ def _aut_mode(which: AutMode) -> Mode:
             return sum(st.aut_order == s for st in members)
         return sum(st.aut_order % s == 0 for st in members)
 
+    def centres(stat: Statistic, *, s: int, **_) -> Centres:
+        _check_stratum(s)
+        return class_centres(stat, moebius_mu if which is AutMode.EXACTLY
+                             else euler_phi, s)
+
     return Mode(lambda stat, *, s, **_: count_aut(stat, s, which), classes,
-                centres=lambda stat, *, s, **_: _aut_centres(stat, s, which))
+                centres=centres)
 
 
 MODES: dict[str, Mode] = {

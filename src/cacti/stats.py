@@ -183,16 +183,6 @@ def color_marginal(stat: DegreeStat) -> ColorStat:
     return color_stat(stat.m, stat.color_counts)
 
 
-def shift(stat: ColorStat | DegreeStat, k: int) -> ColorStat | DegreeStat:
-    """Cyclic color relabelling: color i of the result is color i+k of the input."""
-    m = stat.m
-    if isinstance(stat, ColorStat):
-        return ColorStat(m, tuple(stat.counts[(i + k) % m] for i in range(m)))
-    if isinstance(stat, DegreeStat):
-        return DegreeStat(m, tuple(stat.rows[(i + k) % m] for i in range(m)))
-    raise TypeError(f"shift needs a color or degree statistic, got {stat!r}")
-
-
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 

@@ -55,6 +55,17 @@ def test_moebius_mu():
         arith.moebius_mu(-3)
 
 
+def test_phi_mu_by_definition():
+    for d in range(1, 301):
+        phi = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+        squarefree = all(d % (q * q) for q in range(2, d + 1))
+        primes = sum(1 for q in range(2, d + 1) if d % q == 0
+                     and all(q % r for r in range(2, q)))
+        assert arith.phi_mu(d) == (phi, (-1) ** primes if squarefree else 0)
+    with pytest.raises(arith.NonPositive):
+        arith.phi_mu(0)
+
+
 def test_divisors():
     assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert arith.divisors(1) == [1]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -176,6 +177,19 @@ class TestTable:
         assert (rows[4]["unlabelled"], rows[4]["asymmetric"], rows[4]["gonal"]) == (
             "19", "10", "7")
         assert rows[0]["n"] == "1" and rows[0]["unlabelled"] == "1"
+
+    # The two table 3 sweeps of the formula-route benchmark, pinned byte for
+    # byte by the sha256 of their stdout.
+    @pytest.mark.parametrize("argv, digest", [
+        (["--m-range", "2..4", "--p-max", "240", "--format", "csv"],
+         "af5a8a7576e0bff49e0c40a3afad3b3fba04211c3f383b2ec1da42827bce200d"),
+        (["--m-range", "2..7", "--p-max", "120"],
+         "0a61fc9bbec24c977e06dd91084c0ad347d0bc498f4f24903937250bd9697325"),
+    ], ids=["2..4-csv", "2..7-text"])
+    def test_table3_sweeps_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, "table", "3", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2")

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gonal_reference
+from stats_reference import shift
+
 from cacti import formulas as F
 from cacti import oracle, stats
+from cacti.arith import binomial, divisors, euler_phi
 from cacti.formulas import AutMode, GonalKind
 
 
@@ -167,6 +171,26 @@ class TestGonal:
             assert F.count_gonal(m, p, GonalKind.UNLABELLED) == (
                 parts[0] + parts[1] - parts[2])
 
+    @pytest.mark.parametrize("kind", list(GonalKind), ids=lambda k: k.value)
+    def test_matches_reference(self, kind):
+        for m in range(2, 12):
+            for p in range(151):
+                assert F.count_gonal(m, p, kind) == gonal_reference.count_gonal(
+                    m, p, kind), (m, p)
+
+    def test_burnside_over_colour_rotations(self):
+        # Uncoloured = (p * coloured + T) / (mp), with T the cacti fixed by
+        # the colour rotations of order d >= 2.
+        for m in range(2, 12):
+            for p in range(1, 151):
+                fixed = sum(euler_phi(d) * binomial(m * p // d, (p - 1) // d)
+                            for d in divisors(math.gcd(m, p - 1)) if d >= 2)
+                for kind, coloured in [
+                        (GonalKind.UNLABELLED, F.count_unlabelled(size(m, p))),
+                        (GonalKind.ROOTED, F.count_rooted(size(m, p)))]:
+                    assert m * p * gonal_reference.count_gonal(m, p, kind) == (
+                        p * coloured + fixed), (m, p, kind)
+
 
 class TestFreeLabelled:
     def test_values(self):
@@ -209,6 +233,19 @@ def _valid_color_vectors(m, p):
     return [stats.color_stat(m, v) for v in rec(n, m)]
 
 
+def _assert_moebius_phi_duality(stat):
+    """aut-atleast s sums aut-exact t over s | t | p, and unlabelled sums it
+    over t | p, with the asymmetric count at t = 1."""
+    p = stat.p
+    exact = {t: F.count_aut(stat, t, AutMode.EXACTLY) if t > 1
+             else F.count_asymmetric(stat) for t in divisors(p)}
+    assert F.count_unlabelled(stat) == sum(exact.values())
+    for s in exact:
+        if s > 1:
+            assert F.count_aut(stat, s, AutMode.AT_LEAST) == sum(
+                count for t, count in exact.items() if t % s == 0)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("m,p", [(2, 4), (2, 7), (3, 4), (4, 3)])
     def test_dissymmetry_size(self, m, p):
@@ -248,20 +285,24 @@ class TestIdentities:
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=24))
     @settings(max_examples=60)
     def test_moebius_phi_duality_size(self, m, p):
-        s = size(m, p)
-        for k in range(2, p + 1):
-            if p % k:
-                continue
-            total = sum(F.count_aut(s, t, AutMode.EXACTLY)
-                        for t in range(k, p + 1) if p % t == 0 and t % k == 0)
-            assert F.count_aut(s, k, AutMode.AT_LEAST) == total
+        _assert_moebius_phi_duality(size(m, p))
+
+    @pytest.mark.parametrize("m,p", [(2, 6), (3, 4), (4, 3)])
+    def test_moebius_phi_duality_color(self, m, p):
+        for c in _valid_color_vectors(m, p):
+            _assert_moebius_phi_duality(c)
+
+    @pytest.mark.parametrize("m,p", [(2, 6), (3, 4)])
+    def test_moebius_phi_duality_degree(self, m, p):
+        for d in oracle._all_degree_matrices(m, p):
+            _assert_moebius_phi_duality(d)
 
     @pytest.mark.parametrize("m,p", [(3, 4), (4, 3)])
     def test_shift_covariance(self, m, p):
         for c in _valid_color_vectors(m, p):
             for i in range(1, m + 1):
                 assert F.count_pointed(c, i) == F.count_pointed(
-                    stats.shift(c, i - 1), 1)
+                    shift(c, i - 1), 1)
 
     @pytest.mark.parametrize("m,p", [(2, 6), (3, 4)])
     def test_color_marginalization(self, m, p):
