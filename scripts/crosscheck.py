@@ -71,18 +71,18 @@ def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, 
     counts compared.  The family's colours share one series if it is
     one-sort."""
     rooted, centres, checked = series.series_rooted(family), {}, 0
-    nvars = family.series[0].nvars
+    nvars = family.nvars
     for stat in statistics:
         target = (stat.n,) if nvars == 1 else stat.counts
         for mode, options in _queries(stat):
             form = formulas.MODES[mode].centres(stat, **options)
-            value = form.rooted * rooted[target]
+            value = form.rooted * rooted.get(target, 0)
             for color in form.colors:
                 key = ((color - 1) % nvars, form.weight, form.s)
                 if key not in centres:
                     centres[key] = series.series_centre(family, color, form.weight,
                                                         form.s)
-                value += centres[key][target]
+                value += centres[key].get(target, 0)
             expected = formulas.MODES[mode].formula(stat, **options)
             if value != expected:
                 where = f"x^{stat.n}" if nvars == 1 else target
@@ -100,10 +100,10 @@ def one_sort_sweep(order: int) -> str | None:
     series that `cacti series --one-sort` prints has no other term."""
     for m in range(2, 8):
         sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
-        failure, _ = centre_sweep(series._solve(m, order, 1), sizes[1:])
+        failure, _ = centre_sweep(series.solve_one_sort(m, order), sizes[1:])
         if failure:
             return f"one-sort {failure}"
-        printed = series.series_unlabelled(m, order, one_sort=True).coeffs
+        printed = series.series_unlabelled(m, order, one_sort=True)
         if printed != {(s.n,): formulas.count_unlabelled(s) for s in sizes}:
             return f"one-sort unlabelled series m={m}: not the closed forms"
     return None

@@ -1,8 +1,8 @@
 """Exact integer arithmetic primitives used by every counting formula.
 
 All functions work on Python's arbitrary-precision ints and never touch
-floating point.  Rationals (used for reciprocal automorphism sums and for
-intermediate values in divisor-sum formulas) are `fractions.Fraction`.
+floating point.  Rationals (intermediate values in divisor-sum formulas)
+are `fractions.Fraction`.
 
 Out-of-range binomials return 0 instead of raising: the divisor sums in the
 counting formulas rely on vanishing terms whenever an index fails a

@@ -261,15 +261,12 @@ def cmd_series(args) -> int:
         raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{args.m}")
     if args.target == "unlabelled":
         out = series.series_unlabelled(args.m, args.order, one_sort)
-    elif one_sort:
-        out = series.solve_one_sort(args.m, args.order)
-        if args.target == "rooted":
-            out = out - series.variable(1, args.order, 0)
     else:
-        family = series.solve_planted(args.m, args.order)
-        out = (family.series[(args.color or 1) - 1] if args.target == "planted"
-               else series.series_rooted(family))
-    items = sorted(out.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        solve = series.solve_one_sort if one_sort else series.solve_planted
+        family = solve(args.m, args.order)
+        out = (series.series_planted(family, args.color or 1)
+               if args.target == "planted" else series.series_rooted(family))
+    items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     if args.format == "json":
         print(json.dumps({
             "m": args.m, "order": args.order, "target": args.target,

@@ -1,8 +1,7 @@
 """Closed-form counts of m-ary cacti over validated statistics.
 
 Every function takes a statistic built by `cacti.stats` and returns an exact
-int (or a reduced Fraction for the reciprocal automorphism sum).  The counts
-come in five flavours per statistic level:
+int.  The counts come in five flavours per statistic level:
 
 * rooted      -- a polygon is distinguished (rooted cacti are rigid),
 * labelled    -- vertices carry distinct labels within each color,
@@ -43,8 +42,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .arith import (binomial, common_divisors, divisors, euler_phi, moebius_mu,
                     multinomial, phi_mu)
-from .stats import (ColorStat, DegreeStat, InconsistentResult, SizeStat,
-                    Statistic, ValidationError, size_stat)
+from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
+                    ValidationError, size_stat)
 
 
 class AutMode(Enum):
@@ -253,14 +252,6 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     """
     _check_stratum(s)
     return count_classes(stat, s)[mode is AutMode.EXACTLY]
-
-
-def aut_reciprocal_sum(stat: DegreeStat) -> Fraction:
-    """Sum of 1/|Aut| over unlabelled cacti with this degree distribution:
-    the rooted count over p, since each class has p/|Aut| rootings."""
-    if stat.p == 0:
-        raise ValidationError("reciprocal sum needs p >= 1")
-    return Fraction(count_rooted(stat), stat.p)
 
 
 def gonal_orbits(stat: SizeStat, coloured: int) -> int:

@@ -544,7 +544,9 @@ def verify(m: int, p_max: int) -> VerifyReport:
                 pairs += [compare(f"aut={s} {key}", "aut-exact", stat, members, s=s)
                           for s in strata]
                 if level == "degree":
-                    pairs.append((f"reciprocal {key}", formulas.aut_reciprocal_sum(stat),
+                    # the sum of 1/|Aut|: a class has p/|Aut| rootings
+                    pairs.append((f"reciprocal {key}",
+                                  Fraction(formulas.count_rooted(stat), p),
                                   sum(Fraction(1, st.aut_order)
                                       for st in members) or Fraction(0)))
             record(f"classes {level}", p, pairs)

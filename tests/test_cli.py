@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -10,7 +11,8 @@ import sys
 import pytest
 
 import cacti
-from cacti import cli
+import series_reference as ref
+from cacti import cli, series
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -259,6 +261,70 @@ class TestSeries:
         code, _, err = run_cli(capsys, "series", "--m", "2", "--order", "40",
                                "--target", "rooted")
         assert code == 2 and "BudgetExceeded" in err
+
+
+MULTI_GRID = [(m, order) for m in range(2, 6)
+              for order in range(1, cli.SERIES_MULTI_BOUND + 1)]
+ONE_SORT_GRID = [(m, order) for m in range(2, 8)
+                 for order in (1, 2, 3, 5, 8, 16, 33, cli.SERIES_ONE_SORT_BOUND)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_targets(m: int, one_sort: bool) -> dict:
+    """Each printed target at the order bound, built with the reference
+    arithmetic: (target, --color or None) -> {exponent: coefficient}."""
+    if one_sort:
+        fam, colors = series.solve_one_sort(m, cli.SERIES_ONE_SORT_BOUND), [None]
+    else:
+        fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
+        colors = [None] + list(range(1, m + 1))
+    targets = {("planted", c): ref.planted(fam, c or 1) for c in colors}
+    targets["rooted", None] = ref.rooted(fam)
+    targets["unlabelled", None] = ref.unlabelled(fam)
+    return {key: s.coeffs for key, s in targets.items()}
+
+
+def _series_stdout(coeffs: dict, q: dict) -> str:
+    """What `cacti series` prints for the terms of `coeffs` up to the order."""
+    items = sorted(((e, c) for e, c in coeffs.items() if sum(e) <= q["order"]),
+                   key=lambda kv: (sum(kv[0]), kv[0]))
+    if q["format"] == "json":
+        return json.dumps({
+            "m": q["m"], "order": q["order"], "target": q["target"],
+            "one_sort": q["one_sort"],
+            "coefficients": [{"exponents": list(e), "coefficient": str(c)}
+                             for e, c in items]}) + "\n"
+    lines = []
+    for e, c in items:
+        names = ["x" if q["one_sort"] else f"x{i}" for i in range(1, len(e) + 1)]
+        monomial = "*".join(name if k == 1 else f"{name}^{k}"
+                            for name, k in zip(names, e) if k)
+        lines.append(f"{monomial} {c}\n")
+    return "".join(lines)
+
+
+class TestSeriesGrid:
+    """`cacti series` stdout against the same targets built from whole series."""
+
+    @pytest.mark.parametrize("m, order", MULTI_GRID)
+    def test_multivariate(self, capsys, m, order):
+        self.check(capsys, m, order, one_sort=False)
+
+    @pytest.mark.parametrize("m, order", ONE_SORT_GRID)
+    def test_one_sort(self, capsys, m, order):
+        self.check(capsys, m, order, one_sort=True)
+
+    @staticmethod
+    def check(capsys, m, order, one_sort):
+        for (target, color), coeffs in _reference_targets(m, one_sort).items():
+            for fmt in ("text", "json"):
+                argv = ["series", "--m", str(m), "--order", str(order),
+                        "--target", target, "--format", fmt]
+                argv += (["--color", str(color)] if color else []) + (
+                    ["--one-sort"] if one_sort else [])
+                q = {"m": m, "order": order, "target": target,
+                     "one_sort": one_sort, "format": fmt}
+                assert run_cli(capsys, *argv) == (0, _series_stdout(coeffs, q), ""), argv
 
 
 def test_console_entry_point():

@@ -136,15 +136,24 @@ class TestAutStrata:
 
 
 class TestReciprocalSum:
+    """The sum of 1/|Aut| over the classes of a degree statistic is rooted / p:
+    a class has p/|Aut| rootings."""
+
+    @staticmethod
+    def reciprocal(d):
+        return Fraction(F.count_rooted(d), d.p)
+
     def test_values(self):
-        assert F.aut_reciprocal_sum(degree("1^2 2^1; 1^2 2^1; 1^2 2^1")) == 4
-        assert F.aut_reciprocal_sum(degree("1^2 2^2 4^1; 1^2 2^4")) == 15
-        assert F.aut_reciprocal_sum(degree("1; 1; 1")) == 1
+        assert self.reciprocal(degree("1^2 2^1; 1^2 2^1; 1^2 2^1")) == 4
+        assert self.reciprocal(degree("1^2 2^2 4^1; 1^2 2^4")) == 15
+        assert self.reciprocal(degree("1; 1; 1")) == 1
 
     def test_reduced(self):
-        value = F.aut_reciprocal_sum(degree("1^2; 1^2; 2^1"))
-        assert isinstance(value, Fraction)
-        assert math.gcd(value.numerator, value.denominator) == 1
+        d = degree("1^2; 1^2; 2^1")
+        value = self.reciprocal(d)
+        assert value == Fraction(1, 2)
+        assert value == sum(Fraction(1, st.aut_order) for _, st
+                            in oracle.enumerate_unlabelled(3, 2) if st.degrees == d)
 
 
 class TestGonal:
