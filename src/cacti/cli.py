@@ -253,6 +253,9 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     one_sort = args.one_sort
+    if args.color is not None and (args.target != "planted" or one_sort):
+        named = f"--target {args.target}" + (" --one-sort" if one_sort else "")
+        raise UsageError(f"{named} takes no --color")
     bound = SERIES_ONE_SORT_BOUND if one_sort else SERIES_MULTI_BOUND
     if args.order < 1 or args.order > bound:
         raise oracle.BudgetExceeded(

@@ -14,9 +14,11 @@ weighted variant marks a color-i vertex of degree h with r[i,h], one more
 integer coordinate of the exponent after x_1..x_m.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
-polygon bound.  A count of one statistic solves inside a box instead, one
-cap per coordinate taken from the statistic: a term above a cap cannot
-divide the target, so it is dropped as soon as it is formed.
+polygon bound, and a product of k planted series lies at total degrees = k
+(mod m - 1): the solver forms no other part, and keeps no empty one.  A count
+of one statistic solves inside a box instead, one cap per coordinate taken
+from the statistic: a term above a cap cannot divide the target, so it is
+dropped as soon as it is formed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
 
 
 Box = Optional[tuple[int, ...]]  # one cap per exponent coordinate, or none
-Parts = dict[int, dict[tuple[int, ...], int]]  # total degree -> part
+Parts = dict[int, dict[tuple[int, ...], int]]  # total degree -> non-empty part
 
 
 def _combine(*terms: tuple[int, Mapping[tuple[int, ...], int]]) -> dict:
@@ -71,18 +73,23 @@ def _lift(part: dict, k: Optional[int], box: Box) -> dict:
             if box is None or e[k] < box[k]}
 
 
-def _log_parts(s_parts: Parts, bound: int, box: Box) -> Parts:
+def _keep(parts: Parts, d: int, part: dict) -> None:
+    if part:  # an empty part is not kept
+        parts[d] = part
+
+
+def _log_parts(s_parts: Parts, bound: int, box: Box, step: int) -> Parts:
     """T = E(log 1/(1 - s)), s unweighted with zero constant term and given
     as degree -> part, to total degree `bound` inside the box.  The Euler
     derivative E scales each monomial by its total degree, and T = E(s) +
     s * T gives the parts in integers by increasing degree; the log itself
-    is T / degree."""
+    is T / degree.  Every part of s and T lies at a multiple of `step`."""
     t_parts: Parts = {}
-    for deg in range(1, bound + 1):
-        part = _product_part(s_parts, t_parts, deg, box)
+    for deg in range(step, bound + 1, step):
+        part = _product_part(s_parts, t_parts, deg, box) if t_parts else {}
         for e, c in s_parts.get(deg, {}).items():
             part[e] = part.get(e, 0) + deg * c
-        t_parts[deg] = part
+        _keep(t_parts, deg, part)
     return t_parts
 
 
@@ -92,11 +99,12 @@ class PlantedFamily:
     and kept as the degree -> part maps the solver built.
 
     `planted[i - 1]` holds A_i to total degree `order`, and `hats[i - 1]`
-    holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  An
-    exponent has `nvars` graded coordinates x (one x shared by every color
-    if nvars = 1) and, in a weighted family, one marker coordinate per
-    (color, degree) pair of `slots`, in that order.  `box` caps each
-    coordinate, or is None.
+    holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  Only
+    the non-empty parts are kept: those of A_i lie at total degrees = 1 and
+    those of H_i at degrees = 0 (mod m - 1).  An exponent has `nvars` graded
+    coordinates x (one x shared by every color if nvars = 1) and, in a
+    weighted family, one marker coordinate per (color, degree) pair of
+    `slots`, in that order.  `box` caps each coordinate, or is None.
     """
 
     m: int
@@ -127,35 +135,37 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
     top = [max((h - 1 for c, h in slots if c == i + 1), default=0)
            for i in range(nvars)]
     one = {0: {(0,) * (nvars + len(slots)): 1}}
-    a: list[Parts] = [{} for _ in range(nvars)]
     b = [{0: _lift(one[0], coord.get((i + 1, 1)), box) if slots else one[0]}
          for i in range(nvars)]
+    a: list[Parts] = [{} for _ in range(nvars)]
+    for i in range(nvars):
+        _keep(a[i], 1, _lift(b[i][0], i, box))
     # Color j has series j % nvars.  left[k] = A_0 ... A_{k-1} and right[k] =
     # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1].
     left = [one, a[0]] + [{} for _ in range(2, nvars)]
     right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars], one]
     hats: list[Parts] = [{} for _ in range(nvars)]
     powers = [[one] + [{} for _ in range(top[i])] for i in range(nvars)]
-    for d in range(1, order + 1):
-        for i in range(nvars):
-            a[i][d] = _lift(b[i][d - 1], i, box)
-        if d == order:
-            break
+    q = m - 1  # a product of k planted series lives at degrees = k (mod q)
+    for d in range(1, order):
         for k in range(2, nvars):
-            left[k][d] = _product_part(left[k - 1], a[k - 1], d, box)
+            if (d - k) % q == 0:
+                _keep(left[k], d, _product_part(left[k - 1], a[k - 1], d, box))
         for k in range(m - 2, 0, -1):
-            right[k][d] = _product_part(a[k % nvars], right[k + 1], d, box)
+            if (d - (m - k)) % q == 0:
+                _keep(right[k], d, _product_part(a[k % nvars], right[k + 1], d, box))
+        if d % q:
+            continue
         for i, hat in enumerate(hats):
-            hat[d] = _product_part(left[i], right[i + 1], d, box)
-            if not slots:
-                b[i][d] = _product_part(hat, b[i], d, box)
-                continue
-            part = b[i][d] = {}
-            for k in range(1, min(d // (m - 1), top[i]) + 1):
-                powers[i][k][d] = _product_part(powers[i][k - 1], hat, d, box)
-                lifted = _lift(powers[i][k][d], coord.get((i + 1, k + 1)), box)
-                for e, c in lifted.items():
+            _keep(hat, d, _product_part(left[i], right[i + 1], d, box))
+            part = {} if slots else _product_part(hat, b[i], d, box)
+            for k in range(1, min(d // q, top[i]) + 1):
+                power = _product_part(powers[i][k - 1], hat, d, box)
+                _keep(powers[i][k], d, power)
+                for e, c in _lift(power, coord.get((i + 1, k + 1)), box).items():
                     part[e] = part.get(e, 0) + c
+            _keep(b[i], d, part)
+            _keep(a[i], d + 1, _lift(part, i, box))
     copies = m // nvars
     return PlantedFamily(m, order, nvars, tuple(a) * copies,
                          tuple(hats) * copies, slots, box)
@@ -218,7 +228,8 @@ def series_centre(family: PlantedFamily, color: int,
     # every term of H_i, and so of T, has degree g >= m - 1
     w = [0] + [weight(d) for d in range(1, (order - 1) // (s * (family.m - 1)) + 1)]
     sums: dict[tuple[int, ...], int] = {}
-    for g, part in _log_parts(family.hats[color - 1], (order - 1) // s, box).items():
+    for g, part in _log_parts(family.hats[color - 1], (order - 1) // s, box,
+                              family.m - 1).items():
         for e, c in part.items():
             for d in range(1, (order - 1) // (s * g) + 1):
                 de = tuple(s * d * x for x in e)

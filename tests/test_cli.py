@@ -262,6 +262,22 @@ class TestSeries:
                                "--target", "rooted")
         assert code == 2 and "BudgetExceeded" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--target", "rooted"], "--target rooted"),
+        (["--target", "unlabelled"], "--target unlabelled"),
+        (["--target", "planted", "--one-sort"], "--target planted --one-sort")])
+    def test_color_refused_where_it_means_nothing(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "series", "--m", "3", "--order", "4",
+                                 *flags, "--color", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: UsageError: {named} takes no --color\n"
+
+    def test_color_picks_the_planted_series(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--m", "3", "--order", "4",
+                                 "--target", "planted", "--color", "2")
+        assert (code, err) == (0, "")
+        assert out == "x2 1\nx1*x2*x3 1\n"
+
 
 MULTI_GRID = [(m, order) for m in range(2, 6)
               for order in range(1, cli.SERIES_MULTI_BOUND + 1)]

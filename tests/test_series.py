@@ -311,6 +311,48 @@ class TestSeriesAgainstFormulas:
                     assert pointed[color - 1].get(counts, 0) == F.count_pointed(c, color)
 
 
+def _families(m: int) -> dict:
+    """A family of each kind the solver builds, three or four polygons deep:
+    multivariate, one-sort, boxed at a colour vector, weighted."""
+    order = 3 * (m - 1) + 1
+    vectors = _color_vectors(m, 3)
+    counts = vectors[len(vectors) // 2]
+    return {"planted": series.solve_planted(m, order),
+            "one-sort": series.solve_one_sort(m, 4 * (m - 1) + 1),
+            "boxed": series._solve(m, sum(counts), m, (), counts),
+            "weighted": weighted_family(m, order)}
+
+
+class TestSparseParts:
+    """A product of k planted series has terms only at total degrees = k
+    (mod m - 1), so the solver forms and keeps no other part."""
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_kept_parts_are_non_empty_and_in_their_residue(self, m):
+        for kind, fam in _families(m).items():
+            for parts, residue in [(p, 1) for p in fam.planted] + [
+                    (h, 0) for h in fam.hats]:
+                assert all(parts.values()), kind
+                assert all(d % (m - 1) == residue % (m - 1) for d in parts), kind
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    @pytest.mark.parametrize("solve", [series.solve_planted, series.solve_one_sort])
+    def test_no_product_part_is_empty(self, monkeypatch, m, solve):
+        formed = []
+        product_part = series._product_part
+
+        def recorded(*args):
+            formed.append(product_part(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(series, "_product_part", recorded)
+        fam = solve(m, 4 * (m - 1) + 1)
+        for color in range(1, fam.nvars + 1):
+            for s in (1, 2):
+                series.series_centre(fam, color, euler_phi, s)
+        assert formed and all(formed)
+
+
 def _color_vectors(m, p):
     def rec(remaining, slots):
         if slots == 1:
