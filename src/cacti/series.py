@@ -4,14 +4,15 @@ This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
 degree by degree, they give the rooted series and the centre series, whose
 sums give every class count (the dissymmetry theorem).  Coefficients are
-exact ints.  The solver keeps each series as total degree -> part, and each
-target is a plain {exponent: coefficient} map.  The centre series at weight
-w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i), H_i =
-prod_{j != i} A_j, for every d: its Euler derivative is
-solved in integers, and each coefficient is one exact division by its total
-degree, which raises `InconsistentResult` if it leaves a remainder.  The
-weighted variant marks a color-i vertex of degree h with r[i,h], one more
-integer coordinate of the exponent after x_1..x_m.
+exact ints.  The solver keeps each series as total degree -> part, each
+exponent packed into one int (see `PlantedFamily`); that form stays inside
+this module, and each target it returns is a plain {exponent tuple:
+coefficient} map.  The centre series at weight w (phi or mu) and stretch s
+takes one log L = log 1/(1 - H_i), H_i = prod_{j != i} A_j, for every d:
+its Euler derivative is solved in integers, and each coefficient is one
+exact division by its total degree, which raises `InconsistentResult` if it
+leaves a remainder.  The weighted variant marks a color-i vertex of degree
+h with r[i,h], one more coordinate of the exponent after x_1..x_m.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
 polygon bound, and a product of k planted series lies at total degrees = k
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt, sub
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import euler_phi
@@ -34,8 +35,8 @@ from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
                     ValidationError)
 
 
-Box = Optional[tuple[int, ...]]  # one cap per exponent coordinate, or none
-Parts = dict[int, dict[tuple[int, ...], int]]  # total degree -> non-empty part
+Parts = dict[int, dict[int, int]]  # total degree -> non-empty packed part
+Inside = tuple[int, int]  # (bias, guard): e is in the box iff not (e + bias) & guard
 
 
 def _combine(*terms: tuple[int, Mapping[tuple[int, ...], int]]) -> dict:
@@ -49,28 +50,29 @@ def _combine(*terms: tuple[int, Mapping[tuple[int, ...], int]]) -> dict:
 
 
 def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int,
-                  box: Box = None) -> dict:
+                  inside: Inside) -> dict:
     """Degree-d part of a product inside the box, both factors given as
     degree -> part."""
-    out: dict[tuple[int, ...], int] = {}
+    bias, guard = inside
+    out: dict[int, int] = {}
     for da, part_a in a.items():
         part_b = b.get(d - da)
         if not part_b:
             continue
         for ea, ca in part_a.items():
             for eb, cb in part_b.items():
-                e = tuple(map(add, ea, eb))
-                if box is None or not any(map(gt, e, box)):
+                e = ea + eb
+                if not (e + bias) & guard:
                     out[e] = out.get(e, 0) + ca * cb
     return out
 
 
-def _lift(part: dict, k: Optional[int], box: Box) -> dict:
-    """A part times the variable or marker of coordinate k (None: none)."""
-    if k is None:
+def _lift(part: dict, unit: Optional[int], inside: Inside) -> dict:
+    """A part times the variable or marker of exponent `unit` (None: none)."""
+    if unit is None:
         return {}
-    return {e[:k] + (e[k] + 1,) + e[k + 1:]: c for e, c in part.items()
-            if box is None or e[k] < box[k]}
+    bias, guard = inside
+    return {e + unit: c for e, c in part.items() if not (e + unit + bias) & guard}
 
 
 def _keep(parts: Parts, d: int, part: dict) -> None:
@@ -78,7 +80,7 @@ def _keep(parts: Parts, d: int, part: dict) -> None:
         parts[d] = part
 
 
-def _log_parts(s_parts: Parts, bound: int, box: Box, step: int) -> Parts:
+def _log_parts(s_parts: Parts, bound: int, inside: Inside, step: int) -> Parts:
     """T = E(log 1/(1 - s)), s unweighted with zero constant term and given
     as degree -> part, to total degree `bound` inside the box.  The Euler
     derivative E scales each monomial by its total degree, and T = E(s) +
@@ -86,7 +88,7 @@ def _log_parts(s_parts: Parts, bound: int, box: Box, step: int) -> Parts:
     is T / degree.  Every part of s and T lies at a multiple of `step`."""
     t_parts: Parts = {}
     for deg in range(step, bound + 1, step):
-        part = _product_part(s_parts, t_parts, deg, box) if t_parts else {}
+        part = _product_part(s_parts, t_parts, deg, inside) if t_parts else {}
         for e, c in s_parts.get(deg, {}).items():
             part[e] = part.get(e, 0) + deg * c
         _keep(t_parts, deg, part)
@@ -105,19 +107,45 @@ class PlantedFamily:
     coordinates x (one x shared by every color if nvars = 1) and, in a
     weighted family, one marker coordinate per (color, degree) pair of
     `slots`, in that order.  `box` caps each coordinate, or is None.
+
+    A part keys each exponent by one int, `pack`ed with coordinate k in bits
+    k * width .. k * width + width - 1.  A vertex adds one to an x and to at
+    most one marker, so no coordinate of a term exceeds the order, which is
+    below 2^(width - 1): a product adds two exponents, a lift adds a unit and
+    a stretch multiplies by s*d, all within the order, so no field carries.
+    `inside` is (bias, guard): guard holds the top bit of each field and bias
+    2^(width - 1) - 1 - cap_k in field k, so (e + bias) & guard sets the top
+    bit of field k exactly where e_k > cap_k.  Both are 0 without a box.
     """
 
     m: int
     order: int
     nvars: int
-    planted: tuple[Parts, ...]
-    hats: tuple[Parts, ...]
     slots: tuple[tuple[int, int], ...] = ()
-    box: Box = None
+    box: Optional[tuple[int, ...]] = None
+    planted: tuple[Parts, ...] = ()
+    hats: tuple[Parts, ...] = ()
+
+    @cached_property
+    def width(self) -> int:
+        return max((self.order,) + (self.box or ())).bit_length() + 1
+
+    def pack(self, exponents: Sequence[int]) -> int:
+        return sum(x << k * self.width for k, x in enumerate(exponents))
+
+    def unpack(self, e: int) -> tuple[int, ...]:
+        w, n = self.width, self.nvars + len(self.slots)
+        return tuple(e >> k * w & (1 << w) - 1 for k in range(n))
+
+    @cached_property
+    def inside(self) -> Inside:
+        top = 1 << self.width - 1
+        return ((self.pack([top - 1 - cap for cap in self.box]),
+                 self.pack([top] * len(self.box))) if self.box else (0, 0))
 
 
 def _solve(m: int, order: int, nvars: int, slots: tuple = (),
-           box: Box = None) -> PlantedFamily:
+           box: Optional[tuple[int, ...]] = None) -> PlantedFamily:
     """The m planted series, built part by part in increasing total degree.
 
     A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
@@ -126,49 +154,59 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
     marker r[i,h] adds one to coordinate nvars + k for (i, h) = slots[k]; a
     marker without a slot, and a term above the box, is dropped as soon as
     its part is formed.  With nvars = 1 every color is graded by one x and
-    shares one series, solved once.
+    shares one series, solved once.  Nothing is multiplied by the constant
+    1: H_1 is right[1], H_m is left[m - 1], H_i^1 is H_i, and b[i] holds
+    B_i less its constant, so that unweighted b[i] = H_i + H_i * b[i].
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
-    coord = {slot: nvars + k for k, slot in enumerate(slots)}
+    shell = PlantedFamily(m, order, nvars, slots, box)  # the layout, no series yet
+    inside = shell.inside
+    unit = [1 << k * shell.width for k in range(nvars + len(slots))]  # x_i, then markers
+    # the unit of marker r[i,h]; unweighted, r[i,1] = r[i,2] = 1 mark nothing
+    marker = ({slot: unit[nvars + k] for k, slot in enumerate(slots)} if slots
+              else {(i, h): 0 for i in range(1, nvars + 1) for h in (1, 2)})
     # the highest power of H_i that a marker of color i multiplies
-    top = [max((h - 1 for c, h in slots if c == i + 1), default=0)
+    top = [max((h - 1 for c, h in marker if c == i + 1), default=0)
            for i in range(nvars)]
-    one = {0: {(0,) * (nvars + len(slots)): 1}}
-    b = [{0: _lift(one[0], coord.get((i + 1, 1)), box) if slots else one[0]}
-         for i in range(nvars)]
     a: list[Parts] = [{} for _ in range(nvars)]
+    b: list[Parts] = [{} for _ in range(nvars)]
     for i in range(nvars):
-        _keep(a[i], 1, _lift(b[i][0], i, box))
+        stem = _lift({0: 1}, marker.get((i + 1, 1)), inside)
+        _keep(a[i], 1, _lift(stem, unit[i], inside))
     # Color j has series j % nvars.  left[k] = A_0 ... A_{k-1} and right[k] =
-    # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1].
-    left = [one, a[0]] + [{} for _ in range(2, nvars)]
-    right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars], one]
-    hats: list[Parts] = [{} for _ in range(nvars)]
-    powers = [[one] + [{} for _ in range(top[i])] for i in range(nvars)]
+    # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1]; the empty products
+    # left[0] and right[m] are never formed.
+    left = [None, a[0]] + [{} for _ in range(2, nvars)]
+    right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars]]
+    hats = [right[1]] + [{} for _ in range(2, nvars)] + [left[-1]] * (nvars > 1)
+    powers = [[hat] + [{} for _ in range(1, top[i])] for i, hat in enumerate(hats)]
     q = m - 1  # a product of k planted series lives at degrees = k (mod q)
     for d in range(1, order):
         for k in range(2, nvars):
             if (d - k) % q == 0:
-                _keep(left[k], d, _product_part(left[k - 1], a[k - 1], d, box))
+                _keep(left[k], d, _product_part(left[k - 1], a[k - 1], d, inside))
         for k in range(m - 2, 0, -1):
             if (d - (m - k)) % q == 0:
-                _keep(right[k], d, _product_part(a[k % nvars], right[k + 1], d, box))
+                _keep(right[k], d, _product_part(a[k % nvars], right[k + 1], d, inside))
         if d % q:
             continue
         for i, hat in enumerate(hats):
-            _keep(hat, d, _product_part(left[i], right[i + 1], d, box))
-            part = {} if slots else _product_part(hat, b[i], d, box)
-            for k in range(1, min(d // q, top[i]) + 1):
-                power = _product_part(powers[i][k - 1], hat, d, box)
-                _keep(powers[i][k], d, power)
-                for e, c in _lift(power, coord.get((i + 1, k + 1)), box).items():
+            if 0 < i < nvars - 1:
+                _keep(hat, d, _product_part(left[i], right[i + 1], d, inside))
+            part = _product_part(hat, b[i], d, inside) if b[i] and not slots else {}
+            for k in range(1, min(d // q, top[i]) + 1):  # H_i^k at powers[i][k - 1]
+                if k > 1:
+                    _keep(powers[i][k - 1], d,
+                          _product_part(powers[i][k - 2], hat, d, inside))
+                power = powers[i][k - 1].get(d, {})
+                for e, c in _lift(power, marker.get((i + 1, k + 1)), inside).items():
                     part[e] = part.get(e, 0) + c
             _keep(b[i], d, part)
-            _keep(a[i], d + 1, _lift(part, i, box))
-    copies = m // nvars
-    return PlantedFamily(m, order, nvars, tuple(a) * copies,
-                         tuple(hats) * copies, slots, box)
+            _keep(a[i], d + 1, _lift(part, unit[i], inside))
+    copies = m // nvars  # for m = 2 the hats are A_2 and A_1, which reach the order
+    return PlantedFamily(m, order, nvars, slots, box, tuple(a) * copies, tuple(
+        {d: part for d, part in hat.items() if d < order} for hat in hats) * copies)
 
 
 def solve_planted(m: int, order: int) -> PlantedFamily:
@@ -184,7 +222,8 @@ def solve_one_sort(m: int, order: int) -> PlantedFamily:
 
 def series_planted(family: PlantedFamily, color: int = 1) -> dict:
     """A_i of the 1-based `color` as {exponent: coefficient}."""
-    return _combine(*((1, part) for part in family.planted[color - 1].values()))
+    return {family.unpack(e): c for part in family.planted[color - 1].values()
+            for e, c in part.items()}
 
 
 def series_rooted(family: PlantedFamily) -> dict:
@@ -197,17 +236,22 @@ def series_rooted(family: PlantedFamily) -> dict:
 
 
 def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
-    """[x^exponents] of H_1 * A_1, weighted or not: for each term of A_1 of
-    total degree d, its complement is read in part n - d of H_1."""
-    target = tuple(exponents)
-    n = sum(target[:family.nvars])
-    hat = family.hats[0]
+    """[x^exponents] of H_1 * A_1, weighted or not, to the family's order:
+    for each term of A_1 of total degree d, its complement is read in part
+    n - d of H_1.  The target gets the top bit of each field set, so that
+    taking a term away borrows no further, and clears it where the term
+    exceeds the target."""
+    n = sum(exponents[:family.nvars])
+    if max(n, *exponents) > family.order:
+        return 0
+    tops = family.pack([1 << family.width - 1] * len(exponents))
+    target, hat = family.pack(exponents) + tops, family.hats[0]
     total = 0
     for d, part in family.planted[0].items():
         rest = hat.get(n - d)
         if rest:
-            total += sum(c * rest.get(tuple(map(sub, target, e)), 0)
-                         for e, c in part.items())
+            total += sum(c * rest.get(target - e - tops, 0) for e, c in part.items()
+                         if (target - e) & tops == tops)
     return total
 
 
@@ -222,29 +266,37 @@ def series_centre(family: PlantedFamily, color: int,
     at s*d*e, whose degree is s*d*g: each exponent inside the box (only
     those get all their d) sums its numerators and divides once, exactly.
     """
+    return {family.unpack(e): c for e, c in _centre(family, color, weight, s).items()}
+
+
+def _centre(family: PlantedFamily, color: int,
+            weight: Callable[[int], int], s: int) -> dict[int, int]:
+    """`series_centre` keyed by packed exponents."""
     if family.slots:
         raise ValidationError("a centre series needs an unweighted family")
-    order, box = family.order, family.box
+    order, (bias, guard) = family.order, family.inside
     # every term of H_i, and so of T, has degree g >= m - 1
     w = [0] + [weight(d) for d in range(1, (order - 1) // (s * (family.m - 1)) + 1)]
-    sums: dict[tuple[int, ...], int] = {}
-    for g, part in _log_parts(family.hats[color - 1], (order - 1) // s, box,
-                              family.m - 1).items():
+    sums: dict[int, int] = {}
+    degrees: dict[int, int] = {}
+    for g, part in _log_parts(family.hats[color - 1], (order - 1) // s,
+                              family.inside, family.m - 1).items():
         for e, c in part.items():
             for d in range(1, (order - 1) // (s * g) + 1):
-                de = tuple(s * d * x for x in e)
-                if box is not None and any(map(gt, de, box)):
+                de = s * d * e
+                if (de + bias) & guard:
                     break
                 sums[de] = sums.get(de, 0) + s * w[d] * c
-    inner = {(0,) * family.nvars: 1} if s == 1 else {}
+                degrees[de] = s * d * g
+    inner = {0: 1} if s == 1 else {}
     for e, total in sums.items():
-        quotient, rest = divmod(total, sum(e))
+        quotient, rest = divmod(total, degrees[e])
         if rest:
-            raise InconsistentResult(f"centre coefficient {total}/{sum(e)} "
-                                     f"at {e} is not an integer")
+            raise InconsistentResult(f"centre coefficient {total}/{degrees[e]} "
+                                     f"at {family.unpack(e)} is not an integer")
         if quotient:
             inner[e] = quotient
-    return _lift(inner, color - 1 if family.nvars > 1 else 0, box)
+    return _lift(inner, 1 << (color - 1) % family.nvars * family.width, family.inside)
 
 
 def series_unlabelled(m: int, order: int, one_sort: bool = False) -> dict:
@@ -289,7 +341,7 @@ def count_target(stat: Statistic, colors: Sequence[int],
     family = _solve(stat.m, stat.n, nvars, slots, box)
     total = rooted * rooted_coefficient(family, target) if rooted else 0
     for color, times in Counter((c - 1) % nvars + 1 for c in colors).items():
-        total += times * series_centre(family, color, weight, s).get(target, 0)
+        total += times * _centre(family, color, weight, s).get(family.pack(target), 0)
     if Fraction(total).denominator != 1:
         raise InconsistentResult(f"count {total} at {target} is not an integer")
     return int(total)

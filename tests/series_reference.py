@@ -103,7 +103,8 @@ def variable(nvars: int, bound: int, var: int) -> Series:
 def whole(fam: series.PlantedFamily, parts: dict) -> Series:
     """A series of the family from its degree -> part map."""
     return Series(fam.nvars, fam.order,
-                  {e: c for part in parts.values() for e, c in part.items()},
+                  {fam.unpack(e): c for part in parts.values()
+                   for e, c in part.items()},
                   fam.box)
 
 

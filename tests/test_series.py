@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import series_reference as ref
 from inversion_reference import CoherenceViolation, chottin_extract
@@ -125,12 +127,18 @@ class TestRootedSeries:
     @pytest.mark.parametrize("m, order, weighted", [
         (2, 9, False), (3, 10, False), (4, 9, False), (2, 9, True), (3, 7, True)])
     def test_one_coefficient_equals_the_full_product(self, m, order, weighted):
+        """On the support, on a grid of x exponents, and off the support:
+        each term moved by one step, or to the order and past it, in one
+        coordinate, so that some term of A_1 exceeds the target there alone,
+        and some targets lie past the order, where the product is 0."""
         fam = (weighted_family if weighted else series.solve_planted)(m, order)
         rooted = ref.rooted(fam)
         markers = (0,) * len(fam.slots)
         exponents = set(rooted.coeffs) | {
             e + markers for e in itertools.product(range(order + 1), repeat=m)
-            if sum(e) <= order}
+            if sum(e) <= order} | {
+            e[:k] + (x,) + e[k + 1:] for e in rooted.coeffs for k in range(len(e))
+            for x in (e[k] - 1, e[k] + 1, order, order + 1) if x >= 0}
         for e in exponents:
             assert series.rooted_coefficient(fam, e) == rooted[e], e
 
@@ -206,10 +214,13 @@ class TestPointedAgainstReference:
                     sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
 
     def test_non_integral_numerator_raises(self, monkeypatch):
-        with pytest.raises(stats.InconsistentResult, match="not an integer"):
+        """The message names the exponent as a tuple, not as its packed int."""
+        with pytest.raises(stats.InconsistentResult, match=(
+                r"^centre coefficient 2/3 at \(0, 3\) is not an integer$")):
             series.series_centre(series.solve_planted(2, 6), 1, lambda d: 1)
         monkeypatch.setattr(series, "euler_phi", lambda d: 1)
-        with pytest.raises(stats.InconsistentResult, match="not an integer"):
+        with pytest.raises(stats.InconsistentResult, match=(
+                r"^centre coefficient \d+/\d+ at \(\d+,\) is not an integer$")):
             series.series_unlabelled(2, 4, one_sort=True)
 
 
@@ -352,6 +363,25 @@ class TestSparseParts:
                 series.series_centre(fam, color, euler_phi, s)
         assert formed and all(formed)
 
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_no_product_by_the_constant_one(self, monkeypatch, m):
+        """H_1 is right[1] and H_m is left[m - 1], not products with the
+        constant series 1, and B_i's constant part takes part in no product."""
+        one = {0: {0: 1}}  # the constant 1 as degree -> packed part
+        factors = []
+        product_part = series._product_part
+
+        def recorded(a, b, *args):
+            factors.append((a == one, b == one))  # b grows after the call
+            return product_part(a, b, *args)
+
+        monkeypatch.setattr(series, "_product_part", recorded)
+        for fam in _families(m).values():
+            for color in range(1, fam.nvars + 1):
+                if not fam.slots:
+                    series.series_centre(fam, color, euler_phi)
+        assert factors and not any(map(any, factors))
+
 
 def _color_vectors(m, p):
     def rec(remaining, slots):
@@ -361,3 +391,50 @@ def _color_vectors(m, p):
                 for rest in rec(remaining - h, slots - 1)]
 
     return rec((m - 1) * p + 1, m)
+
+
+class TestPackedExponents:
+    """Inside `cacti.series` an exponent is one int, `width` bits a
+    coordinate, where width = order.bit_length() + 1 or more."""
+
+    @given(st.integers(0, 7), st.sampled_from((-1, 0, 1)), st.integers(1, 6),
+           st.data())
+    def test_round_trip_and_box_test(self, k, offset, ncoords, data):
+        order = max(1, 2 ** k + offset)
+        coordinate = st.integers(0, order)
+        e = tuple(data.draw(st.lists(coordinate, min_size=ncoords, max_size=ncoords)))
+        caps = tuple(data.draw(st.lists(coordinate, min_size=ncoords, max_size=ncoords)))
+        fam = series.PlantedFamily(2, order, ncoords)
+        assert fam.unpack(fam.pack(e)) == e
+        boxed = series.PlantedFamily(2, order, ncoords, box=caps)
+        assert boxed.unpack(boxed.pack(e)) == e
+        bias, guard = boxed.inside
+        outside = any(x > cap for x, cap in zip(e, caps))
+        assert bool((boxed.pack(e) + bias) & guard) == outside
+        assert fam.inside == (0, 0)
+
+    @pytest.mark.parametrize("n, width", [(7, 4), (8, 5), (9, 5), (15, 5), (16, 6)])
+    def test_counts_where_the_width_changes(self, n, width):
+        """Statistics of n vertices with a colour count, or a degree
+        multiplicity, at the most it can be: the target sits at the caps of
+        the box, and the width changes between neighbouring n."""
+        for m in (2, 3, 4):
+            p, rest = divmod(n - 1, m - 1)
+            if rest:
+                continue
+            assert series._solve(m, n, 1).width == width
+            queries = [(stats.size_stat(m, p), "pointed", None)] + [
+                (stats.color_stat(m, counts), "pointed", c)
+                for counts in _color_vectors(m, p) if p in counts
+                for c in range(1, m + 1)]
+            queries += [(stat, mode, None) for stat, _, c in queries if c in (None, 1)
+                        for mode in ("rooted", "unlabelled", "asymmetric")]
+            if m == 2:
+                queries += [(stats.parse_degree_spec(spec), mode, None)
+                            for spec in (f"{p}; 1^{p}", f"1^{p}; {p}",
+                                         f"1^{p - 2} 2; 1 {p - 1}")
+                            for mode in ("rooted", "labelled")]
+            for stat, mode, color in queries:
+                entry = F.MODES[mode]
+                assert (series.count_target(stat, *entry.centres(stat, color=color))
+                        == entry.formula(stat, color=color)), (mode, color, stat)
