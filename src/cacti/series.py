@@ -7,12 +7,14 @@ sums give every class count (the dissymmetry theorem).  Coefficients are
 exact ints.  The solver keeps each series as total degree -> part, each
 exponent packed into one int (see `PlantedFamily`); that form stays inside
 this module, and each target it returns is a plain {exponent tuple:
-coefficient} map.  The centre series at weight w (phi or mu) and stretch s
-takes one log L = log 1/(1 - H_i), H_i = prod_{j != i} A_j, for every d:
-its Euler derivative is solved in integers, and each coefficient is one
-exact division by its total degree, which raises `InconsistentResult` if it
-leaves a remainder.  The weighted variant marks a color-i vertex of degree
-h with r[i,h], one more coordinate of the exponent after x_1..x_m.
+coefficient} map; the one-sort family, every color graded by one x, has
+one term a part and is solved as lists of coefficients.  The centre series
+at weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i),
+H_i = prod_{j != i} A_j, for every d: its Euler derivative is solved in
+integers, and each coefficient is one exact division by its total degree,
+which raises `InconsistentResult` if it leaves a remainder.  The weighted
+variant marks a color-i vertex of degree h with r[i,h], one more
+coordinate of the exponent after x_1..x_m.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
 polygon bound, and a product of k planted series lies at total degrees = k
@@ -28,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import euler_phi
@@ -144,55 +147,54 @@ class PlantedFamily:
                  self.pack([top] * len(self.box))) if self.box else (0, 0))
 
 
-def _solve(m: int, order: int, nvars: int, slots: tuple = (),
+def _solve(m: int, order: int, slots: tuple = (),
            box: Optional[tuple[int, ...]] = None) -> PlantedFamily:
-    """The m planted series, built part by part in increasing total degree.
+    """The m planted series, one x_i per color, by increasing total degree.
 
     A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
     H_i^(h-1) with marker `slots`, and H_i = prod_{j != i} A_j starts at
     degree m - 1, so the degree-d part of B_i needs only lower parts.  The
-    marker r[i,h] adds one to coordinate nvars + k for (i, h) = slots[k]; a
+    marker r[i,h] adds one to coordinate m + k for (i, h) = slots[k]; a
     marker without a slot, and a term above the box, is dropped as soon as
-    its part is formed.  With nvars = 1 every color is graded by one x and
-    shares one series, solved once.  Nothing is multiplied by the constant
-    1: H_1 is right[1], H_m is left[m - 1], H_i^1 is H_i, and b[i] holds
-    B_i less its constant, so that unweighted b[i] = H_i + H_i * b[i].
+    its part is formed.  Nothing is multiplied by the constant 1: H_1 is
+    right[1], H_m is left[m - 1], H_i^1 is H_i, and b[i] holds B_i less its
+    constant, so that unweighted b[i] = H_i + H_i * b[i].
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
-    shell = PlantedFamily(m, order, nvars, slots, box)  # the layout, no series yet
+    shell = PlantedFamily(m, order, m, slots, box)  # the layout, no series yet
     inside = shell.inside
-    unit = [1 << k * shell.width for k in range(nvars + len(slots))]  # x_i, then markers
+    unit = [1 << k * shell.width for k in range(m + len(slots))]  # x_i, then markers
     # the unit of marker r[i,h]; unweighted, r[i,1] = r[i,2] = 1 mark nothing
-    marker = ({slot: unit[nvars + k] for k, slot in enumerate(slots)} if slots
-              else {(i, h): 0 for i in range(1, nvars + 1) for h in (1, 2)})
+    marker = ({slot: unit[m + k] for k, slot in enumerate(slots)} if slots
+              else {(i, h): 0 for i in range(1, m + 1) for h in (1, 2)})
     # the highest power of H_i that a marker of color i multiplies
     top = [max((h - 1 for c, h in marker if c == i + 1), default=0)
-           for i in range(nvars)]
-    a: list[Parts] = [{} for _ in range(nvars)]
-    b: list[Parts] = [{} for _ in range(nvars)]
-    for i in range(nvars):
+           for i in range(m)]
+    a: list[Parts] = [{} for _ in range(m)]
+    b: list[Parts] = [{} for _ in range(m)]
+    for i in range(m):
         stem = _lift({0: 1}, marker.get((i + 1, 1)), inside)
         _keep(a[i], 1, _lift(stem, unit[i], inside))
-    # Color j has series j % nvars.  left[k] = A_0 ... A_{k-1} and right[k] =
-    # A_k ... A_{m-1}, so H_i = left[i] * right[i + 1]; the empty products
-    # left[0] and right[m] are never formed.
-    left = [None, a[0]] + [{} for _ in range(2, nvars)]
-    right = [{} for _ in range(m - 1)] + [a[(m - 1) % nvars]]
-    hats = [right[1]] + [{} for _ in range(2, nvars)] + [left[-1]] * (nvars > 1)
+    # left[k] = A_0 ... A_{k-1} and right[k] = A_k ... A_{m-1}, so H_i =
+    # left[i] * right[i + 1]; the empty products left[0] and right[m] are
+    # never formed.
+    left = [None, a[0]] + [{} for _ in range(2, m)]
+    right = [{} for _ in range(m - 1)] + [a[m - 1]]
+    hats = [right[1]] + [{} for _ in range(2, m)] + [left[-1]]
     powers = [[hat] + [{} for _ in range(1, top[i])] for i, hat in enumerate(hats)]
     q = m - 1  # a product of k planted series lives at degrees = k (mod q)
     for d in range(1, order):
-        for k in range(2, nvars):
+        for k in range(2, m):
             if (d - k) % q == 0:
                 _keep(left[k], d, _product_part(left[k - 1], a[k - 1], d, inside))
         for k in range(m - 2, 0, -1):
             if (d - (m - k)) % q == 0:
-                _keep(right[k], d, _product_part(a[k % nvars], right[k + 1], d, inside))
+                _keep(right[k], d, _product_part(a[k], right[k + 1], d, inside))
         if d % q:
             continue
         for i, hat in enumerate(hats):
-            if 0 < i < nvars - 1:
+            if 0 < i < m - 1:
                 _keep(hat, d, _product_part(left[i], right[i + 1], d, inside))
             part = _product_part(hat, b[i], d, inside) if b[i] and not slots else {}
             for k in range(1, min(d // q, top[i]) + 1):  # H_i^k at powers[i][k - 1]
@@ -204,20 +206,40 @@ def _solve(m: int, order: int, nvars: int, slots: tuple = (),
                     part[e] = part.get(e, 0) + c
             _keep(b[i], d, part)
             _keep(a[i], d + 1, _lift(part, unit[i], inside))
-    copies = m // nvars  # for m = 2 the hats are A_2 and A_1, which reach the order
-    return PlantedFamily(m, order, nvars, slots, box, tuple(a) * copies, tuple(
-        {d: part for d, part in hat.items() if d < order} for hat in hats) * copies)
+    # for m = 2 the hats are A_2 and A_1, which reach the order
+    return PlantedFamily(m, order, m, slots, box, tuple(a), tuple(
+        {d: part for d, part in hat.items() if d < order} for hat in hats))
 
 
 def solve_planted(m: int, order: int) -> PlantedFamily:
     """The planted series A_i = x_i / (1 - H_i), exact to the truncation
     order, one x_i per color."""
-    return _solve(m, order, m)
+    return _solve(m, order)
 
 
 def solve_one_sort(m: int, order: int) -> PlantedFamily:
-    """The one-sort family: every color shares A = x + A^m."""
-    return _solve(m, order, 1)
+    """The one-sort family: every color shares A = x + A * A^(m-1), kept as
+    parts {d: {d: c}} (x^d packs to d) but solved on coefficient lists,
+    since a part of one variable is one term.
+
+    A^j lies at degrees = j (mod q), q = m - 1, so one j in 2..m has a term
+    at each degree d, and it is one dot product of two strided slices, A
+    times A^(j-1), the shorter first.  Only the powers below the order are
+    kept: at q >= order, H = A^q is 0 within it.
+    """
+    if m < 2 or order < 1:
+        raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
+    q = m - 1
+    a = [0, 1] + [0] * (order - 1)
+    powers = [a] + [[0] * order for _ in range(2, min(m, order))]  # A^j at j - 1
+    for d in range(2, order + 1):
+        j = (d - 2) % q + 2
+        if j <= d and (j == m or d < order):  # A^m = A - x; H is read below the order
+            (a if j == m else powers[j - 1])[d] = sum(
+                map(mul, a[1:d:q], powers[j - 2][d - 1::-q]))
+    hat = powers[q - 1][:order] if q < order else []
+    planted, hat = ({d: {d: c} for d, c in enumerate(s) if c} for s in (a, hat))
+    return PlantedFamily(m, order, 1, planted=(planted,) * m, hats=(hat,) * m)
 
 
 def series_planted(family: PlantedFamily, color: int = 1) -> dict:
@@ -328,19 +350,17 @@ def count_target(stat: Statistic, colors: Sequence[int],
     the statistic's exponent: each x_i capped at n_i and, at degree level,
     one slot per (color, degree) pair of the rows, capped at its multiplicity.
     """
-    nvars, slots, box = stat.m, (), None  # one-sort: the order caps x
-    if isinstance(stat, SizeStat):
-        nvars = 1
+    if isinstance(stat, SizeStat):  # one-sort: the order caps x
+        family, target = solve_one_sort(stat.m, stat.n), (stat.n,)
     elif isinstance(stat, ColorStat):
-        box = stat.counts
+        family, target = _solve(stat.m, stat.n, (), stat.counts), stat.counts
     else:
         slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
                       for h, _ in row)
-        box = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
-    target = box or (stat.n,)
-    family = _solve(stat.m, stat.n, nvars, slots, box)
+        target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
+        family = _solve(stat.m, stat.n, slots, target)
     total = rooted * rooted_coefficient(family, target) if rooted else 0
-    for color, times in Counter((c - 1) % nvars + 1 for c in colors).items():
+    for color, times in Counter((c - 1) % family.nvars + 1 for c in colors).items():
         total += times * _centre(family, color, weight, s).get(family.pack(target), 0)
     if Fraction(total).denominator != 1:
         raise InconsistentResult(f"count {total} at {target} is not an integer")

@@ -4,6 +4,8 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
+from typing import Callable
 
 import pytest
 from hypothesis import given
@@ -26,7 +28,14 @@ def weighted_family(m: int, order: int) -> series.PlantedFamily:
     h <= (order - 1) // (m - 1) + 1, the planted root's stem included."""
     slots = tuple((i, h) for i in range(1, m + 1)
                   for h in range(1, (order - 1) // (m - 1) + 2))
-    return series._solve(m, order, m, slots)
+    return series._solve(m, order, slots)
+
+
+def _solver(nvars) -> Callable[[int, int], series.PlantedFamily]:
+    """The solver of a family with `nvars` graded coordinates: one-sort at
+    1, one per color at m, or the weighted family."""
+    return {1: series.solve_one_sort, "weighted": weighted_family}.get(
+        nvars, series.solve_planted)
 
 
 def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
@@ -61,8 +70,7 @@ class TestPlanted:
     @pytest.mark.parametrize("m, order, nvars", [(2, 9, 2), (3, 10, 3), (4, 13, 4),
                                                  (3, 20, 1), (3, 7, "weighted")])
     def test_kept_hats_are_the_products_below_the_order(self, m, order, nvars):
-        fam = (weighted_family(m, order) if nvars == "weighted"
-               else series._solve(m, order, nvars))
+        fam = _solver(nvars)(m, order)
         n = fam.nvars
         for i in range(1, m + 1):
             product = functools.reduce(operator.mul, (
@@ -117,7 +125,7 @@ class TestRootedSeries:
     @pytest.mark.parametrize("m, order, nvars", [
         (2, 11, 2), (3, 13, 3), (4, 9, 4), (5, 9, 5), (2, 30, 1), (5, 41, 1)])
     def test_planted_equation_gives_the_full_product(self, m, order, nvars):
-        fam = series._solve(m, order, nvars)
+        fam = _solver(nvars)(m, order)
         assert series.series_rooted(fam) == ref.rooted(fam).coeffs
 
     def test_weighted_family_rejected(self):
@@ -165,7 +173,7 @@ class TestPointedSeries:
         code = ("from cacti import series, stats\n"
                 "from cacti.arith import euler_phi\n"
                 "slots = tuple((i, h) for i in (1, 2) for h in range(1, 5))\n"
-                "weighted = series._solve(2, 4, 2, slots)\n"
+                "weighted = series._solve(2, 4, slots)\n"
                 "try:\n"
                 "    series.series_centre(weighted, 1, euler_phi)\n"
                 "except stats.ValidationError:\n"
@@ -182,9 +190,9 @@ class TestPointedAgainstReference:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_every_order(self, m):
         top = cli.SERIES_ONE_SORT_BOUND
-        full = ref.pointed(series._solve(m, top, 1), 1)
+        full = ref.pointed(series.solve_one_sort(m, top), 1)
         for order in range(1, top + 1):
-            fam = series._solve(m, order, 1)
+            fam = series.solve_one_sort(m, order)
             got = series.series_centre(fam, 1, euler_phi)
             assert got == {e: c for e, c in full.coeffs.items() if e[0] <= order}
             assert all(type(c) is int for c in got.values())
@@ -204,7 +212,7 @@ class TestPointedAgainstReference:
         for p in range(1, (order - 1) // (m - 1) + 1):
             for counts in _color_vectors(m, p):
                 c = stats.color_stat(m, counts)
-                boxed = series._solve(m, c.n, m, (), counts)
+                boxed = series._solve(m, c.n, (), counts)
                 for color in range(1, m + 1):
                     assert (series.series_centre(boxed, color, euler_phi)
                             == ref.pointed(boxed, color).coeffs)
@@ -254,6 +262,20 @@ class TestOneSort:
         a = series.series_planted(series.solve_one_sort(4, 10))
         for (n,), c in a.items():
             assert n % 3 == 1 and c > 0
+
+    def test_cost_does_not_grow_with_m(self):
+        """At m - 1 >= order, H = A^(m-1) is 0 within the order, so A = x:
+        the solver keeps no power past the order, and all it allocates in
+        proportion to m is the two m-tuples of the family."""
+        tracemalloc.start()
+        try:
+            fam = series.solve_one_sort(10 ** 5, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.series_planted(fam) == {(1,): 1}
+        assert not any(fam.hats)
+        assert peak < 4 * 2 ** 20
 
     def test_collapse_of_multivariate_rooted(self):
         for m, order in [(2, 8), (3, 9)]:
@@ -330,7 +352,7 @@ def _families(m: int) -> dict:
     counts = vectors[len(vectors) // 2]
     return {"planted": series.solve_planted(m, order),
             "one-sort": series.solve_one_sort(m, 4 * (m - 1) + 1),
-            "boxed": series._solve(m, sum(counts), m, (), counts),
+            "boxed": series._solve(m, sum(counts), (), counts),
             "weighted": weighted_family(m, order)}
 
 
@@ -362,6 +384,17 @@ class TestSparseParts:
             for s in (1, 2):
                 series.series_centre(fam, color, euler_phi, s)
         assert formed and all(formed)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_one_sort_solver_forms_no_product_part(self, monkeypatch, m):
+        """A one-sort part is one term, so the solver works on lists of
+        coefficients and never calls the multivariate kernel."""
+        calls = []
+        product_part = series._product_part
+        monkeypatch.setattr(series, "_product_part",
+                            lambda *args: calls.append(args) or product_part(*args))
+        series.solve_one_sort(m, cli.SERIES_ONE_SORT_BOUND)
+        assert calls == []
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_no_product_by_the_constant_one(self, monkeypatch, m):
@@ -422,7 +455,7 @@ class TestPackedExponents:
             p, rest = divmod(n - 1, m - 1)
             if rest:
                 continue
-            assert series._solve(m, n, 1).width == width
+            assert series.solve_one_sort(m, n).width == width
             queries = [(stats.size_stat(m, p), "pointed", None)] + [
                 (stats.color_stat(m, counts), "pointed", c)
                 for counts in _color_vectors(m, p) if p in counts
