@@ -262,6 +262,10 @@ def cmd_series(args) -> int:
             f"--order must be within 1..{bound} for this target")
     if args.color is not None and not 1 <= args.color <= args.m:
         raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{args.m}")
+    if not one_sort and args.m > SERIES_MULTI_BOUND + 1:
+        # m - 1 exceeds every accepted order: each H_i is 0, each A_i is x_i
+        raise oracle.BudgetExceeded(
+            f"--m must be at most {SERIES_MULTI_BOUND + 1} without --one-sort")
     if args.target == "unlabelled":
         out = series.series_unlabelled(args.m, args.order, one_sort)
     else:

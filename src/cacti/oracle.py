@@ -28,9 +28,11 @@ by Burnside's lemma a class with automorphism order a and n_c vertices of
 colour c has (n_c - d) / a + d orbits of them, where d is 1 if the centre
 has colour c and 0 otherwise.
 
-Colour and degree statistics are read off the recursive form, where each
-planted cactus caches its vertex degrees, and gonal keys are read off the
-branches at the centroid: the oracle builds no graph.
+A planted cactus stores no colours: a polygon carries the colours 1..m in
+cyclic order, so one value serves every root colour, and it caches its
+vertex degrees by colour offset from the root.  Colour and degree
+statistics are read off this recursive form, and the branches at the
+centroid, as values, key the gonal classes: the oracle builds no graph.
 
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
@@ -70,34 +72,34 @@ class BudgetExceeded(ValueError):
     """Requested size is beyond the documented brute-force bounds."""
 
 
-DegreeReading = tuple[tuple[tuple[int, int], int], ...]  # ((colour, degree), count)
+DegreeReading = tuple[tuple[tuple[int, int], int], ...]  # ((offset, degree), count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Planted:
     """Planted cactus: ordered polygons at the root vertex, each polygon an
-    (m-1)-tuple of planted sub-cacti at the other colors in cyclic order."""
+    (m-1)-tuple of planted sub-cacti at colour offsets 1..m-1 from the root."""
 
-    color: int
     polygons: tuple[tuple["Planted", ...], ...]
 
     @cached_property
     def degrees(self) -> DegreeReading:
-        """Sorted ((colour, degree), count) pairs over the vertices; the
-        root's degree counts its stem."""
-        tally = {(self.color, len(self.polygons) + 1): 1}
+        """Sorted ((offset, degree), count) pairs over the vertices, by colour
+        offset from the root mod m; the root's degree counts its stem."""
+        tally = {(0, len(self.polygons) + 1): 1}
         for poly in self.polygons:
-            for sub in poly:
-                for key, k in sub.degrees:
-                    tally[key] = tally.get(key, 0) + k
+            m = len(poly) + 1
+            for k, sub in enumerate(poly, start=1):
+                for (offset, degree), count in sub.degrees:
+                    key = ((offset + k) % m, degree)
+                    tally[key] = tally.get(key, 0) + count
         return tuple(sorted(tally.items()))
 
 
 @dataclass(frozen=True)
 class Rooted:
-    """Rooted cactus: one planted component per color of the root polygon."""
+    """Rooted cactus: component c - 1 hangs at colour c of the root polygon."""
 
-    m: int
     components: tuple[Planted, ...]
 
 
@@ -131,11 +133,11 @@ def _check_size(m: int, p: int) -> None:
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        return [(total,)]
-    return [(head,) + rest for head in range(total + 1)
-            for rest in _compositions(total - head, parts - 1)]
+    """All tuples of `parts` nonnegative ints summing to `total`, in
+    lexicographic order: stars and bars, with no recursion on `parts`."""
+    slots = total + parts - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in combinations(range(slots), parts - 1)]
 
 
 def _capped_compositions(total: int, cap: int) -> list[tuple[int, ...]]:
@@ -146,45 +148,39 @@ def _capped_compositions(total: int, cap: int) -> list[tuple[int, ...]]:
             for rest in _capped_compositions(total - head, cap)]
 
 
-_planted_cache: dict[tuple[int, int, int], tuple[Planted, ...]] = {}
+_planted_cache: dict[tuple[int, int], tuple[Planted, ...]] = {}
 
 
-def _planted_all(m: int, color: int, q: int) -> tuple[Planted, ...]:
-    """All planted cacti at a color-`color` vertex carrying q polygons."""
-    key = (m, color, q)
+def _planted_all(m: int, q: int) -> tuple[Planted, ...]:
+    """All planted m-ary cacti carrying q polygons, at a root of any colour."""
+    key = (m, q)
     got = _planted_cache.get(key)
     if got is not None:
         return got
     if q == 0:
-        result: tuple[Planted, ...] = (Planted(color, ()),)
+        result: tuple[Planted, ...] = (Planted(()),)
     else:
         out = []
         for w in range(1, q + 1):  # weight of the first polygon
-            for poly in _polygons_at(m, color, w):
-                for rest in _planted_all(m, color, q - w):
-                    out.append(Planted(color, (poly,) + rest.polygons))
+            for poly in _polygons_at(m, w):
+                for rest in _planted_all(m, q - w):
+                    out.append(Planted((poly,) + rest.polygons))
         result = tuple(out)
     _planted_cache[key] = result
     return result
 
 
-def _polygons_at(m: int, color: int, w: int) -> list[tuple[Planted, ...]]:
-    """All single polygons of total weight w attached at a color-`color` vertex."""
-    others = [((color - 1 + k) % m) + 1 for k in range(1, m)]
-    out = []
-    for split in _compositions(w - 1, m - 1):
-        for combo in product(*(_planted_all(m, c, qk)
-                               for c, qk in zip(others, split))):
-            out.append(combo)
-    return out
+def _polygons_at(m: int, w: int) -> list[tuple[Planted, ...]]:
+    """All single polygons of total weight w attached at a vertex."""
+    return [combo for split in _compositions(w - 1, m - 1)
+            for combo in product(*(_planted_all(m, q) for q in split))]
 
 
 def _rooted(m: int, p: int, cap: int) -> list[Rooted]:
     """Rooted cacti with p polygons and at most `cap` in each planted part."""
-    return [Rooted(m, combo) for split in _compositions(p - 1, m)
+    return [Rooted(combo) for split in _compositions(p - 1, m)
             if max(split) <= cap
-            for combo in product(*(_planted_all(m, c, q)
-                                   for c, q in enumerate(split, start=1)))]
+            for combo in product(*(_planted_all(m, q) for q in split))]
 
 
 def generate_rooted(m: int, p: int) -> list[Rooted]:
@@ -195,12 +191,15 @@ def generate_rooted(m: int, p: int) -> list[Rooted]:
 
 def _merged_degrees(readings: tuple[DegreeReading, ...]) -> DegreeStat:
     """The degree matrix of a rooted cactus whose m components have these
-    `Planted.degrees` readings: the root polygon is each component's stem."""
+    `Planted.degrees` readings: the root polygon is each component's stem,
+    and component i, at colour i + 1, shifts its offsets by i."""
+    m = len(readings)
     rows: list[dict[int, int]] = [{} for _ in readings]
-    for reading in readings:
-        for (color, degree), k in reading:
-            rows[color - 1][degree] = rows[color - 1].get(degree, 0) + k
-    return DegreeStat(len(rows), tuple(tuple(sorted(row.items())) for row in rows))
+    for i, reading in enumerate(readings):
+        for (offset, degree), k in reading:
+            row = rows[(i + offset) % m]
+            row[degree] = row.get(degree, 0) + k
+    return DegreeStat(m, tuple(tuple(sorted(row.items())) for row in rows))
 
 
 def rooted_tally(rooted: list[Rooted]) -> Counter:
@@ -216,31 +215,29 @@ def rooted_tally(rooted: list[Rooted]) -> Counter:
 
 
 def _necklaces(m: int, p: int) -> Iterator[
-        tuple[int, tuple[tuple[Planted, ...], ...], int]]:
-    """(centre colour, branches, automorphism order) of each vertex-centred
-    class: every branch sequence around the centre with at most p // 2
-    polygons per branch that is its own least rotation."""
-    for color in range(1, m + 1):
-        for weights in _capped_compositions(p, p // 2):
-            k = len(weights)
-            for picks in product(*(enumerate(_polygons_at(m, color, w))
-                                   for w in weights)):
-                seq = [(w, i) for w, (i, _) in zip(weights, picks)]
-                rotations = [seq[r:] + seq[:r] for r in range(1, k)]
-                if any(rot < seq for rot in rotations):
-                    continue
-                period = next((r for r, rot in enumerate(rotations, start=1)
-                               if rot == seq), k)
-                yield color, tuple(poly for _, poly in picks), k // period
+        tuple[tuple[tuple[Planted, ...], ...], int]]:
+    """(branches, automorphism order) of each vertex-centred class with a
+    centre of any one colour: every branch sequence around the centre with
+    at most p // 2 polygons per branch that is its own least rotation."""
+    for weights in _capped_compositions(p, p // 2):
+        k = len(weights)
+        for picks in product(*(enumerate(_polygons_at(m, w)) for w in weights)):
+            seq = [(w, i) for w, (i, _) in zip(weights, picks)]
+            rotations = [seq[r:] + seq[:r] for r in range(1, k)]
+            if any(rot < seq for rot in rotations):
+                continue
+            period = next((r for r, rot in enumerate(rotations, start=1)
+                           if rot == seq), k)
+            yield tuple(poly for _, poly in picks), k // period
 
 
 def _rooted_at_first(m: int, color: int,
                      branches: tuple[tuple[Planted, ...], ...]) -> Rooted:
     """The rooting at the first branch's polygon of a colour-`color` centre."""
     # The centre, then the first polygon's parts: colours color, color + 1, ...
-    around = (Planted(color, branches[1:]),) + branches[0]
+    around = (Planted(branches[1:]),) + branches[0]
     shift = m + 1 - color
-    return Rooted(m, around[shift:] + around[:shift])
+    return Rooted(around[shift:] + around[:shift])
 
 
 def _classes(m: int, p: int) -> Iterator[tuple[Rooted, tuple, int | None, int]]:
@@ -248,11 +245,13 @@ def _classes(m: int, p: int) -> Iterator[tuple[Rooted, tuple, int | None, int]]:
     class, built from its centroid: the branches are the m planted parts of a
     centre polygon (centre colour None), or the polygons around a centre
     vertex.  Polygon-centred classes come first, then the vertex-centred
-    ones by centre colour."""
+    ones by centre colour, each necklace once per colour."""
     for rc in _rooted(m, p, (p - 1) // 2):
         yield rc, rc.components, None, 1
-    for color, branches, aut in _necklaces(m, p):
-        yield _rooted_at_first(m, color, branches), branches, color, aut
+    necklaces = list(_necklaces(m, p))
+    for color in range(1, m + 1):
+        for branches, aut in necklaces:
+            yield _rooted_at_first(m, color, branches), branches, color, aut
 
 
 def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
@@ -340,8 +339,10 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
     """Count labelled free cacti by enumerating p-subsets of candidate polygons.
 
     A candidate polygon picks one labelled vertex of each color; a subset is
-    a free cactus iff it uses every vertex and its polygon-vertex incidence
-    graph is connected and acyclic (checked by union-find while inserting).
+    a free cactus iff its polygon-vertex incidence graph is a tree.  That
+    graph has p + n nodes and mp = p + n - 1 edges, so it is a tree iff it
+    is acyclic: no polygon, inserted by union-find, joins two vertices that
+    are already connected.  Such a subset uses every vertex.
     """
     p = colors.p
     if p == 0:
@@ -354,12 +355,11 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
     offsets = [0]
     for c in colors.counts[:-1]:
         offsets.append(offsets[-1] + c)
-    n = colors.n
     candidates = [tuple(offsets[i] + v[i] for i in range(colors.m))
                   for v in product(*(range(c) for c in colors.counts))]
     count = 0
     for subset in combinations(candidates, p):
-        parent = list(range(n))
+        parent = list(range(colors.n))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -367,55 +367,40 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
                 x = parent[x]
             return x
 
-        used = set()
-        ok = True
-        for poly in subset:
-            used.update(poly)
+        def joins(poly: tuple[int, ...]) -> bool:
+            """Merge the polygon's vertices; False if it closes a cycle."""
             anchor = find(poly[0])
             for v in poly[1:]:
                 r = find(v)
                 if r == anchor:
-                    ok = False  # polygon closes a cycle
-                    break
+                    return False
                 parent[r] = anchor
-            if not ok:
-                break
-        if ok and len(used) == n and len({find(v) for v in range(n)}) == 1:
-            count += 1
+            return True
+
+        count += all(map(joins, subset))
     return count
-
-
-def _colorless_planted(pc: Planted) -> str:
-    return "(" + "".join(map(_colorless_polygon, pc.polygons)) + ")"
-
-
-def _colorless_polygon(poly: tuple[Planted, ...]) -> str:
-    return "[" + ",".join(map(_colorless_planted, poly)) + "]"
 
 
 def enumerate_gonal(m: int, p: int) -> int:
     """Unlabelled plane m-gonal cacti (colors erased) with p polygons.
 
     The centroid is chosen by polygon counts alone, so it survives erasing
-    the colours, and each gonal class is keyed at its centre.  Without
-    colours a centre polygon may rotate: its key is the least of the m
-    rotations of its colourless parts.  A centre vertex keys by the least
-    rotation of its colourless branches.  A colouring is fixed by the colour of one vertex,
-    and the centre is unique, so every vertex-centred gonal class has
-    exactly one colouring with a colour-1 centre: only those classes are
-    keyed.  Part keys start with "(" and branch keys with "[", so the two
-    cases never share a key.
+    the colours, and each gonal class is keyed at its centre by the planted
+    cacti there, which store no colours.  A centre polygon may then rotate:
+    its key is the least of the m rotations of its parts.  A centre vertex
+    keys by the least rotation of its branches.  A colouring is fixed by
+    the colour of one vertex, and the centre is unique, so every
+    vertex-centred gonal class has exactly one colouring with a colour-1
+    centre: only those are keyed.  Each key leads with its centre colour,
+    None or 1, so the two cases never share a key.
     """
     _check_size(m, p)
     keys = set()
     for _, branches, centre, _ in _classes(m, p):
-        if centre is None:
-            words = list(map(_colorless_planted, branches))
-        elif centre == 1:
-            words = list(map(_colorless_polygon, branches))
-        else:
+        if centre not in (None, 1):
             break  # `_classes` yields the centre colours in order
-        keys.add(min("".join(words[r:] + words[:r]) for r in range(len(words))))
+        k, doubled = len(branches), branches * 2
+        keys.add((centre, min(doubled[r:r + k] for r in range(k))))
     return len(keys)
 
 

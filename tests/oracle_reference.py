@@ -15,6 +15,11 @@ expands it into an explicit incidence graph, a `CactusGraph`, and
 by vertex, where the oracle reads them off the recursive form.
 `reference_gonal` keys every generated rooted cactus by its least colourless
 rooting, where the oracle keys each class at its centroid.
+
+The recursive form stores no colours: component c - 1 of a rooted cactus
+hangs at colour c, and part k of a polygon sits k colours on from the
+polygon's vertex in the parent.  The helpers here take each colour from
+that position.
 """
 
 from dataclasses import dataclass
@@ -41,8 +46,9 @@ def to_graph(rc: Rooted) -> CactusGraph:
     Polygon 0 is the root polygon; the cyclic order at each vertex starts
     with the polygon through which the vertex was first reached.
     """
-    g = CactusGraph(rc.m, [], [], [])
-    g.polygons.append([-1] * rc.m)
+    m = len(rc.components)
+    g = CactusGraph(m, [], [], [])
+    g.polygons.append([-1] * m)
     for color, pc in enumerate(rc.components, start=1):
         v = _new_vertex(g, color, 0)
         g.polygons[0][color - 1] = v
@@ -64,7 +70,7 @@ def _attach(g: CactusGraph, v: int, pc: Planted) -> None:
         g.polygons[pid][color - 1] = v
         g.vertex_polys[v].append(pid)
         for k, sub in enumerate(poly, start=1):
-            c = ((color - 1 + k) % g.m) + 1
+            c = _colour_at(color, k, g.m)
             w = _new_vertex(g, c, pid)
             g.polygons[pid][c - 1] = w
             _attach(g, w, sub)
@@ -76,14 +82,14 @@ def _planted_from(g: CactusGraph, v: int, parent_poly: int) -> Planted:
     polys = []
     for q in inc[i + 1:] + inc[:i]:
         polys.append(_polygon_from(g, v, q))
-    return Planted(g.colors[v], tuple(polys))
+    return Planted(tuple(polys))
 
 
 def _polygon_from(g: CactusGraph, v: int, q: int) -> tuple[Planted, ...]:
     color = g.colors[v]
     members = []
     for k in range(1, g.m):
-        c = ((color - 1 + k) % g.m) + 1
+        c = _colour_at(color, k, g.m)
         members.append(_planted_from(g, g.polygons[q][c - 1], q))
     return tuple(members)
 
@@ -91,17 +97,30 @@ def _polygon_from(g: CactusGraph, v: int, q: int) -> tuple[Planted, ...]:
 def re_root(g: CactusGraph, pid: int) -> Rooted:
     """Rebuild the rooted form with polygon `pid` as the root."""
     comps = tuple(_planted_from(g, g.polygons[pid][c], pid) for c in range(g.m))
-    return Rooted(g.m, comps)
+    return Rooted(comps)
 
 
-def encode_planted(pc):
-    return f"{pc.color}(" + "".join(
-        "[" + ",".join(encode_planted(s) for s in poly) + "]"
-        for poly in pc.polygons) + ")"
+def _colour_at(color, k, m):
+    """The colour k steps on from `color` around a polygon."""
+    return (color - 1 + k) % m + 1
+
+
+def _encode_polygon(poly, color, m):
+    """The parts of a polygon at a colour-`color` vertex."""
+    return "[" + ",".join(encode_planted(sub, _colour_at(color, k, m), m)
+                          for k, sub in enumerate(poly, start=1)) + "]"
+
+
+def encode_planted(pc, color, m):
+    """String form of a planted cactus whose root has colour `color`."""
+    return f"{color}(" + "".join(_encode_polygon(poly, color, m)
+                                 for poly in pc.polygons) + ")"
 
 
 def encode_rooted(rc):
-    return "{" + ",".join(encode_planted(c) for c in rc.components) + "}"
+    m = len(rc.components)
+    return "{" + ",".join(encode_planted(c, color, m)
+                          for color, c in enumerate(rc.components, start=1)) + "}"
 
 
 def _degree_rows(g):
@@ -175,8 +194,7 @@ def _pointed_key(g, v):
     Pointing removes the linear order at v, so the incident polygons are
     only cyclically ordered: minimize over rotations.
     """
-    parts = ["[" + ",".join(map(encode_planted,
-                                _polygon_from(g, v, q))) + "]"
+    parts = [_encode_polygon(_polygon_from(g, v, q), g.colors[v], g.m)
              for q in g.vertex_polys[v]]
     return min(f"{g.colors[v]}<" + "".join(parts[r:] + parts[:r]) + ">"
                for r in range(len(parts)))
@@ -187,6 +205,12 @@ def count_pointed_orbits(g, color):
     return len({_pointed_key(g, v) for v, c in enumerate(g.colors) if c == color})
 
 
+def _colourless(pc):
+    """String form of a planted cactus with its colours erased."""
+    return "(" + "".join("[" + ",".join(map(_colourless, poly)) + "]"
+                         for poly in pc.polygons) + ")"
+
+
 def reference_gonal(m, p):
     """Unlabelled plane m-gonal cacti with p polygons: the least colourless
     key over all rootings and root rotations of every rooted cactus."""
@@ -195,8 +219,7 @@ def reference_gonal(m, p):
         g = to_graph(rc)
         best = None
         for pid in range(len(g.polygons)):
-            comps = [oracle._colorless_planted(c)
-                     for c in re_root(g, pid).components]
+            comps = [_colourless(c) for c in re_root(g, pid).components]
             for r in range(m):
                 key = "{" + ",".join(comps[r:] + comps[:r]) + "}"
                 if best is None or key < best:

@@ -8,6 +8,7 @@ generation) are compared against them and against each other.
 
 import csv
 import io
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -290,11 +291,14 @@ def test_criterion_7_gonal_and_free():
             for p in range(1, p_max + 1):
                 assert oracle.enumerate_gonal(m, p) == F.count_gonal(
                     m, p, GonalKind.UNLABELLED), (m, p)
-        free_cases = [(2, (1, 1)), (2, (1, 2)), (2, (2, 1)), (2, (2, 2)),
-                      (2, (2, 3)), (2, (3, 2)), (3, (2, 2, 3))]
-        for m, counts in free_cases:
-            c = stats.color_stat(m, counts)
-            assert oracle.free_labelled_bruteforce(c) == F.count_free_labelled(c)
+        # every colour vector inside the brute force's budgets
+        free_cases = [c for m in range(2, 6)
+                      for p in range(1, oracle.FREE_P_BUDGET + 1)
+                      for c in oracle._all_color_vectors(m, p)
+                      if math.prod(c.counts) <= oracle.FREE_POOL_BUDGET]
+        assert len(free_cases) == 34
+        for c in free_cases:
+            assert oracle.free_labelled_bruteforce(c) == F.count_free_labelled(c), c
 
 
 def test_criterion_8_constellations():

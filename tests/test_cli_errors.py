@@ -22,6 +22,7 @@ USAGE_ERRORS = [
     ["series", "--m", "3", "--order", "5", "--target", "planted", "--color", "4"],
     ["series", "--m", "1", "--order", "3", "--target", "rooted"],
     ["series", "--m", "1", "--order", "3", "--target", "rooted", "--one-sort"],
+    ["series", "--m", "100000", "--order", "16", "--target", "rooted"],
     ["table", "3", "--p-max", "-1"],
     ["table", "3", "--m-range", "5..2"],
     *(["table", "3", "--m-range", bad] for bad in BAD_M_RANGES),
@@ -38,6 +39,17 @@ def test_usage_error_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_multivariate_series_budget_on_m(capsys):
+    # Past m = 17, m - 1 exceeds every accepted order: each A_i is x_i.
+    series = ["series", "--order", "16", "--target", "unlabelled"]
+    assert cli.main(series + ["--m", "17"]) == 0
+    assert cli.main(series + ["--m", "18", "--one-sort"]) == 0
+    capsys.readouterr()
+    assert cli.main(series + ["--m", "18"]) == 2
+    assert capsys.readouterr().err == (
+        "error: BudgetExceeded: --m must be at most 17 without --one-sort\n")
 
 
 @pytest.mark.parametrize("bad", BAD_M_RANGES)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from cacti import formulas as F
-from cacti import oracle, stats
+from cacti import cli, oracle, stats
 from cacti.oracle import Planted, Rooted
 from oracle_reference import (
     canonical_unrooted,
@@ -14,11 +14,15 @@ from oracle_reference import (
 )
 
 
-def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
+def _parse_planted(text: str, pos: int, color: int,
+                   m: int) -> tuple[Planted, int]:
+    """The planted cactus at `pos`, whose root the position gives colour
+    `color`; the encoded colour must agree."""
     start = pos
     while text[pos].isdigit():
         pos += 1
-    color = int(text[start:pos])
+    if int(text[start:pos]) != color:
+        raise ValueError(f"expected colour {color} at {start} in {text!r}")
     if text[pos] != "(":
         raise ValueError(f"expected '(' at {pos} in {text!r}")
     pos += 1
@@ -27,7 +31,7 @@ def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
         pos += 1
         members = []
         while True:
-            sub, pos = _parse_planted(text, pos)
+            sub, pos = _parse_planted(text, pos, (color + len(members)) % m + 1, m)
             members.append(sub)
             if text[pos] == ",":
                 pos += 1
@@ -39,17 +43,20 @@ def _parse_planted(text: str, pos: int) -> tuple[Planted, int]:
         polys.append(tuple(members))
     if text[pos] != ")":
         raise ValueError(f"expected ')' at {pos} in {text!r}")
-    return Planted(color, tuple(polys)), pos + 1
+    return Planted(tuple(polys)), pos + 1
 
 
 def parse_rooted(text: str) -> Rooted:
     """Inverse of oracle_reference.encode_rooted."""
     if not text.startswith("{") or not text.endswith("}"):
         raise ValueError(f"not a rooted encoding: {text!r}")
+    # n = (m - 1)p + 1 vertices, one "(" each; p - 1 polygons off the
+    # root polygon, one "[" each.
+    m = (text.count("(") - 1) // (text.count("[") + 1) + 1
     pos = 1
     comps = []
     while True:
-        pc, pos = _parse_planted(text, pos)
+        pc, pos = _parse_planted(text, pos, len(comps) + 1, m)
         comps.append(pc)
         if text[pos] == ",":
             pos += 1
@@ -57,7 +64,9 @@ def parse_rooted(text: str) -> Rooted:
         break
     if pos != len(text) - 1:
         raise ValueError(f"trailing junk in {text!r}")
-    return Rooted(len(comps), tuple(comps))
+    if len(comps) != m:
+        raise ValueError(f"{len(comps)} components, expected {m} in {text!r}")
+    return Rooted(tuple(comps))
 
 
 def test_generate_rooted_counts():
@@ -81,12 +90,21 @@ def test_generation_budget():
         oracle.verify(2, 99)
 
 
+@pytest.mark.parametrize("mode", ["rooted", "unlabelled", "gonal", "pointed"])
+def test_oracle_counts_one_polygon_at_large_m(capsys, mode):
+    # The m parts of the root polygon are split without recursing on m.
+    argv = ["count", "--m", "1000", "--p", "1", "--mode", mode]
+    assert cli.main(argv + ["--path", "oracle"]) == 0
+    by_oracle = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert by_oracle == capsys.readouterr().out
+
+
 def two_triangles_shared_color1() -> Rooted:
     # two triangles glued at their color-1 vertex; rooted at one of them
-    leaf2 = Planted(2, ())
-    leaf3 = Planted(3, ())
-    hub = Planted(1, ((leaf2, leaf3),))
-    return Rooted(3, (hub, leaf2, leaf3))
+    leaf = Planted(())
+    hub = Planted(((leaf, leaf),))
+    return Rooted((hub, leaf, leaf))
 
 
 def _read_stats(g):
@@ -108,7 +126,7 @@ def test_rooted_tally_counts_every_cactus():
 
 
 def test_to_graph_shapes():
-    single = Rooted(3, (Planted(1, ()), Planted(2, ()), Planted(3, ())))
+    single = Rooted((Planted(()),) * 3)
     g = to_graph(single)
     assert len(g.colors) == 3 and len(g.polygons) == 1
 
@@ -186,7 +204,7 @@ def test_count_pointed_orbits():
     g = to_graph(two_triangles_shared_color1())
     assert count_pointed_orbits(g, 1) == 1
     assert count_pointed_orbits(g, 2) == 1
-    single = Rooted(3, (Planted(1, ()), Planted(2, ()), Planted(3, ())))
+    single = Rooted((Planted(()),) * 3)
     gs = to_graph(single)
     assert all(count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
     # By Burnside: the centre of colour 1 is fixed, the two colour-2

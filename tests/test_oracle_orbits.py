@@ -104,7 +104,7 @@ def test_factorizations_match_recount(m, p):
 
 
 def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
-    stray = Rooted(2, (Planted(1, ()), Planted(2, ((Planted(1, ()),),) * 9)))
+    stray = Rooted((Planted(()), Planted(((Planted(()),),) * 9)))
     monkeypatch.setattr(oracle_reference, "re_root", lambda g, pid: stray)
     with pytest.raises(InconsistentResult, match="not generated"):
         reference_classes(2, 3)
