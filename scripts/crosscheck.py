@@ -65,27 +65,18 @@ def _queries(stat):
             yield mode, {}
 
 
-def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, int]:
-    """The first count of `statistics` whose centre and rooted series
-    coefficients differ from the closed form, or None, and the number of
-    counts compared.  The family's colours share one series if it is
-    one-sort."""
-    rooted, centres, checked = series.series_rooted(family), {}, 0
-    nvars = family.nvars
+def _sweep(statistics, read) -> tuple[str | None, int]:
+    """The first count of `statistics` where `read(stat, form)`, the series
+    count of the mode's `formulas.Centres`, differs from the closed form,
+    or None, and the number of counts compared."""
+    checked = 0
     for stat in statistics:
-        target = (stat.n,) if nvars == 1 else stat.counts
         for mode, options in _queries(stat):
-            form = formulas.MODES[mode].centres(stat, **options)
-            value = form.rooted * rooted.get(target, 0)
-            for color in form.colors:
-                key = ((color - 1) % nvars, form.weight, form.s)
-                if key not in centres:
-                    centres[key] = series.series_centre(family, color, form.weight,
-                                                        form.s)
-                value += centres[key].get(target, 0)
+            value = read(stat, formulas.MODES[mode].centres(stat, **options))
             expected = formulas.MODES[mode].formula(stat, **options)
             if value != expected:
-                where = f"x^{stat.n}" if nvars == 1 else target
+                where = (f"x^{stat.n}" if isinstance(stat, stats.SizeStat)
+                         else stat.counts)
                 flags = "".join(f" {k}={v}" for k, v in options.items())
                 return (f"{mode}{flags} m={stat.m} at {where}: series {value}, "
                         f"formula {expected}"), checked
@@ -93,17 +84,47 @@ def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, 
     return None, checked
 
 
+def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, int]:
+    """`_sweep` of colour statistics on the coefficients of the family's
+    centre and rooted series, one centre series per colour, weight and
+    stretch."""
+    rooted, centres = series.series_rooted(family), {}
+
+    def read(stat, form):
+        value = form.rooted * rooted.get(stat.counts, 0)
+        for color in form.colors:
+            key = (color, form.weight, form.s)
+            if key not in centres:
+                centres[key] = series.series_centre(family, *key)
+            value += centres[key].get(stat.counts, 0)
+        return value
+
+    return _sweep(statistics, read)
+
+
 def one_sort_sweep(order: int) -> str | None:
     """The first size-level count, m = 2..7, whose one-sort series
     coefficient differs from the closed form, or None.  The coefficient of
-    x^n counts the cacti with n = (m-1)p + 1 vertices; the unlabelled
-    series that `cacti series --one-sort` prints has no other term."""
+    x^n counts the cacti with n = (m-1)p + 1 vertices: rooted is A - x, and
+    every colour shares one list centre per weight and stretch.  The
+    unlabelled series that `cacti series --one-sort` prints has no other
+    term."""
     for m in range(2, 8):
+        a, hat = series.solve_one_sort(m, order)
+        centres = {}
+
+        def read(stat, form):
+            key = (form.weight, form.s)
+            if form.colors and key not in centres:
+                centres[key] = series.one_sort_centre(m, hat, *key)
+            centre = centres[key][stat.n] if form.colors else 0
+            return form.rooted * a[stat.n] + len(form.colors) * centre
+
         sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
-        failure, _ = centre_sweep(series.solve_one_sort(m, order), sizes[1:])
+        failure, _ = _sweep(sizes[1:], read)
         if failure:
             return f"one-sort {failure}"
-        printed = series.series_unlabelled(m, order, one_sort=True)
+        printed = series.one_sort_series(m, order, "unlabelled")
         if printed != {(s.n,): formulas.count_unlabelled(s) for s in sizes}:
             return f"one-sort unlabelled series m={m}: not the closed forms"
     return None

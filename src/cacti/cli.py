@@ -266,11 +266,12 @@ def cmd_series(args) -> int:
         # m - 1 exceeds every accepted order: each H_i is 0, each A_i is x_i
         raise oracle.BudgetExceeded(
             f"--m must be at most {SERIES_MULTI_BOUND + 1} without --one-sort")
-    if args.target == "unlabelled":
-        out = series.series_unlabelled(args.m, args.order, one_sort)
+    if one_sort:
+        out = series.one_sort_series(args.m, args.order, args.target)
+    elif args.target == "unlabelled":
+        out = series.series_unlabelled(args.m, args.order)
     else:
-        solve = series.solve_one_sort if one_sort else series.solve_planted
-        family = solve(args.m, args.order)
+        family = series.solve_planted(args.m, args.order)
         out = (series.series_planted(family, args.color or 1)
                if args.target == "planted" else series.series_rooted(family))
     items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -66,6 +66,7 @@ GEN_BUDGET = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3}  # generate_rooted: max p per 
 FACT_BUDGET = {2: 7, 3: 5, 4: 4}      # factorizations: (p!)^(m-1) enumeration
 FREE_POOL_BUDGET = 16                 # free_labelled_bruteforce: candidate polygons
 FREE_P_BUDGET = 4
+VERIFY_M_BUDGET = 100  # verify: its pointed comparisons grow as m^2 at p = 1
 
 
 class BudgetExceeded(ValueError):
@@ -470,6 +471,8 @@ def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
 def verify(m: int, p_max: int) -> VerifyReport:
     """Compare every formula against exhaustive enumeration for p <= p_max."""
     _check_size(m, p_max)
+    if m > VERIFY_M_BUDGET:
+        raise BudgetExceeded(f"verify capped at m <= {VERIFY_M_BUDGET}, got m = {m}")
     results: list[CheckResult] = []
 
     def record(name: str, p: int, pairs: list[tuple[str, object, object]]) -> None:

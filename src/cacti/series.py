@@ -7,14 +7,15 @@ sums give every class count (the dissymmetry theorem).  Coefficients are
 exact ints.  The solver keeps each series as total degree -> part, each
 exponent packed into one int (see `PlantedFamily`); that form stays inside
 this module, and each target it returns is a plain {exponent tuple:
-coefficient} map; the one-sort family, every color graded by one x, has
-one term a part and is solved as lists of coefficients.  The centre series
-at weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i),
-H_i = prod_{j != i} A_j, for every d: its Euler derivative is solved in
-integers, and each coefficient is one exact division by its total degree,
-which raises `InconsistentResult` if it leaves a remainder.  The weighted
-variant marks a color-i vertex of degree h with r[i,h], one more
-coordinate of the exponent after x_1..x_m.
+coefficient} map.  The centre series at weight w (phi or mu) and stretch s
+takes one log L = log 1/(1 - H_i), H_i = prod_{j != i} A_j, for every d:
+its Euler derivative is solved in integers, and each coefficient is one
+exact division by its total degree, which raises `InconsistentResult` if it
+leaves a remainder.  The weighted variant marks a color-i vertex of degree
+h with r[i,h], one more coordinate of the exponent after x_1..x_m.
+The one-sort family, every color graded by one x, has one term a degree:
+A = x + A^m, its H = A^(m-1) and its centre series are lists of
+coefficients by degree, solved and read without the packed layer.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
 polygon bound, and a product of k planted series lies at total degrees = k
@@ -26,7 +27,6 @@ dropped as soon as it is formed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,21 +83,6 @@ def _keep(parts: Parts, d: int, part: dict) -> None:
         parts[d] = part
 
 
-def _log_parts(s_parts: Parts, bound: int, inside: Inside, step: int) -> Parts:
-    """T = E(log 1/(1 - s)), s unweighted with zero constant term and given
-    as degree -> part, to total degree `bound` inside the box.  The Euler
-    derivative E scales each monomial by its total degree, and T = E(s) +
-    s * T gives the parts in integers by increasing degree; the log itself
-    is T / degree.  Every part of s and T lies at a multiple of `step`."""
-    t_parts: Parts = {}
-    for deg in range(step, bound + 1, step):
-        part = _product_part(s_parts, t_parts, deg, inside) if t_parts else {}
-        for e, c in s_parts.get(deg, {}).items():
-            part[e] = part.get(e, 0) + deg * c
-        _keep(t_parts, deg, part)
-    return t_parts
-
-
 @dataclass(frozen=True)
 class PlantedFamily:
     """The m planted series (one per root color), solved to a common bound
@@ -106,10 +91,10 @@ class PlantedFamily:
     `planted[i - 1]` holds A_i to total degree `order`, and `hats[i - 1]`
     holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  Only
     the non-empty parts are kept: those of A_i lie at total degrees = 1 and
-    those of H_i at degrees = 0 (mod m - 1).  An exponent has `nvars` graded
-    coordinates x (one x shared by every color if nvars = 1) and, in a
-    weighted family, one marker coordinate per (color, degree) pair of
-    `slots`, in that order.  `box` caps each coordinate, or is None.
+    those of H_i at degrees = 0 (mod m - 1).  An exponent has the m graded
+    coordinates x_1..x_m and, in a weighted family, one marker coordinate
+    per (color, degree) pair of `slots`, in that order.  `box` caps each
+    coordinate, or is None.
 
     A part keys each exponent by one int, `pack`ed with coordinate k in bits
     k * width .. k * width + width - 1.  A vertex adds one to an x and to at
@@ -123,7 +108,6 @@ class PlantedFamily:
 
     m: int
     order: int
-    nvars: int
     slots: tuple[tuple[int, int], ...] = ()
     box: Optional[tuple[int, ...]] = None
     planted: tuple[Parts, ...] = ()
@@ -137,7 +121,7 @@ class PlantedFamily:
         return sum(x << k * self.width for k, x in enumerate(exponents))
 
     def unpack(self, e: int) -> tuple[int, ...]:
-        w, n = self.width, self.nvars + len(self.slots)
+        w, n = self.width, self.m + len(self.slots)
         return tuple(e >> k * w & (1 << w) - 1 for k in range(n))
 
     @cached_property
@@ -162,7 +146,7 @@ def _solve(m: int, order: int, slots: tuple = (),
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
-    shell = PlantedFamily(m, order, m, slots, box)  # the layout, no series yet
+    shell = PlantedFamily(m, order, slots, box)  # the layout, no series yet
     inside = shell.inside
     unit = [1 << k * shell.width for k in range(m + len(slots))]  # x_i, then markers
     # the unit of marker r[i,h]; unweighted, r[i,1] = r[i,2] = 1 mark nothing
@@ -207,7 +191,7 @@ def _solve(m: int, order: int, slots: tuple = (),
             _keep(b[i], d, part)
             _keep(a[i], d + 1, _lift(part, unit[i], inside))
     # for m = 2 the hats are A_2 and A_1, which reach the order
-    return PlantedFamily(m, order, m, slots, box, tuple(a), tuple(
+    return PlantedFamily(m, order, slots, box, tuple(a), tuple(
         {d: part for d, part in hat.items() if d < order} for hat in hats))
 
 
@@ -217,10 +201,9 @@ def solve_planted(m: int, order: int) -> PlantedFamily:
     return _solve(m, order)
 
 
-def solve_one_sort(m: int, order: int) -> PlantedFamily:
-    """The one-sort family: every color shares A = x + A * A^(m-1), kept as
-    parts {d: {d: c}} (x^d packs to d) but solved on coefficient lists,
-    since a part of one variable is one term.
+def solve_one_sort(m: int, order: int) -> tuple[list[int], list[int]]:
+    """The one-sort family, every color sharing A = x + A * A^(m-1), as
+    coefficient lists by degree: A to the order and H = A^(m-1) below it.
 
     A^j lies at degrees = j (mod q), q = m - 1, so one j in 2..m has a term
     at each degree d, and it is one dot product of two strided slices, A
@@ -237,9 +220,44 @@ def solve_one_sort(m: int, order: int) -> PlantedFamily:
         if j <= d and (j == m or d < order):  # A^m = A - x; H is read below the order
             (a if j == m else powers[j - 1])[d] = sum(
                 map(mul, a[1:d:q], powers[j - 2][d - 1::-q]))
-    hat = powers[q - 1][:order] if q < order else []
-    planted, hat = ({d: {d: c} for d, c in enumerate(s) if c} for s in (a, hat))
-    return PlantedFamily(m, order, 1, planted=(planted,) * m, hats=(hat,) * m)
+    return a, powers[q - 1][:order] if q < order else [0] * order
+
+
+def one_sort_centre(m: int, hat: Sequence[int], weight: Callable[[int], int],
+                    s: int = 1) -> list[int]:
+    """`series_centre` with every x_i set to x, as a list by degree to the
+    order len(hat), from H = `hat`.  T = E(L), L = log 1/(1 - H), lies at
+    multiples g of q = m - 1, and T[g] = g * H[g] + sum_a H[a] * T[g - a] is
+    one dot product of strided slices; T[g] adds s * w(d) * T[g] at n =
+    s*d*g, and each n is divided once, exactly.  At q >= order no loop runs.
+    """
+    order, q = len(hat), m - 1
+    top = (order - 1) // s  # every term of T that some d stretches below the order
+    w = [0] + [weight(d) for d in range(1, (order - 1) // (s * q) + 1)]
+    t, sums = [0] * (top + 1), [0] * order
+    for g in range(q, top + 1, q):
+        t[g] = g * hat[g] + sum(map(mul, hat[q:g:q], t[g - q:0:-q]))
+        for d in range(1, (order - 1) // (s * g) + 1):
+            sums[s * d * g] += s * w[d] * t[g]
+    centre = [0, int(s == 1)] + [0] * (order - 1)  # x * [s = 1]
+    for n in range(s * q, order, s * q):
+        centre[n + 1], rest = divmod(sums[n], n)
+        if rest:
+            raise InconsistentResult(
+                f"centre coefficient {sums[n]}/{n} at ({n},) is not an integer")
+    return centre
+
+
+def one_sort_series(m: int, order: int, target: str) -> dict:
+    """The one-sort `target` as {(n,): coefficient}: "planted" A, "rooted"
+    A - x = H * A, or "unlabelled" m * pointed - (m - 1) * (x + rooted), in
+    which the single-vertex cactus x counts once, not once per color."""
+    a, hat = solve_one_sort(m, order)
+    if target == "unlabelled":
+        a = [m * c - (m - 1) * x for c, x in zip(one_sort_centre(m, hat, euler_phi), a)]
+    elif target == "rooted":
+        a[1] = 0
+    return {(n,): c for n, c in enumerate(a) if c}
 
 
 def series_planted(family: PlantedFamily, color: int = 1) -> dict:
@@ -253,7 +271,7 @@ def series_rooted(family: PlantedFamily) -> dict:
     in an unweighted family."""
     if family.slots:
         raise ValidationError("the rooted series needs an unweighted family")
-    x_1 = (1,) + (0,) * (family.nvars - 1)
+    x_1 = (1,) + (0,) * (family.m - 1)
     return _combine((1, series_planted(family)), (-1, {x_1: 1}))
 
 
@@ -263,7 +281,7 @@ def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
     n - d of H_1.  The target gets the top bit of each field set, so that
     taking a term away borrows no further, and clears it where the term
     exceeds the target."""
-    n = sum(exponents[:family.nvars])
+    n = sum(exponents[:family.m])
     if max(n, *exponents) > family.order:
         return 0
     tops = family.pack([1 << family.width - 1] * len(exponents))
@@ -296,13 +314,19 @@ def _centre(family: PlantedFamily, color: int,
     """`series_centre` keyed by packed exponents."""
     if family.slots:
         raise ValidationError("a centre series needs an unweighted family")
-    order, (bias, guard) = family.order, family.inside
-    # every term of H_i, and so of T, has degree g >= m - 1
-    w = [0] + [weight(d) for d in range(1, (order - 1) // (s * (family.m - 1)) + 1)]
+    order, inside, q = family.order, family.inside, family.m - 1
+    bias, guard = inside
+    # every term of H_i, and so of T, has a degree g that is a multiple of q
+    w = [0] + [weight(d) for d in range(1, (order - 1) // (s * q) + 1)]
+    hat, t_parts = family.hats[color - 1], {}
     sums: dict[int, int] = {}
     degrees: dict[int, int] = {}
-    for g, part in _log_parts(family.hats[color - 1], (order - 1) // s,
-                              family.inside, family.m - 1).items():
+    for g in range(q, (order - 1) // s + 1, q):
+        # E scales a monomial by its degree, and T = E(H_i) + H_i * T
+        part = _product_part(hat, t_parts, g, inside) if t_parts else {}
+        for e, c in hat.get(g, {}).items():
+            part[e] = part.get(e, 0) + g * c
+        _keep(t_parts, g, part)
         for e, c in part.items():
             for d in range(1, (order - 1) // (s * g) + 1):
                 de = s * d * e
@@ -318,22 +342,12 @@ def _centre(family: PlantedFamily, color: int,
                                      f"at {family.unpack(e)} is not an integer")
         if quotient:
             inner[e] = quotient
-    return _lift(inner, 1 << (color - 1) % family.nvars * family.width, family.inside)
+    return _lift(inner, 1 << (color - 1) * family.width, inside)
 
 
-def series_unlabelled(m: int, order: int, one_sort: bool = False) -> dict:
-    """Unlabelled cacti via pointed and rooted series.
-
-    Multivariate: sum_i pointed_i - (m-1) * rooted.  One-sort (single
-    variable x, coefficient of x^n counts all cacti with n vertices): the
-    same combination collapsed, minus (m-1)x so the single-vertex cactus is
-    counted once rather than once per color; as rooted = A - x, that is
-    m * pointed - (m-1) * A.
-    """
-    if one_sort:
-        family = solve_one_sort(m, order)
-        return _combine((m, series_centre(family, 1, euler_phi)),
-                        (1 - m, series_planted(family)))
+def series_unlabelled(m: int, order: int) -> dict:
+    """Unlabelled cacti via pointed and rooted series: sum_i pointed_i -
+    (m-1) * rooted."""
     family = solve_planted(m, order)
     return _combine(*((1, series_centre(family, color, euler_phi))
                       for color in range(1, m + 1)),
@@ -345,23 +359,28 @@ def count_target(stat: Statistic, colors: Sequence[int],
                  rooted: int | Fraction) -> int:
     """The count of a statistic with p >= 1 by `formulas.Centres`: the sum
     over the 1-based `colors` of the centre series at `weight` and stretch
-    `s`, plus `rooted` times the rooted count.  Size level solves one-sort,
-    so that every color shares one series.  Else the family is solved inside
+    `s`, plus `rooted` times the rooted count.  Size level reads the one-sort
+    lists, whose colors share one series.  Else the family is solved inside
     the statistic's exponent: each x_i capped at n_i and, at degree level,
     one slot per (color, degree) pair of the rows, capped at its multiplicity.
     """
     if isinstance(stat, SizeStat):  # one-sort: the order caps x
-        family, target = solve_one_sort(stat.m, stat.n), (stat.n,)
-    elif isinstance(stat, ColorStat):
-        family, target = _solve(stat.m, stat.n, (), stat.counts), stat.counts
+        n, target = stat.n, (stat.n,)
+        a, hat = solve_one_sort(stat.m, n)
+        total = rooted * a[n] if rooted else 0  # H * A = A - x, and n > 1
+        if colors:
+            total += len(colors) * one_sort_centre(stat.m, hat, weight, s)[n]
     else:
-        slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
-                      for h, _ in row)
-        target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
-        family = _solve(stat.m, stat.n, slots, target)
-    total = rooted * rooted_coefficient(family, target) if rooted else 0
-    for color, times in Counter((c - 1) % family.nvars + 1 for c in colors).items():
-        total += times * _centre(family, color, weight, s).get(family.pack(target), 0)
+        if isinstance(stat, ColorStat):
+            family, target = _solve(stat.m, stat.n, (), stat.counts), stat.counts
+        else:
+            slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
+                          for h, _ in row)
+            target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
+            family = _solve(stat.m, stat.n, slots, target)
+        total = rooted * rooted_coefficient(family, target) if rooted else 0
+        for color in colors:
+            total += _centre(family, color, weight, s).get(family.pack(target), 0)
     if Fraction(total).denominator != 1:
         raise InconsistentResult(f"count {total} at {target} is not an integer")
     return int(total)

@@ -1,11 +1,12 @@
 """Whole truncated power series, for the tests only.
 
-The solver in `cacti.series` keeps each series as total degree -> part and
-returns each target as a plain {exponent: coefficient} map.  This module
-builds the same targets the long way, as `Series` objects with whole-series
-arithmetic: the full product H_1 * A_1 for the rooted series, weighted
-families included, and one logarithm per d, in Fractions, for the pointed
-series.  The tests check the solver against it.
+The solver in `cacti.series` keeps each series as total degree -> part, or
+as a coefficient list in the one-sort family, and returns each target as a
+plain {exponent: coefficient} map.  This module builds the same targets the
+long way, as `Series` objects with whole-series arithmetic: the full product
+H_1 * A_1 for the rooted series, weighted families included, and one
+logarithm per d, in Fractions, for the pointed series.  The tests check the
+solver against it.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def variable(nvars: int, bound: int, var: int) -> Series:
 
 def whole(fam: series.PlantedFamily, parts: dict) -> Series:
     """A series of the family from its degree -> part map."""
-    return Series(fam.nvars, fam.order,
+    return Series(fam.m, fam.order,
                   {fam.unpack(e): c for part in parts.values()
                    for e, c in part.items()},
                   fam.box)
@@ -145,26 +146,39 @@ def log_geometric(s: Series) -> Series:
     return out
 
 
+def one_sort(m: int, order: int) -> tuple[Series, Series]:
+    """A and H = A^(m-1) of the one-sort family, from the solver's lists."""
+    return tuple(Series(1, order, {(n,): c for n, c in enumerate(coeffs)})
+                 for coeffs in series.solve_one_sort(m, order))
+
+
 def pointed(fam: series.PlantedFamily, color: int) -> Series:
+    """The pointed series of a color with one log per d."""
+    return pointed_from_hat(hat(fam, color), fam.order, color - 1)
+
+
+def pointed_from_hat(h: Series, order: int, var: int = 0) -> Series:
     """The pointed series with one log per d, as the formula reads:
-    x_i * (1 + sum_d phi(d)/d * log 1/(1 - H_i(x^d)))."""
-    h, order = hat(fam, color), fam.order
+    x_i * (1 + sum_d phi(d)/d * log 1/(1 - H_i(x^d))), H_i = `h` and x_i the
+    coordinate `var`."""
     inner = Series(h.nvars, order - 1, {(0,) * h.nvars: 1}, h.box)
     for d in range(1, order):
         sub = Series(h.nvars, order - 1,
                      {tuple(d * x for x in e): c for e, c in h.coeffs.items()},
                      h.box)
         inner = inner + log_geometric(sub).scale(Fraction(arith.euler_phi(d), d))
-    var = color - 1 if h.nvars > 1 else 0
     return Series(h.nvars, order, inner.coeffs, h.box).shift(var)
 
 
 def unlabelled(fam: series.PlantedFamily) -> Series:
-    """sum_i pointed_i - (m-1) * rooted; a one-sort family counts the
+    """sum_i pointed_i - (m-1) * rooted."""
+    total = reduce(add, (pointed(fam, c) for c in range(1, fam.m + 1)))
+    return total - rooted(fam).scale(fam.m - 1)
+
+
+def one_sort_unlabelled(m: int, order: int) -> Series:
+    """m * pointed - (m-1) * (x + rooted): the one-sort family counts the
     single-vertex cactus once, not once per color."""
-    m, order = fam.m, fam.order
-    if fam.nvars == 1:
-        total = pointed(fam, 1).scale(m) - variable(1, order, 0).scale(m - 1)
-    else:
-        total = reduce(add, (pointed(fam, c) for c in range(1, m + 1)))
-    return total - rooted(fam).scale(m - 1)
+    a, h = one_sort(m, order)
+    return (pointed_from_hat(h, order).scale(m)
+            - (variable(1, order, 0) + h * a).scale(m - 1))

@@ -290,13 +290,16 @@ def _reference_targets(m: int, one_sort: bool) -> dict:
     """Each printed target at the order bound, built with the reference
     arithmetic: (target, --color or None) -> {exponent: coefficient}."""
     if one_sort:
-        fam, colors = series.solve_one_sort(m, cli.SERIES_ONE_SORT_BOUND), [None]
+        order = cli.SERIES_ONE_SORT_BOUND
+        a, hat = ref.one_sort(m, order)
+        targets = {("planted", None): a, ("rooted", None): hat * a,
+                   ("unlabelled", None): ref.one_sort_unlabelled(m, order)}
     else:
         fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
-        colors = [None] + list(range(1, m + 1))
-    targets = {("planted", c): ref.planted(fam, c or 1) for c in colors}
-    targets["rooted", None] = ref.rooted(fam)
-    targets["unlabelled", None] = ref.unlabelled(fam)
+        targets = {("planted", c): ref.planted(fam, c or 1)
+                   for c in [None] + list(range(1, m + 1))}
+        targets["rooted", None] = ref.rooted(fam)
+        targets["unlabelled", None] = ref.unlabelled(fam)
     return {key: s.coeffs for key, s in targets.items()}
 
 

@@ -11,7 +11,7 @@ import pytest
 import cacti
 from cacti import cli
 from cacti import formulas as F
-from cacti import stats
+from cacti import oracle, stats
 
 BAD_M_RANGES = ["x", "2..", "1..2..3", "a..b"]
 # (--m, --degrees, its row count): the rows are not m, and invalid besides.
@@ -28,6 +28,7 @@ USAGE_ERRORS = [
     *(["table", "3", "--m-range", bad] for bad in BAD_M_RANGES),
     ["verify", "--m", "2", "--p-max", "-1"],
     ["verify", "--m", "2", "--p-max", "0"],
+    ["verify", "--m", "101", "--p-max", "1"],
     *(["count", "--m", m, "--degrees", degrees, "--mode", "rooted"]
       for m, degrees, _ in MISSIZED_DEGREES),
 ]
@@ -50,6 +51,15 @@ def test_multivariate_series_budget_on_m(capsys):
     assert cli.main(series + ["--m", "18"]) == 2
     assert capsys.readouterr().err == (
         "error: BudgetExceeded: --m must be at most 17 without --one-sort\n")
+
+
+def test_verify_budget_on_m(capsys):
+    # At p = 1 the pointed comparisons of verify grow as m^2.
+    assert cli.main(["verify", "--m", str(oracle.VERIFY_M_BUDGET), "--p-max", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--m", "101", "--p-max", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: BudgetExceeded: verify capped at m <= 100, got m = 101\n")
 
 
 @pytest.mark.parametrize("bad", BAD_M_RANGES)

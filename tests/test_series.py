@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from typing import Callable
 
 import pytest
 from hypothesis import given
@@ -17,7 +16,7 @@ from inversion_reference import CoherenceViolation, chottin_extract
 import cacti
 from cacti import formulas as F
 from cacti import cli, oracle, series, stats
-from cacti.arith import euler_phi
+from cacti.arith import euler_phi, moebius_mu
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
@@ -31,11 +30,16 @@ def weighted_family(m: int, order: int) -> series.PlantedFamily:
     return series._solve(m, order, slots)
 
 
-def _solver(nvars) -> Callable[[int, int], series.PlantedFamily]:
-    """The solver of a family with `nvars` graded coordinates: one-sort at
-    1, one per color at m, or the weighted family."""
-    return {1: series.solve_one_sort, "weighted": weighted_family}.get(
-        nvars, series.solve_planted)
+def _solved(kind: str, m: int, order: int) -> tuple[list, list]:
+    """A_i and H_i of every color as reference series, for a family of one
+    `kind`: "one-sort", whose colors share the solver's lists A and H;
+    "planted", one x per color; or "weighted"."""
+    if kind == "one-sort":
+        a, hat = ref.one_sort(m, order)
+        return [a] * m, [hat] * m
+    fam = (weighted_family if kind == "weighted" else series.solve_planted)(m, order)
+    return ([ref.planted(fam, i) for i in range(1, m + 1)],
+            [ref.hat(fam, i) for i in range(1, m + 1)])
 
 
 def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
@@ -67,16 +71,17 @@ class TestPlanted:
                 assert expected == ref.planted(fam, i)
                 assert expected.coeffs == series.series_planted(fam, i)
 
-    @pytest.mark.parametrize("m, order, nvars", [(2, 9, 2), (3, 10, 3), (4, 13, 4),
-                                                 (3, 20, 1), (3, 7, "weighted")])
-    def test_kept_hats_are_the_products_below_the_order(self, m, order, nvars):
-        fam = _solver(nvars)(m, order)
-        n = fam.nvars
+    @pytest.mark.parametrize("m, order, kind", [
+        (2, 9, "planted"), (3, 10, "planted"), (4, 13, "planted"),
+        (3, 20, "one-sort"), (3, 7, "weighted")])
+    def test_kept_hats_are_the_products_below_the_order(self, m, order, kind):
+        planted, hats = _solved(kind, m, order)
         for i in range(1, m + 1):
             product = functools.reduce(operator.mul, (
-                ref.planted(fam, j) for j in range(1, m + 1) if j != i))
-            assert ref.hat(fam, i).coeffs == {e: c for e, c in product.coeffs.items()
-                                              if sum(e[:n]) < order}
+                planted[j - 1] for j in range(1, m + 1) if j != i))
+            # the first m coordinates are graded; a one-sort exponent has one
+            assert hats[i - 1].coeffs == {e: c for e, c in product.coeffs.items()
+                                          if sum(e[:m]) < order}
 
     def test_weighted_residual_and_single_polygon(self):
         m, order = 3, 7
@@ -122,11 +127,14 @@ class TestRootedSeries:
         assert rooted[(4, 4, 5)] == 225
         assert (1, 0, 0) not in rooted
 
-    @pytest.mark.parametrize("m, order, nvars", [
-        (2, 11, 2), (3, 13, 3), (4, 9, 4), (5, 9, 5), (2, 30, 1), (5, 41, 1)])
-    def test_planted_equation_gives_the_full_product(self, m, order, nvars):
-        fam = _solver(nvars)(m, order)
-        assert series.series_rooted(fam) == ref.rooted(fam).coeffs
+    @pytest.mark.parametrize("m, order, kind", [
+        (2, 11, "planted"), (3, 13, "planted"), (4, 9, "planted"), (5, 9, "planted"),
+        (2, 30, "one-sort"), (5, 41, "one-sort")])
+    def test_planted_equation_gives_the_full_product(self, m, order, kind):
+        planted, hats = _solved(kind, m, order)
+        rooted = (series.one_sort_series(m, order, "rooted") if kind == "one-sort"
+                  else series.series_rooted(series.solve_planted(m, order)))
+        assert rooted == (hats[0] * planted[0]).coeffs
 
     def test_weighted_family_rejected(self):
         with pytest.raises(stats.ValidationError):
@@ -190,12 +198,12 @@ class TestPointedAgainstReference:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_every_order(self, m):
         top = cli.SERIES_ONE_SORT_BOUND
-        full = ref.pointed(series.solve_one_sort(m, top), 1)
+        full = ref.pointed_from_hat(ref.one_sort(m, top)[1], top)
         for order in range(1, top + 1):
-            fam = series.solve_one_sort(m, order)
-            got = series.series_centre(fam, 1, euler_phi)
-            assert got == {e: c for e, c in full.coeffs.items() if e[0] <= order}
-            assert all(type(c) is int for c in got.values())
+            _, hat = series.solve_one_sort(m, order)
+            got = series.one_sort_centre(m, hat, euler_phi)
+            assert got == [full[(n,)] for n in range(order + 1)]
+            assert all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_color_at_multi_bound(self, m):
@@ -229,7 +237,7 @@ class TestPointedAgainstReference:
         monkeypatch.setattr(series, "euler_phi", lambda d: 1)
         with pytest.raises(stats.InconsistentResult, match=(
                 r"^centre coefficient \d+/\d+ at \(\d+,\) is not an integer$")):
-            series.series_unlabelled(2, 4, one_sort=True)
+            series.one_sort_series(2, 4, "unlabelled")
 
 
 class TestUnlabelledSeries:
@@ -239,50 +247,66 @@ class TestUnlabelledSeries:
         assert u[(1, 0, 0)] == 1 and u[(0, 1, 0)] == 1
 
     def test_one_sort(self):
-        assert series.series_unlabelled(3, 9, one_sort=True)[(9,)] == 19
-        assert series.series_unlabelled(2, 7, one_sort=True)[(7,)] == 28
-        assert series.series_unlabelled(4, 4, one_sort=True)[(1,)] == 1
+        assert series.one_sort_series(3, 9, "unlabelled")[(9,)] == 19
+        assert series.one_sort_series(2, 7, "unlabelled")[(7,)] == 28
+        assert series.one_sort_series(4, 4, "unlabelled")[(1,)] == 1
 
     def test_one_sort_matches_formula_column(self):
-        s = series.series_unlabelled(2, 13, one_sort=True)
+        s = series.one_sort_series(2, 13, "unlabelled")
         for p in range(0, 13):
             assert s.get((p + 1,), 0) == F.count_unlabelled(stats.size_stat(2, p))
 
 
 class TestOneSort:
     def test_planted_coefficients(self):
-        fam = series.solve_one_sort(2, 8)
-        assert series.series_rooted(fam)[(7,)] == 132
-        assert series.series_planted(fam)[(1,)] == 1
-        fam3 = series.solve_one_sort(3, 9)
-        assert series.series_rooted(fam3)[(9,)] == 55
+        assert series.one_sort_series(2, 8, "rooted")[(7,)] == 132
+        assert series.one_sort_series(2, 8, "planted")[(1,)] == 1
+        assert series.one_sort_series(3, 9, "rooted")[(9,)] == 55
         assert len(oracle.generate_rooted(3, 4)) == 55
 
     def test_support_grading(self):
-        a = series.series_planted(series.solve_one_sort(4, 10))
+        a = series.one_sort_series(4, 10, "planted")
         for (n,), c in a.items():
             assert n % 3 == 1 and c > 0
 
     def test_cost_does_not_grow_with_m(self):
-        """At m - 1 >= order, H = A^(m-1) is 0 within the order, so A = x:
-        the solver keeps no power past the order, and all it allocates in
-        proportion to m is the two m-tuples of the family."""
+        """At m - 1 >= order, H = A^(m-1) is 0 within the order, so A = x,
+        the centre series is x and the unlabelled series m x - (m - 1) x:
+        the solver keeps no power past the order, no loop of the centre
+        runs, and nothing is allocated in proportion to m."""
         tracemalloc.start()
         try:
-            fam = series.solve_one_sort(10 ** 5, 64)
+            a, hat = series.solve_one_sort(10 ** 5, 64)
+            unlabelled = series.one_sort_series(10 ** 5, 64, "unlabelled")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert series.series_planted(fam) == {(1,): 1}
-        assert not any(fam.hats)
-        assert peak < 4 * 2 ** 20
+        assert a == [0, 1] + [0] * 63 and hat == [0] * 64
+        assert unlabelled == {(1,): 1}
+        assert peak < 2 ** 16
 
     def test_collapse_of_multivariate_rooted(self):
         for m, order in [(2, 8), (3, 9)]:
             fam = series.solve_planted(m, order)
             collapsed = collapse_to_one_sort(series.series_rooted(fam))
-            a = ref.planted(series.solve_one_sort(m, order), 1)
+            a = ref.one_sort(m, order)[0]
             assert collapsed == (a - ref.variable(1, order, 0)).coeffs
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_list_centre_is_the_collapsed_packed_centre(self, m):
+        """The list centre and the packed multivariate centre share no code:
+        setting every x_i to x in the colour-i centre series gives the
+        one-sort one, at both weights and every stretch."""
+        order = cli.SERIES_MULTI_BOUND
+        fam = series.solve_planted(m, order)
+        _, hat = series.solve_one_sort(m, order)
+        for weight in (euler_phi, moebius_mu):
+            for s in range(1, 5):
+                centre = series.one_sort_centre(m, hat, weight, s)
+                expected = {(n,): c for n, c in enumerate(centre) if c}
+                for color in range(1, m + 1):
+                    assert collapse_to_one_sort(series.series_centre(
+                        fam, color, weight, s)) == expected, (weight, s, color)
 
 
 class TestChottin:
@@ -345,13 +369,12 @@ class TestSeriesAgainstFormulas:
 
 
 def _families(m: int) -> dict:
-    """A family of each kind the solver builds, three or four polygons deep:
-    multivariate, one-sort, boxed at a colour vector, weighted."""
+    """A family of each kind the packed solver builds, three polygons deep:
+    multivariate, boxed at a colour vector, weighted."""
     order = 3 * (m - 1) + 1
     vectors = _color_vectors(m, 3)
     counts = vectors[len(vectors) // 2]
     return {"planted": series.solve_planted(m, order),
-            "one-sort": series.solve_one_sort(m, 4 * (m - 1) + 1),
             "boxed": series._solve(m, sum(counts), (), counts),
             "weighted": weighted_family(m, order)}
 
@@ -369,8 +392,15 @@ class TestSparseParts:
                 assert all(d % (m - 1) == residue % (m - 1) for d in parts), kind
 
     @pytest.mark.parametrize("m", range(2, 6))
-    @pytest.mark.parametrize("solve", [series.solve_planted, series.solve_one_sort])
-    def test_no_product_part_is_empty(self, monkeypatch, m, solve):
+    def test_one_sort_lists_are_non_zero_exactly_in_their_residue(self, m):
+        order, q = 4 * (m - 1) + 1, m - 1
+        a, hat = series.solve_one_sort(m, order)
+        assert len(a) == order + 1 and len(hat) == order
+        assert all((c > 0) == (n > 0 and n % q == 1 % q) for n, c in enumerate(a))
+        assert all((c > 0) == (n > 0 and n % q == 0) for n, c in enumerate(hat))
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_no_product_part_is_empty(self, monkeypatch, m):
         formed = []
         product_part = series._product_part
 
@@ -379,21 +409,30 @@ class TestSparseParts:
             return formed[-1]
 
         monkeypatch.setattr(series, "_product_part", recorded)
-        fam = solve(m, 4 * (m - 1) + 1)
-        for color in range(1, fam.nvars + 1):
+        fam = series.solve_planted(m, 4 * (m - 1) + 1)
+        for color in range(1, m + 1):
             for s in (1, 2):
                 series.series_centre(fam, color, euler_phi, s)
         assert formed and all(formed)
 
     @pytest.mark.parametrize("m", range(2, 8))
-    def test_one_sort_solver_forms_no_product_part(self, monkeypatch, m):
-        """A one-sort part is one term, so the solver works on lists of
-        coefficients and never calls the multivariate kernel."""
+    def test_one_sort_route_forms_no_product_part(self, monkeypatch, m):
+        """A one-sort series has one term a degree, so its solver, its centre
+        series and every size-level count work on lists of coefficients and
+        never call the multivariate kernel."""
         calls = []
         product_part = series._product_part
         monkeypatch.setattr(series, "_product_part",
                             lambda *args: calls.append(args) or product_part(*args))
-        series.solve_one_sort(m, cli.SERIES_ONE_SORT_BOUND)
+        order = cli.SERIES_ONE_SORT_BOUND
+        for target in ("planted", "rooted", "unlabelled"):
+            series.one_sort_series(m, order, target)
+        _, hat = series.solve_one_sort(m, order)
+        for s in (1, 2):
+            series.one_sort_centre(m, hat, euler_phi, s)
+        stat = stats.size_stat(m, (order - 1) // (m - 1))
+        for mode in ("rooted", "pointed", "unlabelled", "asymmetric"):
+            series.count_target(stat, *F.MODES[mode].centres(stat))
         assert calls == []
 
     @pytest.mark.parametrize("m", range(2, 6))
@@ -410,7 +449,7 @@ class TestSparseParts:
 
         monkeypatch.setattr(series, "_product_part", recorded)
         for fam in _families(m).values():
-            for color in range(1, fam.nvars + 1):
+            for color in range(1, m + 1):
                 if not fam.slots:
                     series.series_centre(fam, color, euler_phi)
         assert factors and not any(map(any, factors))
@@ -437,9 +476,9 @@ class TestPackedExponents:
         coordinate = st.integers(0, order)
         e = tuple(data.draw(st.lists(coordinate, min_size=ncoords, max_size=ncoords)))
         caps = tuple(data.draw(st.lists(coordinate, min_size=ncoords, max_size=ncoords)))
-        fam = series.PlantedFamily(2, order, ncoords)
+        fam = series.PlantedFamily(ncoords, order)  # m coordinates, no marker
         assert fam.unpack(fam.pack(e)) == e
-        boxed = series.PlantedFamily(2, order, ncoords, box=caps)
+        boxed = series.PlantedFamily(ncoords, order, box=caps)
         assert boxed.unpack(boxed.pack(e)) == e
         bias, guard = boxed.inside
         outside = any(x > cap for x, cap in zip(e, caps))
@@ -455,7 +494,7 @@ class TestPackedExponents:
             p, rest = divmod(n - 1, m - 1)
             if rest:
                 continue
-            assert series.solve_one_sort(m, n).width == width
+            assert series.PlantedFamily(m, n).width == width
             queries = [(stats.size_stat(m, p), "pointed", None)] + [
                 (stats.color_stat(m, counts), "pointed", c)
                 for counts in _color_vectors(m, p) if p in counts

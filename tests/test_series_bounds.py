@@ -96,7 +96,7 @@ def test_one_sort_planted_is_fuss_catalan(m):
     order = cli.SERIES_ONE_SORT_BOUND
     fuss_catalan = {((m - 1) * p + 1,): math.comb(m * p, p) // ((m - 1) * p + 1)
                     for p in range((order - 1) // (m - 1) + 1)}
-    assert series.series_planted(series.solve_one_sort(m, order)) == fuss_catalan
+    assert series.one_sort_series(m, order, "planted") == fuss_catalan
 
 
 @pytest.mark.parametrize("m,order", [(1, 3), (0, 3), (2, 0)])
