@@ -2,13 +2,15 @@
 """Run the full formula / series / oracle cross-validation sweep.
 
 Exhaustively generates small cacti and compares every count against the
-closed forms.  Then it checks every count that the series route answers
-(rooted, labelled, pointed, unlabelled, asymmetric and every automorphism
-stratum) against the closed forms of the mode table: each realizable colour
-vector for m = 2, 3 up to a total degree, read off the centre series and
-the rooted series, and each polygon count for m = 2..7 read off the
-one-sort series to the CLI's order bound.  Exits nonzero on the first
-mismatch.  The exhaustive sweep covers the oracle's whole generation budget
+closed forms.  Over the same sizes it checks every entry of
+`formulas.centred_counts`, which `verify` reads, against the per-mode
+closed form of `formulas.MODES`.  Then it checks every count that the
+series route answers (rooted, labelled, pointed, unlabelled, asymmetric and
+every automorphism stratum) against the closed forms of the mode table:
+each realizable colour vector for m = 2, 3 up to a total degree, read off
+the centre series and the rooted series, and each polygon count for
+m = 2..7 read off the one-sort series to the CLI's order bound.  Exits
+nonzero on the first mismatch.  The exhaustive sweep covers the oracle's whole generation budget
 unless --budgets narrows it.
 
 Usage: python scripts/crosscheck.py [--degree 16] [--budgets "2:6,3:4,4:3"]
@@ -81,6 +83,37 @@ def _sweep(statistics, read) -> tuple[str | None, int]:
                 return (f"{mode}{flags} m={stat.m} at {where}: series {value}, "
                         f"formula {expected}"), checked
             checked += 1
+    return None, checked
+
+
+def centred_sweep(m: int, p_max: int) -> tuple[str | None, int]:
+    """The first entry of `formulas.centred_counts` that differs from its
+    mode's closed form, or that is missing or extra, over every statistic
+    that `verify(m, p_max)` compares, or None, and the number of entries
+    compared."""
+    checked = 0
+    for p in range(1, p_max + 1):
+        for stat in [stats.size_stat(m, p), *oracle._all_color_vectors(m, p),
+                     *oracle._all_degree_matrices(m, p)]:
+            size = isinstance(stat, stats.SizeStat)
+            where = f"p={p}" if size else getattr(stat, "counts", None) or stat.rows
+            counts = formulas.centred_counts(stat)
+            colors = [None] if size else range(1, m + 1)
+            keys = ([(mode, None) for mode in ("rooted", "unlabelled", "asymmetric")]
+                    + [(mode, s) for s in range(2, p + 1) if p % s == 0
+                       for mode in ("aut-exact", "aut-atleast")]
+                    + [("pointed", c) for c in colors])
+            if set(counts) != set(keys):
+                return (f"centred counts m={m} at {where}: keys "
+                        f"{sorted(counts, key=str)}, expected {sorted(keys, key=str)}"
+                        ), checked
+            for mode, option in keys:
+                expected = formulas.MODES[mode].formula(
+                    stat, **{"color" if mode == "pointed" else "s": option})
+                if counts[mode, option] != expected:
+                    return (f"centred {mode} {option} m={m} at {where}: "
+                            f"{counts[mode, option]}, formula {expected}"), checked
+                checked += 1
     return None, checked
 
 
@@ -159,6 +192,11 @@ def main() -> int:
                 print(f"gonal mismatch m={m} p={p}: {gonal} vs {expected}")
                 return 1
         print(f"gonal m={m} p<={p_max}: ok")
+        failure, checked = centred_sweep(m, p_max)
+        if failure:
+            print(f"mismatch in {failure}")
+            return 1
+        print(f"centred counts m={m} p<={p_max}: {checked} entries ok")
 
     for m in (2, 3):
         vectors = [c for p in range(1, (args.degree - 1) // (m - 1) + 1)

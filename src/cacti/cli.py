@@ -181,9 +181,11 @@ def _table1(args) -> list[list]:
             rows.append([m, spec, f"COHERENCE-FAIL ({type(exc).__name__}: {exc})",
                          "", "", ""])
             continue
-        rows.append([m, spec, " ".join(str(formulas.count_pointed(matrix, c))
+        counts = formulas.centred_counts(matrix)
+        rows.append([m, spec, " ".join(str(counts["pointed", c])
                                        for c in range(1, m + 1)),
-                     formulas.count_rooted(matrix), *formulas.count_classes(matrix)])
+                     *(counts[mode, None]
+                       for mode in ("rooted", "unlabelled", "asymmetric"))])
     return rows
 
 

@@ -20,7 +20,12 @@ with s | d that divide the statistic less one colour-i vertex:
 * unlabelled / asymmetric   -- sum_i centre_i(phi / mu, 1) - (m - 1) rooted,
 * aut-atleast / aut-exact s -- sum_i centre_i(phi / mu, s), s >= 2.
 
-`count_classes` forms each centre term once for phi and mu together, and
+One pass, `_centre`, forms each centre term once for all the weights it
+is given, with one row of sums per centre colour.  The narrow readers ask
+for what they return: `count_classes` for phi and mu together at one
+stretch, `count_pointed` for phi at one colour.  `centred_counts` asks for
+every weight at once and reads off every count above, each colour's
+pointed count included; `oracle.verify` and table 1 read it.
 `gonal_orbits` reads the uncoloured gonal counts off the coloured ones.
 `MODES` names each mode once for every route: its closed form, its count
 over isomorphism classes, the statistic level it is bound to and its
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .arith import (binomial, common_divisors, divisors, euler_phi, moebius_mu,
@@ -137,7 +143,7 @@ def pointed_colors(stat: Statistic, color: int | None) -> range:
     return range(color, color + 1)
 
 
-Weigh = Callable[[int], tuple[int, ...]]  # weights at e = d / s, all 1 at e = 1
+Weigh = Callable[[int], tuple[int, ...]]  # every weight at d, stretch folded in
 
 
 class Centres(NamedTuple):
@@ -163,57 +169,82 @@ def class_centres(stat: Statistic, weight: Callable[[int], int] | None,
     return Centres(range(1, stat.m + 1), weight, s, (1 - stat.m) * (s == 1))
 
 
-def _centre(stat: Statistic, colors: Sequence[int], weigh: Weigh, s: int,
-            min_d: int) -> tuple[list[int], int]:
-    """The centre sums of `colors` at each weight, as numerators over the
-    level's denominator, p, p^2 or n_1 ... n_m.  The colour-i term of d >=
-    min_d, s | d, is weight(d/s) times a count of the statistic less a
-    colour-i vertex (of degree h at degree level, summed over h), each part
-    over d, formed once for all the weights."""
-    p, m = stat.p, stat.m
-    totals = [0] * len(weigh(1))
+def _stretch(weights: Callable[[int], tuple[int, ...]], s: int,
+             least: int) -> Weigh:
+    """`weights` at stretch s: s times weights(d/s) where s | d and d >= least,
+    else all 0."""
+    if s == least == 1:
+        return weights
+    zero = (0,) * len(weights(1))
+    if s == 1:
+        return lambda d: zero if d < least else weights(d)
+    return lambda d: (zero if d < least or d % s
+                      else tuple([s * w for w in weights(d // s)]))
 
-    def add(factor: int, values: list[int], term: Callable[[int], int]) -> None:
+
+def _centre(stat: Statistic, colors: Sequence[int],
+            weigh: Weigh) -> tuple[list[list[int]], int]:
+    """One row of centre sums per colour of `colors`, an entry per weight of
+    `weigh`, as numerators over the level's denominator, p, p^2 or n_1 ...
+    n_m; at size level one row serves every colour.  The colour-i term of d
+    is weigh(d) times a count of the statistic less a colour-i vertex (of
+    degree h at degree level, summed over h), each part over d, formed once
+    for all the weights and skipped where they are all 0."""
+    p, m = stat.p, stat.m
+    width = len(weigh(1))
+
+    def add(totals: list[int], factor: int, values: list[int],
+            term: Callable[[int], int]) -> list[int]:
         for d in common_divisors(values):
-            if d >= min_d and not d % s:
+            ws = weigh(d)
+            if any(ws):
                 t = factor * term(d)
-                for k, w in enumerate(weigh(d // s)):
+                for k, w in enumerate(ws):
                     totals[k] += w * t
+        return totals
 
     if isinstance(stat, SizeStat):
         # Colour rotation maps the colour-i centres onto the colour-(i+1) ones.
-        add(s * len(colors), [p], lambda d: binomial(m * p // d - 1, p // d - 1))
-        return totals, p
+        return [add([0] * width, 1, [p],
+                    lambda d: binomial(m * p // d - 1, p // d - 1))], p
+    rows = []
     if isinstance(stat, ColorStat):
         for i in colors:
             lowered = list(stat.counts)
             lowered[i - 1] -= 1
-            add(s * (p - lowered[i - 1]), [p] + lowered,
-                lambda d: math.prod(binomial(p // d, c // d) for c in lowered))
-        return totals, p * p
+            rows.append(add([0] * width, p - lowered[i - 1], [p] + lowered,
+                            lambda d: math.prod(binomial(p // d, c // d)
+                                                for c in lowered)))
+        return rows, p * p
     counts = stat.color_counts
     for i in colors:
+        totals = [0] * width
         for h, _ in stat.rows[i - 1]:
-            rows = [[k - (j == i - 1 and g == h) for g, k in row]
-                    for j, row in enumerate(stat.rows)]
-            add(s * p ** (m - 2) * counts[i - 1],
-                [h, p] + [k for row in rows for k in row],
+            lowered = [[k - (j == i - 1 and g == h) for g, k in row]
+                       for j, row in enumerate(stat.rows)]
+            add(totals, p ** (m - 2) * counts[i - 1],
+                [h, p] + [k for row in lowered for k in row],
                 lambda d: math.prod(multinomial(sum(row) // d, [k // d for k in row])
-                                    for row in rows))
-    return totals, math.prod(counts)
+                                    for row in lowered))
+        rows.append(totals)
+    return rows, math.prod(counts)
 
 
 def _count_centred(stat: Statistic, centres: Centres, context: str,
-                   weigh: Weigh | None = None) -> tuple[int, ...]:
-    """Counts at the weights of `weigh`, else the centres' own.  The d = 1
-    terms and rooted = -(m - 1) make the rooted count over p: d starts at 2."""
+                   weights: Callable[[int], tuple[int, ...]] | None = None
+                   ) -> tuple[int, ...]:
+    """Counts at `weights`, else at the centres' own weight, summed over the
+    centre colours.  The d = 1 terms and rooted = -(m - 1) make the rooted
+    count over p: d starts at 2."""
     colors, weight, s, rooted = centres
-    weigh = weigh or (lambda e: (weight(e),))
+    weights = weights or (lambda e: (weight(e),))
     if stat.p == 0:
-        return (int(s == 1),) * len(weigh(1))
-    nums, den = _centre(stat, colors, weigh, s, 2 if rooted else 1)
+        return (int(s == 1),) * len(weights(1))
+    rows, den = _centre(stat, colors, _stretch(weights, s, 2 if rooted else 1))
+    copies = len(colors) if isinstance(stat, SizeStat) else 1
     base = count_rooted(stat) * den // stat.p if rooted else 0
-    return tuple(_exact(num + base, context, den) for num in nums)
+    return tuple(_exact(copies * num + base, context, den)
+                 for num in map(sum, zip(*rows)))
 
 
 def count_pointed(stat: Statistic, color: int | None = None) -> int:
@@ -252,6 +283,39 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     """
     _check_stratum(s)
     return count_classes(stat, s)[mode is AutMode.EXACTLY]
+
+
+def centred_counts(stat: Statistic) -> dict[tuple[str, int | None], int]:
+    """Every count that the dissymmetry theorem writes with centre sums,
+    from one pass over the centres, keyed (mode, option): rooted,
+    unlabelled and asymmetric with option None, aut-atleast and aut-exact
+    at each s | p with s >= 2, and pointed at each colour, or summed over
+    the colours with option None at size level."""
+    p, m = stat.p, stat.m
+    size = isinstance(stat, SizeStat)
+    colors = [None] if size else range(1, m + 1)
+    if p == 0:
+        return {("rooted", None): 0, ("unlabelled", None): 1,
+                ("asymmetric", None): 1, **{("pointed", c): 1 for c in colors}}
+    strata = divisors(p)[1:]
+    classes = [("unlabelled", None), ("asymmetric", None)] + [
+        (mode, s) for s in strata for mode in ("aut-atleast", "aut-exact")]
+    # Weights: pointed phi, then phi and mu at each stretch, d >= 2 at s = 1.
+    pieces = [lambda d: phi_mu(d)[:1], _stretch(phi_mu, 1, 2),
+              *(_stretch(phi_mu, s, 1) for s in strata)]
+    rows, den = _centre(stat, range(1, m + 1),
+                        cache(lambda d: sum((w(d) for w in pieces), ())))
+    if size:  # the one row serves all m colours
+        rows = [[m * w for w in rows[0]]]
+    rooted = count_rooted(stat)
+    base = rooted * den // p
+    sums = [sum(col) for col in zip(*rows)]
+    counts = {("rooted", None): rooted}
+    for k, (key, total) in enumerate(zip(classes, sums[1:])):
+        counts[key] = _exact(total + base * (k < 2), "class count", den)
+    for color, row in zip(colors, rows):
+        counts["pointed", color] = _exact(row[0], "pointed count", den)
+    return counts
 
 
 def gonal_orbits(stat: SizeStat, coloured: int) -> int:

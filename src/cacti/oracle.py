@@ -484,11 +484,12 @@ def verify(m: int, p_max: int) -> VerifyReport:
         results.append(CheckResult(name, p, len(pairs), not bad, detail))
 
     def compare(label: str, mode: str, stat, members: list[CactusStats],
-                **options) -> tuple[str, int, int]:
-        """The mode's closed form against its count over the classes."""
-        row = formulas.MODES[mode]
-        return (label, row.formula(stat, **options),
-                row.classes(members, stat, **options))
+                option: int | None = None) -> tuple[str, int, int]:
+        """The mode's closed form, read off the statistic's centred counts,
+        against its count over the classes; `option` is the mode's s or
+        colour, and each mode ignores the keyword it does not read."""
+        return (label, centred[stat][mode, option],
+                formulas.MODES[mode].classes(members, stat, color=option, s=option))
 
     for p in range(1, p_max + 1):
         size = size_stat(m, p)
@@ -507,20 +508,22 @@ def verify(m: int, p_max: int) -> VerifyReport:
         degree_matrices = _all_degree_matrices(m, p)
         levels = [("color", [(c, c.counts) for c in color_vectors]),
                   ("degree", [(d, d.rows) for d in degree_matrices])]
+        centred = {stat: formulas.centred_counts(stat)
+                   for stat in [size, *color_vectors, *degree_matrices]}
 
         record("rooted size", p,
-               [("count", formulas.count_rooted(size), len(rooted))])
+               [("count", centred[size]["rooted", None], len(rooted))])
         tally = rooted_tally(rooted)
         for level, keyed in levels:
-            record(f"rooted {level}", p, [(str(key), formulas.count_rooted(stat),
+            record(f"rooted {level}", p, [(str(key), centred[stat]["rooted", None],
                                            tally[stat]) for stat, key in keyed])
 
         strata = sorted(s for s in divisors(p) if s >= 2)
         pairs = [compare(mode, mode, size, classes)
                  for mode in ("unlabelled", "asymmetric")]
         for s in strata:
-            pairs.append(compare(f"aut={s}", "aut-exact", size, classes, s=s))
-            pairs.append(compare(f"aut>={s}", "aut-atleast", size, classes, s=s))
+            pairs.append(compare(f"aut={s}", "aut-exact", size, classes, s))
+            pairs.append(compare(f"aut>={s}", "aut-atleast", size, classes, s))
         record("classes size", p, pairs)
 
         for level, keyed in levels:
@@ -529,31 +532,33 @@ def verify(m: int, p_max: int) -> VerifyReport:
                 members = groups.get(stat, [])
                 pairs += [compare(f"{mode} {key}", mode, stat, members)
                           for mode in ("unlabelled", "asymmetric")]
-                pairs += [compare(f"aut={s} {key}", "aut-exact", stat, members, s=s)
+                pairs += [compare(f"aut={s} {key}", "aut-exact", stat, members, s)
                           for s in strata]
                 if level == "degree":
                     # the sum of 1/|Aut|: a class has p/|Aut| rootings
                     pairs.append((f"reciprocal {key}",
-                                  Fraction(formulas.count_rooted(stat), p),
+                                  Fraction(centred[stat]["rooted", None], p),
                                   sum(Fraction(1, st.aut_order)
                                       for st in members) or Fraction(0)))
             record(f"classes {level}", p, pairs)
 
-        record("labelled", p, [compare("size", "labelled", size, classes)] + [
-            compare(f"color {c.counts}", "labelled", c, groups.get(c, []))
-            for c in color_vectors])
+        labelled = formulas.MODES["labelled"].classes
+        record("labelled", p, [("size", formulas.count_labelled(size),
+                                labelled(classes, size))] + [
+            (f"color {c.counts}", formulas.count_labelled(c),
+             labelled(groups.get(c, []), c)) for c in color_vectors])
 
         pairs = [compare("size", "pointed", size, classes)]
         for level, keyed in levels:
             pairs += [compare(f"{level} {key} @{color}", "pointed", stat,
-                              groups.get(stat, []), color=color)
+                              groups.get(stat, []), color)
                       for stat, key in keyed for color in range(1, m + 1)]
         record("pointed orbits", p, pairs)
 
         if p <= FACT_BUDGET.get(m, 2):
             census = factorizations(m, p)
             valid_keys = {d.rows: d for d in degree_matrices}
-            pairs = [(f"census {d.rows}", formulas.count_rooted(d),
+            pairs = [(f"census {d.rows}", centred[d]["rooted", None],
                       census.get(d.rows, 0)) for d in degree_matrices]
             for key in census:
                 if key not in valid_keys:

@@ -1,0 +1,92 @@
+"""`formulas.centred_counts` against the per-mode closed forms, and the
+comparisons of `oracle.verify`, which reads its closed forms from it."""
+
+import pytest
+
+from cacti import formulas, oracle, stats
+
+# The statistics and sizes of the oracle cross-check in the acceptance suite.
+VERIFY_SIZES = [(2, p) for p in range(1, 7)] + [(3, p) for p in range(1, 5)] + [
+    (4, p) for p in range(1, 4)]
+
+
+def _statistics(m: int, p: int) -> list:
+    """Every statistic that `verify` compares at this size."""
+    return [stats.size_stat(m, p), *oracle._all_color_vectors(m, p),
+            *oracle._all_degree_matrices(m, p)]
+
+
+def _queries(stat) -> list[tuple[tuple[str, int | None], dict]]:
+    """Every centred-count key of `stat`, with the options that ask the
+    mode's closed form for the same count."""
+    colors = [None] if isinstance(stat, stats.SizeStat) else range(1, stat.m + 1)
+    strata = [s for s in range(2, stat.p + 1) if stat.p % s == 0]
+    return ([((mode, None), {}) for mode in ("rooted", "unlabelled", "asymmetric")]
+            + [((mode, s), {"s": s}) for s in strata
+               for mode in ("aut-exact", "aut-atleast")]
+            + [(("pointed", c), {"color": c}) for c in colors])
+
+
+@pytest.mark.parametrize("m, p", VERIFY_SIZES, ids=[f"m{m}-p{p}" for m, p in VERIFY_SIZES])
+def test_every_entry_is_the_per_mode_closed_form(m, p):
+    for stat in _statistics(m, p):
+        counts = formulas.centred_counts(stat)
+        queries = _queries(stat)
+        assert set(counts) == {key for key, _ in queries}
+        for (mode, option), options in queries:
+            assert counts[mode, option] == formulas.MODES[mode].formula(
+                stat, **options), (stat, mode, option)
+
+
+@pytest.mark.parametrize("stat", [
+    stats.size_stat(2, 0), stats.size_stat(5, 0), stats.color_stat(3, (0, 1, 0)),
+], ids=repr)
+def test_single_vertex_conventions(stat):
+    counts = formulas.centred_counts(stat)
+    assert set(counts) == {key for key, _ in _queries(stat)}
+    for (mode, option), options in _queries(stat):
+        assert counts[mode, option] == formulas.MODES[mode].formula(stat, **options)
+
+
+def test_a_bumped_entry_fails_verify_with_its_label(monkeypatch):
+    target = oracle._all_degree_matrices(3, 4)[5]
+    centred_counts = formulas.centred_counts
+
+    def bumped(stat):
+        counts = centred_counts(stat)
+        if stat == target:
+            counts["aut-exact", 2] += 1
+        return counts
+
+    monkeypatch.setattr(formulas, "centred_counts", bumped)
+    report = oracle.verify(3, 4)
+    failure = report.first_failure
+    assert not report.passed and (failure.name, failure.p) == ("classes degree", 4)
+    value = centred_counts(target)["aut-exact", 2]
+    assert failure.detail == (f"aut=2 {target.rows}: expected {value + 1}, "
+                              f"got {value}")
+    assert [r.name for r in report.results if not r.passed] == ["classes degree"]
+
+
+# (name, p, comparisons) of every check of `verify`, as the closed forms
+# were compared one mode at a time: the same checks, each with as many
+# comparisons.
+CHECKS = ("rooted size", "rooted color", "rooted degree", "classes size",
+          "classes color", "classes degree", "labelled", "pointed orbits",
+          "factorizations")
+COMPARISONS = {
+    (3, 4): [(1, 1, 1, 2, 2, 3, 2, 7, 1), (1, 3, 3, 4, 9, 12, 4, 19, 4),
+             (1, 6, 6, 4, 18, 24, 7, 37, 13), (1, 10, 16, 6, 40, 80, 11, 79, 59)],
+    (2, 6): [(1, 1, 1, 2, 2, 3, 2, 5, 1), (1, 2, 2, 4, 6, 8, 3, 9, 2),
+             (1, 3, 3, 4, 9, 12, 4, 13, 4), (1, 4, 6, 6, 16, 30, 5, 21, 10),
+             (1, 5, 10, 4, 15, 40, 6, 31, 19), (1, 6, 20, 8, 30, 120, 7, 53, 48)],
+}
+
+
+@pytest.mark.parametrize("m, p_max", COMPARISONS, ids=["m3-p4", "m2-p6"])
+def test_verify_makes_the_same_comparisons(m, p_max):
+    report = oracle.verify(m, p_max)
+    assert report.passed
+    assert [(r.name, r.p, r.comparisons) for r in report.results] == [
+        (name, p, count) for p, row in enumerate(COMPARISONS[m, p_max], start=1)
+        for name, count in zip(CHECKS, row)]

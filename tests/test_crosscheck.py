@@ -80,3 +80,16 @@ def test_falsified_stratum_exits_1(capsys, monkeypatch):
     assert crosscheck.main() == 1
     assert capsys.readouterr().out.endswith(
         "series mismatch in aut-exact s=3 m=2 at (1, 3): series 1, formula 2\n")
+
+
+def test_centred_count_off_its_closed_form_exits_1(capsys, monkeypatch):
+    crosscheck = _crosscheck()
+    count = formulas.count_pointed
+    monkeypatch.setattr(formulas, "count_pointed", lambda stat, color=None: count(
+        stat, color) + (color == 2 and isinstance(stat, stats.ColorStat)))
+    monkeypatch.setattr(sys, "argv", ["crosscheck.py", "--budgets", "2:2",
+                                      "--degree", "4"])
+    assert crosscheck.main() == 1
+    assert capsys.readouterr().out.endswith(
+        "mismatch in centred pointed 2 m=2 at (1, 1): 1, formula 2\n")
+
