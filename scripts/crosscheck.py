@@ -8,10 +8,12 @@ closed form of `formulas.MODES`.  Then it checks every count that the
 series route answers (rooted, labelled, pointed, unlabelled, asymmetric and
 every automorphism stratum) against the closed forms of the mode table:
 each realizable colour vector for m = 2, 3 up to a total degree, read off
-the centre series and the rooted series, and each polygon count for
+the centre series and the rooted series, with every entry of its
+`formulas.centred_counts`, and each polygon count for
 m = 2..7 read off the one-sort series to the CLI's order bound.  Exits
-nonzero on the first mismatch.  The exhaustive sweep covers the oracle's whole generation budget
-unless --budgets narrows it.
+1 on the first mismatch, or on a count that does not come out whole.  The
+exhaustive sweep covers the oracle's whole generation budget unless
+--budgets narrows it.
 
 Usage: python scripts/crosscheck.py [--degree 16] [--budgets "2:6,3:4,4:3"]
 """
@@ -120,7 +122,8 @@ def centred_sweep(m: int, p_max: int) -> tuple[str | None, int]:
 def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, int]:
     """`_sweep` of colour statistics on the coefficients of the family's
     centre and rooted series, one centre series per colour, weight and
-    stretch."""
+    stretch, then every entry of each statistic's `formulas.centred_counts`
+    against the series count of its mode's `Centres`."""
     rooted, centres = series.series_rooted(family), {}
 
     def read(stat, form):
@@ -132,7 +135,18 @@ def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, 
             value += centres[key].get(stat.counts, 0)
         return value
 
-    return _sweep(statistics, read)
+    failure, checked = _sweep(statistics, read)
+    if failure:
+        return failure, checked
+    for stat in statistics:
+        for (mode, option), value in formulas.centred_counts(stat).items():
+            expected = read(stat, formulas.MODES[mode].centres(stat, color=option,
+                                                               s=option))
+            if value != expected:
+                return (f"centred {mode} {option} m={stat.m} at {stat.counts}: "
+                        f"{value}, series {expected}"), checked
+            checked += 1
+    return None, checked
 
 
 def one_sort_sweep(order: int) -> str | None:
@@ -171,6 +185,15 @@ def main() -> int:
                             f"{m}:{p}" for m, p in oracle.GEN_BUDGET.items()),
                         help="m:p_max pairs for the exhaustive sweep")
     args = parser.parse_args()
+    try:
+        return cross_check(args)
+    except stats.InconsistentResult as exc:  # a division that did not cancel
+        print(f"  first failure: {type(exc).__name__}: {exc}")
+        return 1
+
+
+def cross_check(args) -> int:
+    """Every sweep in turn: 0 if all pass, else 1 at the first mismatch."""
     start = time.perf_counter()
 
     for m, p_max in sorted(args.budgets.items()):

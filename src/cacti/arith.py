@@ -13,7 +13,7 @@ branch-free.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache
 
 
 class SumMismatch(ValueError):
@@ -22,10 +22,6 @@ class SumMismatch(ValueError):
 
 class NonPositive(ValueError):
     """Argument must be >= 1."""
-
-
-class AllZero(ValueError):
-    """At least one value must be nonzero."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,8 +62,10 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
+@cache
 def phi_mu(d: int) -> tuple[int, int]:
-    """Euler's totient and the Moebius function of d, from one factorization."""
+    """Euler's totient and the Moebius function of d, from one factorization,
+    made once per d."""
     if d < 1:
         raise NonPositive(f"phi_mu({d})")
     phi, mu = d, 1
@@ -100,15 +98,3 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def common_divisors(values: list[int] | tuple[int, ...]) -> list[int]:
-    """Divisors of gcd(values), treating 0 as divisible by everything.
-
-    Zero entries arise naturally (e.g. a degree row minus a unit vector),
-    so they are ignored by the gcd; an all-zero input has no finite gcd.
-    """
-    g = reduce(math.gcd, values, 0)
-    if g == 0:
-        raise AllZero("every value is 0")
-    return divisors(g)

@@ -20,21 +20,24 @@ with s | d that divide the statistic less one colour-i vertex:
 * unlabelled / asymmetric   -- sum_i centre_i(phi / mu, 1) - (m - 1) rooted,
 * aut-atleast / aut-exact s -- sum_i centre_i(phi / mu, s), s >= 2.
 
-One pass, `_centre`, forms each centre term once for all the weights it
-is given, with one row of sums per centre colour.  The narrow readers ask
-for what they return: `count_classes` for phi and mu together at one
-stretch, `count_pointed` for phi at one colour.  `centred_counts` asks for
-every weight at once and reads off every count above, each colour's
-pointed count included; `oracle.verify` and table 1 read it.
+`_count_centred` reads any list of `Centres` as the series route reads
+them, from one pass that forms each centre term once for all the forms
+that weigh it; the d = 1 terms, n_i rooted / p, need no pass.  The narrow
+readers ask it for what they return: `count_classes` for phi and mu
+together at one stretch, `count_pointed` for phi at one colour.
+`centred_counts` asks for every count above at once, by the modes' own
+`Centres`, each colour's pointed count included; `oracle.verify` and
+table 1 read it.
 `gonal_orbits` reads the uncoloured gonal counts off the coloured ones.
 `MODES` names each mode once for every route: its closed form, its count
 over isomorphism classes, the statistic level it is bound to and its
-`Centres`, which the series route reads.
+`Centres`, which both routes read.
 
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
-0 (there is no polygon to distinguish), all other counts are 1.  Every
-division in the formulas below cancels exactly; `_exact` raises
-`InconsistentResult` on a remainder, which would signal an implementation bug.
+0 (there is no polygon to distinguish), and so are the strata s >= 2 (it
+has no symmetry); all other counts are 1.  Every division in the formulas
+below cancels exactly; `_exact` raises `InconsistentResult` on a remainder,
+which would signal an implementation bug.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
-from .arith import (binomial, common_divisors, divisors, euler_phi, moebius_mu,
-                    multinomial, phi_mu)
+from .arith import binomial, divisors, euler_phi, moebius_mu, multinomial
 from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
                     ValidationError, size_stat)
 
@@ -143,13 +144,13 @@ def pointed_colors(stat: Statistic, color: int | None) -> range:
     return range(color, color + 1)
 
 
-Weigh = Callable[[int], tuple[int, ...]]  # every weight at d, stretch folded in
-
-
 class Centres(NamedTuple):
     """A count by the dissymmetry theorem: the centre sums of the 1-based
     `colors` at `weight` and stretch `s`, plus `rooted` times the rooted
-    count (-(m - 1) for the classes at s = 1, 0 for pointed counts)."""
+    count (-(m - 1) for the classes at s = 1, 0 for pointed counts; the
+    rooted and labelled counts sum no centres).  Both routes read it so:
+    the formula route by `_count_centred`, the series route by
+    `series.count_target`."""
 
     colors: Sequence[int]
     weight: Callable[[int], int] | None
@@ -161,7 +162,7 @@ def pointed_centres(stat: Statistic, color: int | None = None) -> Centres:
     return Centres(pointed_colors(stat, color), euler_phi, 1, 0)
 
 
-def class_centres(stat: Statistic, weight: Callable[[int], int] | None,
+def class_centres(stat: Statistic, weight: Callable[[int], int],
                   s: int = 1) -> Centres:
     """Classes: plain (phi) or asymmetric (mu) at s = 1, else those whose
     automorphism order is a multiple of s (phi) or exactly s (mu).  Past
@@ -169,87 +170,73 @@ def class_centres(stat: Statistic, weight: Callable[[int], int] | None,
     return Centres(range(1, stat.m + 1), weight, s, (1 - stat.m) * (s == 1))
 
 
-def _stretch(weights: Callable[[int], tuple[int, ...]], s: int,
-             least: int) -> Weigh:
-    """`weights` at stretch s: s times weights(d/s) where s | d and d >= least,
-    else all 0."""
-    if s == least == 1:
-        return weights
-    zero = (0,) * len(weights(1))
-    if s == 1:
-        return lambda d: zero if d < least else weights(d)
-    return lambda d: (zero if d < least or d % s
-                      else tuple([s * w for w in weights(d // s)]))
-
-
-def _centre(stat: Statistic, colors: Sequence[int],
-            weigh: Weigh) -> tuple[list[list[int]], int]:
-    """One row of centre sums per colour of `colors`, an entry per weight of
-    `weigh`, as numerators over the level's denominator, p, p^2 or n_1 ...
-    n_m; at size level one row serves every colour.  The colour-i term of d
-    is weigh(d) times a count of the statistic less a colour-i vertex (of
-    degree h at degree level, summed over h), each part over d, formed once
-    for all the weights and skipped where they are all 0."""
+def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
+    """The count of each of `forms`, from one pass over the centres.  The
+    colour-i term of d is a count of the statistic less a colour-i vertex
+    (of degree h at degree level, summed over h), each part over d, as a
+    numerator over the level's denominator, p, p^2 or n_1 ... n_m.  For
+    d >= 2 the pass forms it once for all the forms that sum colour i, each
+    weighing it s * weight(d / s) where s | d, and skips it where those
+    weights are all 0.  At d = 1 it needs no pass: it is n_i R / p, the
+    n_i colour-i vertices of each of the R rooted cacti over the p rootings
+    of a cactus.  At size level colour rotation makes colour 1's terms
+    every colour's, and n_i is n / m.  The p = 0 cactus, a lone vertex, has
+    no rooting, one class, one pointing and no symmetry."""
     p, m = stat.p, stat.m
-    width = len(weigh(1))
+    if p == 0:
+        return [int(form.s == 1 and bool(form.colors)) for form in forms]
+    size = isinstance(stat, SizeStat)
+    specs = [(k, form.colors, form.s, form.weight)
+             for k, form in enumerate(forms) if form.colors]
+    totals = [0] * len(forms)
 
-    def add(totals: list[int], factor: int, values: list[int],
-            term: Callable[[int], int]) -> list[int]:
-        for d in common_divisors(values):
-            ws = weigh(d)
-            if any(ws):
-                t = factor * term(d)
-                for k, w in enumerate(ws):
+    def add(i: int, factor: int, values: list[int], term: Callable[[int], int]) -> None:
+        for d in divisors(math.gcd(*values))[1:]:
+            t = None
+            for k, colors, s, weight in specs:
+                if not d % s and (size or i in colors) and (w := s * weight(d // s)):
+                    if t is None:
+                        t = factor * term(d)
                     totals[k] += w * t
-        return totals
 
-    if isinstance(stat, SizeStat):
-        # Colour rotation maps the colour-i centres onto the colour-(i+1) ones.
-        return [add([0] * width, 1, [p],
-                    lambda d: binomial(m * p // d - 1, p // d - 1))], p
-    rows = []
-    if isinstance(stat, ColorStat):
-        for i in colors:
-            lowered = list(stat.counts)
+    centres = [] if size else sorted({c for form in forms for c in form.colors})
+    if size:
+        add(1, 1, [p], lambda d: binomial(m * p // d - 1, p // d - 1))
+        den = p
+    elif isinstance(stat, ColorStat):
+        vertices = stat.counts
+        for i in centres:
+            lowered = list(vertices)
             lowered[i - 1] -= 1
-            rows.append(add([0] * width, p - lowered[i - 1], [p] + lowered,
-                            lambda d: math.prod(binomial(p // d, c // d)
-                                                for c in lowered)))
-        return rows, p * p
-    counts = stat.color_counts
-    for i in colors:
-        totals = [0] * width
-        for h, _ in stat.rows[i - 1]:
-            lowered = [[k - (j == i - 1 and g == h) for g, k in row]
-                       for j, row in enumerate(stat.rows)]
-            add(totals, p ** (m - 2) * counts[i - 1],
-                [h, p] + [k for row in lowered for k in row],
-                lambda d: math.prod(multinomial(sum(row) // d, [k // d for k in row])
-                                    for row in lowered))
-        rows.append(totals)
-    return rows, math.prod(counts)
-
-
-def _count_centred(stat: Statistic, centres: Centres, context: str,
-                   weights: Callable[[int], tuple[int, ...]] | None = None
-                   ) -> tuple[int, ...]:
-    """Counts at `weights`, else at the centres' own weight, summed over the
-    centre colours.  The d = 1 terms and rooted = -(m - 1) make the rooted
-    count over p: d starts at 2."""
-    colors, weight, s, rooted = centres
-    weights = weights or (lambda e: (weight(e),))
-    if stat.p == 0:
-        return (int(s == 1),) * len(weights(1))
-    rows, den = _centre(stat, colors, _stretch(weights, s, 2 if rooted else 1))
-    copies = len(colors) if isinstance(stat, SizeStat) else 1
-    base = count_rooted(stat) * den // stat.p if rooted else 0
-    return tuple(_exact(copies * num + base, context, den)
-                 for num in map(sum, zip(*rows)))
+            add(i, p - lowered[i - 1], [p] + lowered,
+                lambda d: math.prod(binomial(p // d, c // d) for c in lowered))
+        den = p * p
+    else:
+        vertices = stat.color_counts
+        for i in centres:
+            for h, _ in stat.rows[i - 1]:
+                lowered = [[k - (j == i - 1 and g == h) for g, k in row]
+                           for j, row in enumerate(stat.rows)]
+                add(i, p ** (m - 2) * vertices[i - 1],
+                    [h, p] + [k for row in lowered for k in row],
+                    lambda d: math.prod(multinomial(sum(row) // d, [k // d for k in row])
+                                        for row in lowered))
+        den = math.prod(vertices)
+    rooted = count_rooted(stat) if any(f.s == 1 or f.rooted for f in forms) else 0
+    base = rooted * den // p  # R / p over den, the d = 1 term per vertex
+    counts = []
+    for form, total in zip(forms, totals):
+        if form.s == 1 and form.colors:
+            total += form.weight(1) * (base * stat.n // m if size else
+                                       base * sum([vertices[c - 1] for c in form.colors]))
+        counts.append(_exact((len(form.colors) if size else 1) * total
+                             + form.rooted * rooted * den, "centred count", den))
+    return counts
 
 
 def count_pointed(stat: Statistic, color: int | None = None) -> int:
     """Cacti pointed at a vertex; summed over colors at size level."""
-    return _count_centred(stat, pointed_centres(stat, color), "pointed count")[0]
+    return _count_centred(stat, [pointed_centres(stat, color)])[0]
 
 
 def _check_stratum(s: int, least: int = 2) -> None:
@@ -261,8 +248,8 @@ def count_classes(stat: Statistic, s: int = 1) -> tuple[int, int]:
     """The class counts at weights phi and mu, from one pass over the centres:
     (unlabelled, asymmetric) at s = 1, else (aut-atleast s, aut-exact s)."""
     _check_stratum(s, 1)
-    return _count_centred(stat, class_centres(stat, None, s), "class count",
-                          phi_mu)
+    return tuple(_count_centred(stat, [class_centres(stat, weight, s)
+                                       for weight in (euler_phi, moebius_mu)]))
 
 
 def count_unlabelled(stat: Statistic) -> int:
@@ -287,35 +274,17 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
 
 def centred_counts(stat: Statistic) -> dict[tuple[str, int | None], int]:
     """Every count that the dissymmetry theorem writes with centre sums,
-    from one pass over the centres, keyed (mode, option): rooted,
+    from the modes' `Centres` in one pass, keyed (mode, option): rooted,
     unlabelled and asymmetric with option None, aut-atleast and aut-exact
     at each s | p with s >= 2, and pointed at each colour, or summed over
     the colours with option None at size level."""
-    p, m = stat.p, stat.m
-    size = isinstance(stat, SizeStat)
-    colors = [None] if size else range(1, m + 1)
-    if p == 0:
-        return {("rooted", None): 0, ("unlabelled", None): 1,
-                ("asymmetric", None): 1, **{("pointed", c): 1 for c in colors}}
-    strata = divisors(p)[1:]
-    classes = [("unlabelled", None), ("asymmetric", None)] + [
-        (mode, s) for s in strata for mode in ("aut-atleast", "aut-exact")]
-    # Weights: pointed phi, then phi and mu at each stretch, d >= 2 at s = 1.
-    pieces = [lambda d: phi_mu(d)[:1], _stretch(phi_mu, 1, 2),
-              *(_stretch(phi_mu, s, 1) for s in strata)]
-    rows, den = _centre(stat, range(1, m + 1),
-                        cache(lambda d: sum((w(d) for w in pieces), ())))
-    if size:  # the one row serves all m colours
-        rows = [[m * w for w in rows[0]]]
-    rooted = count_rooted(stat)
-    base = rooted * den // p
-    sums = [sum(col) for col in zip(*rows)]
-    counts = {("rooted", None): rooted}
-    for k, (key, total) in enumerate(zip(classes, sums[1:])):
-        counts[key] = _exact(total + base * (k < 2), "class count", den)
-    for color, row in zip(colors, rows):
-        counts["pointed", color] = _exact(row[0], "pointed count", den)
-    return counts
+    keys = [("rooted", None), ("unlabelled", None), ("asymmetric", None),
+            *((mode, s) for s in divisors(stat.p or 1)[1:]
+              for mode in ("aut-atleast", "aut-exact")),
+            *(("pointed", c) for c in ([None] if isinstance(stat, SizeStat)
+                                       else range(1, stat.m + 1)))]
+    return dict(zip(keys, _count_centred(stat, [
+        MODES[mode].centres(stat, color=option, s=option) for mode, option in keys])))
 
 
 def gonal_orbits(stat: SizeStat, coloured: int) -> int:

@@ -74,14 +74,6 @@ def test_divisors():
         arith.divisors(0)
 
 
-def test_common_divisors():
-    assert arith.common_divisors([4, 0, 2, 2]) == [1, 2]
-    assert arith.common_divisors([1, 9]) == [1]
-    assert arith.common_divisors([6, 4]) == [1, 2]
-    assert arith.common_divisors([0, 0, 5]) == [1, 5]
-    with pytest.raises(arith.AllZero):
-        arith.common_divisors([0, 0])
-
 
 def test_phi_divisor_sums_to_n():
     phi = {k: arith.euler_phi(k) for k in range(1, 10_001)}

@@ -1,5 +1,8 @@
-"""`formulas.centred_counts` against the per-mode closed forms, and the
-comparisons of `oracle.verify`, which reads its closed forms from it."""
+"""`formulas.centred_counts` against the per-mode closed forms, a batch of
+the modes' `Centres` against each form counted alone, and the comparisons
+of `oracle.verify`, which reads its closed forms from it."""
+
+import random
 
 import pytest
 
@@ -46,6 +49,42 @@ def test_single_vertex_conventions(stat):
     assert set(counts) == {key for key, _ in _queries(stat)}
     for (mode, option), options in _queries(stat):
         assert counts[mode, option] == formulas.MODES[mode].formula(stat, **options)
+
+
+def _forms(stat) -> list[tuple[str, dict, formulas.Centres]]:
+    """Every mode's `Centres` for `stat`, with the options that ask for it:
+    pointed at each colour, the automorphism strata at every s up to p + 2,
+    so at orders that do not divide p and past p, and labelled if p >= 1."""
+    colors = [None] if isinstance(stat, stats.SizeStat) else range(1, stat.m + 1)
+    queries = ([(mode, {}) for mode in ("rooted", "unlabelled", "asymmetric")]
+               + [("labelled", {})] * (stat.p > 0)
+               + [("pointed", {"color": c}) for c in colors]
+               + [(mode, {"s": s}) for s in range(2, stat.p + 3)
+                  for mode in ("aut-exact", "aut-atleast")])
+    return [(mode, options, formulas.MODES[mode].centres(stat, **options))
+            for mode, options in queries]
+
+
+@pytest.mark.parametrize("m, p_max", [(3, 4), (2, 6)], ids=["m3-p4", "m2-p6"])
+def test_a_batch_of_forms_counts_each_form_as_alone(m, p_max):
+    rng = random.Random(10 * m + p_max)
+    lone_vertex = [stats.size_stat(m, 0), stats.color_stat(m, (1,) + (0,) * (m - 1)),
+                   stats.degree_stat(m, [{0: 1}] + [{}] * (m - 1))]
+    for stat in lone_vertex + [st for p in range(1, p_max + 1)
+                               for st in _statistics(m, p)]:
+        queries = _forms(stat)
+        queries += rng.sample(queries, 3)  # the same form twice in one batch
+        rng.shuffle(queries)
+        batch = formulas._count_centred(stat, [form for _, _, form in queries])
+        assert batch == [formulas._count_centred(stat, [form])[0]
+                         for _, _, form in queries], stat
+        for (mode, options, _), count in zip(queries, batch):
+            assert count == formulas.MODES[mode].formula(stat, **options), (
+                stat, mode, options)
+            if "s" in options and (stat.p == 0 or stat.p % options["s"]):
+                assert count == 0, (stat, mode, options)
+            elif stat.p == 0:  # one class, one pointing, no rooting
+                assert count == (mode != "rooted"), (stat, mode)
 
 
 def test_a_bumped_entry_fails_verify_with_its_label(monkeypatch):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cacti import cli, formulas, stats
+from cacti import cli, formulas, oracle, series, stats
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "crosscheck.py"
 
@@ -93,3 +93,34 @@ def test_centred_count_off_its_closed_form_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().out.endswith(
         "mismatch in centred pointed 2 m=2 at (1, 1): 1, formula 2\n")
 
+
+
+def test_centred_count_off_its_series_count_fails_the_centre_sweep(monkeypatch):
+    crosscheck = _crosscheck()
+    centred_counts, target = formulas.centred_counts, stats.color_stat(2, (2, 3))
+
+    def bumped(stat):
+        counts = centred_counts(stat)
+        counts["asymmetric", None] += stat == target
+        return counts
+
+    monkeypatch.setattr(formulas, "centred_counts", bumped)
+    vectors = [c for p in range(1, 6) for c in oracle._all_color_vectors(2, p)]
+    failure, _ = crosscheck.centre_sweep(series.solve_planted(2, 6), vectors)
+    value = formulas.count_asymmetric(target)
+    assert failure == f"centred asymmetric None m=2 at (2, 3): {value + 1}, series {value}"
+
+
+def test_count_that_is_not_whole_exits_1_without_a_traceback(capsys, monkeypatch):
+    crosscheck = _crosscheck()
+    exact = formulas._exact
+    # A numerator off by one at colour level, p = 3: `verify` meets it first.
+    monkeypatch.setattr(formulas, "_exact", lambda value, context, den=1: exact(
+        value + (den == 9), context, den))
+    monkeypatch.setattr(sys, "argv", ["crosscheck.py", "--budgets", "2:4",
+                                      "--degree", "4"])
+    assert crosscheck.main() == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("  first failure: InconsistentResult: "
+                            "non-integral centred count: 10/9\n")
