@@ -177,7 +177,9 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
     numerator over the level's denominator, p, p^2 or n_1 ... n_m.  For
     d >= 2 the pass forms it once for all the forms that sum colour i, each
     weighing it s * weight(d / s) where s | d, and skips it where those
-    weights are all 0.  At d = 1 it needs no pass: it is n_i R / p, the
+    weights are all 0; a centre whose p and n_i - 1 (at degree level, p
+    and h) are coprime has no such d, and is skipped before its lowered
+    statistic is built.  At d = 1 it needs no pass: it is n_i R / p, the
     n_i colour-i vertices of each of the R rooted cacti over the p rootings
     of a cactus.  At size level colour rotation makes colour 1's terms
     every colour's, and n_i is n / m.  The p = 0 cactus, a lone vertex, has
@@ -206,6 +208,8 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
     elif isinstance(stat, ColorStat):
         vertices = stat.counts
         for i in centres:
+            if math.gcd(p, vertices[i - 1] - 1) == 1:
+                continue
             lowered = list(vertices)
             lowered[i - 1] -= 1
             add(i, p - lowered[i - 1], [p] + lowered,
@@ -215,6 +219,8 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
         vertices = stat.color_counts
         for i in centres:
             for h, _ in stat.rows[i - 1]:
+                if math.gcd(h, p) == 1:
+                    continue
                 lowered = [[k - (j == i - 1 and g == h) for g, k in row]
                            for j, row in enumerate(stat.rows)]
                 add(i, p ** (m - 2) * vertices[i - 1],

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from . import formulas
 from .arith import divisors
@@ -63,7 +64,7 @@ from .stats import (
 )
 
 GEN_BUDGET = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3}  # generate_rooted: max p per m
-FACT_BUDGET = {2: 7, 3: 5, 4: 4}      # factorizations: (p!)^(m-1) enumeration
+FACT_BUDGET = {2: 7, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3}  # factorizations: max p per m
 FREE_POOL_BUDGET = 16                 # free_labelled_bruteforce: candidate polygons
 FREE_P_BUDGET = 4
 VERIFY_M_BUDGET = 100  # verify: its pointed comparisons grow as m^2 at p = 1
@@ -74,6 +75,7 @@ class BudgetExceeded(ValueError):
 
 
 DegreeReading = tuple[tuple[tuple[int, int], int], ...]  # ((offset, degree), count)
+DegreeRows = tuple[tuple[tuple[int, int], ...], ...]  # `DegreeStat.rows`
 
 
 @dataclass(frozen=True, order=True)
@@ -190,8 +192,8 @@ def generate_rooted(m: int, p: int) -> list[Rooted]:
     return _rooted(m, p, p)
 
 
-def _merged_degrees(readings: tuple[DegreeReading, ...]) -> DegreeStat:
-    """The degree matrix of a rooted cactus whose m components have these
+def _merged_rows(readings: tuple[DegreeReading, ...]) -> DegreeRows:
+    """The degree rows of a rooted cactus whose m components have these
     `Planted.degrees` readings: the root polygon is each component's stem,
     and component i, at colour i + 1, shifts its offsets by i."""
     m = len(readings)
@@ -200,16 +202,20 @@ def _merged_degrees(readings: tuple[DegreeReading, ...]) -> DegreeStat:
         for (offset, degree), k in reading:
             row = rows[(i + offset) % m]
             row[degree] = row.get(degree, 0) + k
-    return DegreeStat(m, tuple(tuple(sorted(row.items())) for row in rows))
+    return tuple(tuple(sorted(row.items())) for row in rows)
 
 
 def rooted_tally(rooted: list[Rooted]) -> Counter:
     """How many of the rooted cacti have each color and degree statistic:
-    each is read off its components, each distinct reading validated once."""
-    tally: Counter = Counter()
+    each is read off its components, and the statistics are validated once
+    per distinct degree matrix."""
     readings = Counter(tuple(pc.degrees for pc in rc.components) for rc in rooted)
+    matrices: Counter = Counter()
     for key, k in readings.items():
-        degrees = _merged_degrees(key)
+        matrices[_merged_rows(key)] += k
+    tally: Counter = Counter()
+    for rows, k in matrices.items():
+        degrees = DegreeStat(len(rows), rows)
         tally[degrees] += k
         tally[color_marginal(degrees)] += k
     return tally
@@ -259,10 +265,15 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
     """One representative per isomorphism class, with exact automorphism data,
     built from the class's centroid (see the module docstring)."""
     _check_size(m, p)
+    by_rows: dict[DegreeRows, tuple[ColorStat, DegreeStat]] = {}
     out = []
     for rep, _, centre, aut in _classes(m, p):
-        degrees = _merged_degrees(tuple(pc.degrees for pc in rep.components))
-        out.append((rep, CactusStats(color_marginal(degrees), degrees, aut, centre)))
+        rows = _merged_rows(tuple(pc.degrees for pc in rep.components))
+        pair = by_rows.get(rows)
+        if pair is None:
+            degrees = DegreeStat(m, rows)
+            pair = by_rows[rows] = (color_marginal(degrees), degrees)
+        out.append((rep, CactusStats(*pair, aut, centre)))
     return out
 
 
@@ -305,35 +316,43 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     types use the same (length, multiplicity) row format as DegreeStat, so
     coherent keys compare directly against rooted degree-level counts.
 
-    The first m - 2 factors are enumerated; the last two multiply to the
-    rest r.  Conjugation preserves cycle types, so the census of pairs with
-    product r depends only on the cycle type of r, and is counted once per
-    type.
+    The census steps through one factor at a time.  A k-factorization of r
+    is a first factor a followed by a (k - 1)-factorization of the rest,
+    a^-1 r, whose cycle type is that of r^-1 a.  Conjugation preserves
+    cycle types, so the census depends only on the cycle type of r: the
+    first factors are split once per type, by their type and the rest's,
+    and each split extends the (k - 1)-census of the rest's type.  Only the
+    cycle needs its m-factorizations.  A split composes the p! permutations
+    with one r, in place of enumerating (p!)^(m-2) tuples of factors.
     """
     if m < 2 or p < 1:
         raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
     if p > FACT_BUDGET.get(m, 2):
         raise BudgetExceeded(
             f"factorizations capped at p <= {FACT_BUDGET.get(m, 2)} for m = {m}")
-    sigma = tuple((i + 1) % p for i in range(p))
-    identity = tuple(range(p))
-    census: Counter = Counter()
+    if p == 1:  # the identity alone: `itemgetter` of one index gives no tuple
+        return {(((1, 1),),) * m: 1}
     cycle_types = {g: _cycle_type(g) for g in permutations(range(p))}
-    pairs_by_type: dict[CycleType, Counter] = {}
-    for gs in product(cycle_types, repeat=m - 2):
-        acc = identity
-        for g in gs:
-            acc = _compose(acc, g)
-        rest = _compose(_inverse(acc), sigma)
-        pairs = pairs_by_type.get(cycle_types[rest])
-        if pairs is None:
-            pairs = pairs_by_type[cycle_types[rest]] = Counter(
-                (cycle_types[a], cycle_types[_compose(_inverse(a), rest)])
-                for a in cycle_types)
-        head = tuple(cycle_types[g] for g in gs)
-        for pair, count in pairs.items():
-            census[head + pair] += count
-    return dict(census)
+    sigma = tuple((i + 1) % p for i in range(p))
+    cycle = cycle_types[sigma]
+    # one permutation of each cycle type is factored; at m = 2 the cycle alone
+    factored = {t: g for g, t in cycle_types.items()} if m > 2 else {cycle: sigma}
+    splits = {}
+    for t, r in factored.items():
+        rest = itemgetter(*_inverse(r))  # a -> r^-1 a, of the type of a^-1 r
+        splits[t] = Counter((ta, cycle_types[rest(a)])
+                            for a, ta in cycle_types.items())
+    tails = {t: {(t,): 1} for t in cycle_types.values()}
+    for k in range(2, m + 1):
+        extended = {}
+        for t in factored if k < m else [cycle]:
+            census: Counter = Counter()
+            for (ta, tr), count in splits[t].items():
+                for tail, more in tails[tr].items():
+                    census[(ta,) + tail] += count * more
+            extended[t] = census
+        tails = extended
+    return dict(tails[cycle])
 
 
 def free_labelled_bruteforce(colors: ColorStat) -> int:

@@ -125,6 +125,20 @@ def test_rooted_tally_counts_every_cactus():
             assert sum(expected.values()) == 2 * len(rooted)
 
 
+def test_rooted_tally_builds_one_statistic_per_degree_matrix(monkeypatch):
+    rooted = oracle.generate_rooted(2, 6)
+    built = []
+
+    def counted(m, rows):
+        built.append(rows)
+        return stats.DegreeStat(m, rows)
+
+    monkeypatch.setattr(oracle, "DegreeStat", counted)
+    tally = oracle.rooted_tally(rooted)
+    matrices = [key for key in tally if isinstance(key, stats.DegreeStat)]
+    assert sorted(built) == sorted(d.rows for d in matrices)
+
+
 def test_to_graph_shapes():
     single = Rooted((Planted(()),) * 3)
     g = to_graph(single)

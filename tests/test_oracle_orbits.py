@@ -6,8 +6,9 @@ generated cactus instead, and keys every vertex for the pointed orbits.
 The re-rooting reference is itself checked against a grouping by
 `canonical_unrooted`.  `enumerate_gonal` keys each class at its centroid;
 `reference_gonal` keys every rooted cactus at every rooting.
-`factorizations` counts the last two factors once per cycle type of their
-product; the reference recounts every tuple.
+`factorizations` steps through one factor at a time, counting the first
+factors once per cycle type of what they factor; the reference recounts
+every tuple.
 """
 
 from collections import Counter
@@ -81,7 +82,7 @@ def test_gonal_classes_build_no_statistic(monkeypatch):
     def no_statistic(readings):
         raise AssertionError("enumerate_gonal read a degree statistic")
 
-    monkeypatch.setattr(oracle, "_merged_degrees", no_statistic)
+    monkeypatch.setattr(oracle, "_merged_rows", no_statistic)
     assert oracle.enumerate_gonal(3, 5) == 19
 
 
@@ -98,9 +99,23 @@ def factorizations_recounted(m, p):
     return census
 
 
-@pytest.mark.parametrize("m, p", [(2, 5), (3, 4), (4, 3), (3, 5)])
+@pytest.mark.parametrize("m, p", [(2, 5), (3, 4), (4, 3), (3, 5), (5, 3), (2, 6)])
 def test_factorizations_match_recount(m, p):
     assert oracle.factorizations(m, p) == factorizations_recounted(m, p)
+
+
+def test_factorizations_take_each_cycle_type_once(monkeypatch):
+    expected = factorizations_recounted(4, 4)
+    calls = []
+    cycle_type = oracle._cycle_type
+
+    def counted(perm):
+        calls.append(perm)
+        return cycle_type(perm)
+
+    monkeypatch.setattr(oracle, "_cycle_type", counted)
+    assert oracle.factorizations(4, 4) == expected
+    assert len(calls) == 24 == len(set(calls))
 
 
 def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
