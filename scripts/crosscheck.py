@@ -7,10 +7,10 @@ closed forms.  Over the same sizes it checks every entry of
 closed form of `formulas.MODES`.  Then it checks every count that the
 series route answers (rooted, labelled, pointed, unlabelled, asymmetric and
 every automorphism stratum) against the closed forms of the mode table:
-each realizable colour vector for m = 2, 3 up to a total degree, read off
-the centre series and the rooted series, with every entry of its
-`formulas.centred_counts`, and each polygon count for
-m = 2..7 read off the one-sort series to the CLI's order bound.  Exits
+each realizable colour vector for m = 2, 3 up to a total degree, with
+every entry of its `formulas.centred_counts`, and each polygon count for
+m = 2..7 to the CLI's one-sort order bound, each read off its form's series
+from one `series.centred` call per family.  Exits
 1 on the first mismatch, or on a count that does not come out whole.  The
 exhaustive sweep covers the oracle's whole generation budget unless
 --budgets narrows it.
@@ -56,36 +56,44 @@ def parse_degree(text: str) -> int:
     return degree
 
 
-def _queries(stat):
-    """Every (mode, options) that the series route answers for `stat`."""
-    for mode, entry in formulas.MODES.items():
-        if entry.centres is None:
-            continue
-        if mode.startswith("aut-"):
-            yield from ((mode, {"s": s}) for s in range(2, stat.p + 1))
-        elif mode == "pointed" and not isinstance(stat, stats.SizeStat):
-            yield from ((mode, {"color": c}) for c in range(1, stat.m + 1))
-        else:
-            yield mode, {}
-
-
-def _sweep(statistics, read) -> tuple[str | None, int]:
-    """The first count of `statistics` where `read(stat, form)`, the series
-    count of the mode's `formulas.Centres`, differs from the closed form,
-    or None, and the number of counts compared."""
-    checked = 0
+def _queries(statistics):
+    """(stat, mode, options, form) for every count that the series route
+    answers for each of `statistics`, form being the mode's `Centres`."""
     for stat in statistics:
-        for mode, options in _queries(stat):
-            value = read(stat, formulas.MODES[mode].centres(stat, **options))
-            expected = formulas.MODES[mode].formula(stat, **options)
-            if value != expected:
-                where = (f"x^{stat.n}" if isinstance(stat, stats.SizeStat)
-                         else stat.counts)
-                flags = "".join(f" {k}={v}" for k, v in options.items())
-                return (f"{mode}{flags} m={stat.m} at {where}: series {value}, "
-                        f"formula {expected}"), checked
-            checked += 1
-    return None, checked
+        for mode, entry in formulas.MODES.items():
+            if entry.centres is None:
+                continue
+            if mode.startswith("aut-"):
+                choices = [{"s": s} for s in range(2, stat.p + 1)]
+            elif mode == "pointed" and not isinstance(stat, stats.SizeStat):
+                choices = [{"color": c} for c in range(1, stat.m + 1)]
+            else:
+                choices = [{}]
+            for options in choices:
+                yield stat, mode, options, entry.centres(stat, **options)
+
+
+def _read(family, forms) -> dict:
+    """Each distinct form of `forms` with its series, from one call of the
+    series reader: a packed family's maps, or the one-sort lists."""
+    forms = list(dict.fromkeys(forms))
+    return dict(zip(forms, series.centred(family, forms)))
+
+
+def _sweep(queries, value) -> tuple[str | None, int]:
+    """The first of `queries` where `value(stat, form)`, the series count,
+    differs from the mode's closed form, or None, and the number of counts
+    compared."""
+    for checked, (stat, mode, options, form) in enumerate(queries):
+        got = value(stat, form)
+        expected = formulas.MODES[mode].formula(stat, **options)
+        if got != expected:
+            where = (f"x^{stat.n}" if isinstance(stat, stats.SizeStat)
+                     else stat.counts)
+            flags = "".join(f" {k}={v}" for k, v in options.items())
+            return (f"{mode}{flags} m={stat.m} at {where}: series {got}, "
+                    f"formula {expected}"), checked
+    return None, len(queries)
 
 
 def centred_sweep(m: int, p_max: int) -> tuple[str | None, int]:
@@ -120,59 +128,47 @@ def centred_sweep(m: int, p_max: int) -> tuple[str | None, int]:
 
 
 def centre_sweep(family: series.PlantedFamily, statistics) -> tuple[str | None, int]:
-    """`_sweep` of colour statistics on the coefficients of the family's
-    centre and rooted series, one centre series per colour, weight and
-    stretch, then every entry of each statistic's `formulas.centred_counts`
-    against the series count of its mode's `Centres`."""
-    rooted, centres = series.series_rooted(family), {}
+    """`_sweep` of colour statistics on the family's series of each form,
+    then every entry of each statistic's `formulas.centred_counts` against
+    the series count of its mode's `Centres`, all forms read at once."""
+    queries = list(_queries(statistics))
+    entries = [(stat, mode, option, count,
+                formulas.MODES[mode].centres(stat, color=option, s=option))
+               for stat in statistics
+               for (mode, option), count in formulas.centred_counts(stat).items()]
+    found = _read(family, [q[-1] for q in queries] + [e[-1] for e in entries])
 
-    def read(stat, form):
-        value = form.rooted * rooted.get(stat.counts, 0)
-        for color in form.colors:
-            key = (color, form.weight, form.s)
-            if key not in centres:
-                centres[key] = series.series_centre(family, *key)
-            value += centres[key].get(stat.counts, 0)
-        return value
+    def value(stat, form):
+        return found[form].get(family.pack(stat.counts), 0)
 
-    failure, checked = _sweep(statistics, read)
+    failure, checked = _sweep(queries, value)
     if failure:
         return failure, checked
-    for stat in statistics:
-        for (mode, option), value in formulas.centred_counts(stat).items():
-            expected = read(stat, formulas.MODES[mode].centres(stat, color=option,
-                                                               s=option))
-            if value != expected:
-                return (f"centred {mode} {option} m={stat.m} at {stat.counts}: "
-                        f"{value}, series {expected}"), checked
-            checked += 1
+    for stat, mode, option, count, form in entries:
+        if count != value(stat, form):
+            return (f"centred {mode} {option} m={stat.m} at {stat.counts}: "
+                    f"{count}, series {value(stat, form)}"), checked
+        checked += 1
     return None, checked
 
 
 def one_sort_sweep(order: int) -> str | None:
     """The first size-level count, m = 2..7, whose one-sort series
     coefficient differs from the closed form, or None.  The coefficient of
-    x^n counts the cacti with n = (m-1)p + 1 vertices: rooted is A - x, and
-    every colour shares one list centre per weight and stretch.  The
-    unlabelled series that `cacti series --one-sort` prints has no other
-    term."""
+    x^n counts the cacti with n = (m-1)p + 1 vertices.  The unlabelled
+    series that `cacti series --one-sort` prints is the same form's, and
+    has no other term."""
     for m in range(2, 8):
-        a, hat = series.solve_one_sort(m, order)
-        centres = {}
-
-        def read(stat, form):
-            key = (form.weight, form.s)
-            if form.colors and key not in centres:
-                centres[key] = series.one_sort_centre(m, hat, *key)
-            centre = centres[key][stat.n] if form.colors else 0
-            return form.rooted * a[stat.n] + len(form.colors) * centre
-
         sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
-        failure, _ = _sweep(sizes[1:], read)
+        queries = list(_queries(sizes[1:]))
+        printed = formulas.MODES["unlabelled"].centres(sizes[0])
+        found = _read((m, *series.solve_one_sort(m, order)),
+                      [q[-1] for q in queries] + [printed])
+        failure, _ = _sweep(queries, lambda stat, form: found[form][stat.n])
         if failure:
             return f"one-sort {failure}"
-        printed = series.one_sort_series(m, order, "unlabelled")
-        if printed != {(s.n,): formulas.count_unlabelled(s) for s in sizes}:
+        if ({(n,): c for n, c in enumerate(found[printed]) if c}
+                != {(s.n,): formulas.count_unlabelled(s) for s in sizes}):
             return f"one-sort unlabelled series m={m}: not the closed forms"
     return None
 

@@ -123,7 +123,7 @@ def _count_series(mode: str, stat: Statistic, args) -> int:
     if isinstance(stat, DegreeStat) and form.colors:
         raise UsageError("--path series at degree level counts no centres: "
                          "--mode rooted or labelled only")
-    return series.count_target(stat, *form)
+    return series.count_target(stat, form)
 
 
 def _count_oracle(mode: str, stat: Statistic, args) -> int:
@@ -268,15 +268,19 @@ def cmd_series(args) -> int:
         # m - 1 exceeds every accepted order: each H_i is 0, each A_i is x_i
         raise oracle.BudgetExceeded(
             f"--m must be at most {SERIES_MULTI_BOUND + 1} without --one-sort")
-    if one_sort:
-        out = series.one_sort_series(args.m, args.order, args.target)
-    elif args.target == "unlabelled":
-        out = series.series_unlabelled(args.m, args.order)
+    family = ((args.m, *series.solve_one_sort(args.m, args.order)) if one_sort
+              else series.solve_planted(args.m, args.order))
+    if args.target == "planted":
+        out = family[1] if one_sort else series.series_planted(family, args.color or 1)
+    else:  # the mode's `Centres`, which depend on m alone for these targets
+        form = formulas.MODES[args.target].centres(stats.size_stat(args.m, 1))
+        out = series.centred(family, [form])[0]
+        if not one_sort:
+            out = {family.unpack(e): c for e, c in out.items() if c}
+    if one_sort:  # a list by degree is in the printed order already
+        items = [((n,), c) for n, c in enumerate(out) if c]
     else:
-        family = series.solve_planted(args.m, args.order)
-        out = (series.series_planted(family, args.color or 1)
-               if args.target == "planted" else series.series_rooted(family))
-    items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     if args.format == "json":
         print(json.dumps({
             "m": args.m, "order": args.order, "target": args.target,

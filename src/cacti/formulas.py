@@ -20,11 +20,11 @@ with s | d that divide the statistic less one colour-i vertex:
 * unlabelled / asymmetric   -- sum_i centre_i(phi / mu, 1) - (m - 1) rooted,
 * aut-atleast / aut-exact s -- sum_i centre_i(phi / mu, s), s >= 2.
 
-`_count_centred` reads any list of `Centres` as the series route reads
-them, from one pass that forms each centre term once for all the forms
-that weigh it; the d = 1 terms, n_i rooted / p, need no pass.  The narrow
-readers ask it for what they return: `count_classes` for phi and mu
-together at one stretch, `count_pointed` for phi at one colour.
+`_count_centred` reads any list of `Centres` as `series.centred`, the
+series route's reader, does, from one pass that forms each centre term once
+for all the forms that weigh it; the d = 1 terms, n_i rooted / p, need no
+pass.  The narrow readers ask it for what they return: `count_classes` for
+phi and mu together at one stretch, `count_pointed` for phi at one colour.
 `centred_counts` asks for every count above at once, by the modes' own
 `Centres`, each colour's pointed count included; `oracle.verify` and
 table 1 read it.
@@ -150,7 +150,8 @@ class Centres(NamedTuple):
     count (-(m - 1) for the classes at s = 1, 0 for pointed counts; the
     rooted and labelled counts sum no centres).  Both routes read it so:
     the formula route by `_count_centred`, the series route by
-    `series.count_target`."""
+    `series.centred`, which `series.count_target` and `cacti series`
+    call."""
 
     colors: Sequence[int]
     weight: Callable[[int], int] | None

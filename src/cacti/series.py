@@ -2,20 +2,21 @@
 
 This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
-degree by degree, they give the rooted series and the centre series, whose
-sums give every class count (the dissymmetry theorem).  Coefficients are
-exact ints.  The solver keeps each series as total degree -> part, each
-exponent packed into one int (see `PlantedFamily`); that form stays inside
-this module, and each target it returns is a plain {exponent tuple:
-coefficient} map.  The centre series at weight w (phi or mu) and stretch s
-takes one log L = log 1/(1 - H_i), H_i = prod_{j != i} A_j, for every d:
-its Euler derivative is solved in integers, and each coefficient is one
-exact division by its total degree, which raises `InconsistentResult` if it
-leaves a remainder.  The weighted variant marks a color-i vertex of degree
-h with r[i,h], one more coordinate of the exponent after x_1..x_m.
-The one-sort family, every color graded by one x, has one term a degree:
-A = x + A^m, its H = A^(m-1) and its centre series are lists of
-coefficients by degree, solved and read without the packed layer.
+degree by degree, they give the rooted series R = H_1 * A_1 and the centre
+series.  By the dissymmetry theorem a count is a sum of centre series plus a
+multiple of R, as a `formulas.Centres` writes it; `centred` is the one place
+that forms that sum, for any list of forms, and `count_target` reads one
+coefficient of it.  Coefficients are exact.  The solver keeps each series as
+total degree -> part, each exponent packed into one int (see
+`PlantedFamily`), and `centred` keys its series so.  The centre series at
+weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i), H_i =
+prod_{j != i} A_j, for every d: its Euler derivative is solved in integers,
+and each coefficient is one exact division by its total degree, which raises
+`InconsistentResult` if it leaves a remainder.  The weighted variant marks a
+color-i vertex of degree h with r[i,h], one more coordinate of the exponent
+after x_1..x_m.  The one-sort family, every color graded by one x, has one
+term a degree: A = x + A^m, its H = A^(m-1), R = A - x and its centre series
+are lists of coefficients by degree, solved and read without the packed layer.
 Truncation is by the total degree of the x coordinates: every monomial of a
 p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
 polygon bound, and a product of k planted series lies at total degrees = k
@@ -33,23 +34,13 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .arith import euler_phi
 from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
                     ValidationError)
 
 
 Parts = dict[int, dict[int, int]]  # total degree -> non-empty packed part
 Inside = tuple[int, int]  # (bias, guard): e is in the box iff not (e + bias) & guard
-
-
-def _combine(*terms: tuple[int, Mapping[tuple[int, ...], int]]) -> dict:
-    """sum(factor * coefficients) over the (factor, coefficients) terms, as
-    {exponent: coefficient} without zero entries."""
-    out: dict[tuple[int, ...], int] = {}
-    for factor, coeffs in terms:
-        for e, c in coeffs.items():
-            out[e] = out.get(e, 0) + factor * c
-    return {e: c for e, c in out.items() if c}
+OneSort = tuple[int, list[int], list[int]]  # m, then A and H of `solve_one_sort`
 
 
 def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int,
@@ -225,7 +216,7 @@ def solve_one_sort(m: int, order: int) -> tuple[list[int], list[int]]:
 
 def one_sort_centre(m: int, hat: Sequence[int], weight: Callable[[int], int],
                     s: int = 1) -> list[int]:
-    """`series_centre` with every x_i set to x, as a list by degree to the
+    """`_centre` with every x_i set to x, as a list by degree to the
     order len(hat), from H = `hat`.  T = E(L), L = log 1/(1 - H), lies at
     multiples g of q = m - 1, and T[g] = g * H[g] + sum_a H[a] * T[g - a] is
     one dot product of strided slices; T[g] adds s * w(d) * T[g] at n =
@@ -248,70 +239,24 @@ def one_sort_centre(m: int, hat: Sequence[int], weight: Callable[[int], int],
     return centre
 
 
-def one_sort_series(m: int, order: int, target: str) -> dict:
-    """The one-sort `target` as {(n,): coefficient}: "planted" A, "rooted"
-    A - x = H * A, or "unlabelled" m * pointed - (m - 1) * (x + rooted), in
-    which the single-vertex cactus x counts once, not once per color."""
-    a, hat = solve_one_sort(m, order)
-    if target == "unlabelled":
-        a = [m * c - (m - 1) * x for c, x in zip(one_sort_centre(m, hat, euler_phi), a)]
-    elif target == "rooted":
-        a[1] = 0
-    return {(n,): c for n, c in enumerate(a) if c}
-
-
 def series_planted(family: PlantedFamily, color: int = 1) -> dict:
     """A_i of the 1-based `color` as {exponent: coefficient}."""
     return {family.unpack(e): c for part in family.planted[color - 1].values()
             for e, c in part.items()}
 
 
-def series_rooted(family: PlantedFamily) -> dict:
-    """Rooted cacti, H_1 * A_1, which the planted equation makes A_1 - x_1
-    in an unweighted family."""
-    if family.slots:
-        raise ValidationError("the rooted series needs an unweighted family")
-    x_1 = (1,) + (0,) * (family.m - 1)
-    return _combine((1, series_planted(family)), (-1, {x_1: 1}))
-
-
-def rooted_coefficient(family: PlantedFamily, exponents: Sequence[int]) -> int:
-    """[x^exponents] of H_1 * A_1, weighted or not, to the family's order:
-    for each term of A_1 of total degree d, its complement is read in part
-    n - d of H_1.  The target gets the top bit of each field set, so that
-    taking a term away borrows no further, and clears it where the term
-    exceeds the target."""
-    n = sum(exponents[:family.m])
-    if max(n, *exponents) > family.order:
-        return 0
-    tops = family.pack([1 << family.width - 1] * len(exponents))
-    target, hat = family.pack(exponents) + tops, family.hats[0]
-    total = 0
-    for d, part in family.planted[0].items():
-        rest = hat.get(n - d)
-        if rest:
-            total += sum(c * rest.get(target - e - tops, 0) for e, c in part.items()
-                         if (target - e) & tops == tops)
-    return total
-
-
-def series_centre(family: PlantedFamily, color: int,
-                  weight: Callable[[int], int], s: int = 1) -> dict:
-    """The centre series of color i = `color` at weight w and stretch s:
-
-        x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log 1/(1 - H_i).
-
-    With w = phi and s = 1 it counts the cacti pointed at a color-i vertex.
-    The term T[e] of T = E(L), e of degree g, adds s * w(d) * T[e] / (s*d*g)
-    at s*d*e, whose degree is s*d*g: each exponent inside the box (only
-    those get all their d) sums its numerators and divides once, exactly.
-    """
-    return {family.unpack(e): c for e, c in _centre(family, color, weight, s).items()}
-
-
 def _centre(family: PlantedFamily, color: int,
             weight: Callable[[int], int], s: int) -> dict[int, int]:
-    """`series_centre` keyed by packed exponents."""
+    """The centre series of color i = `color` at weight w and stretch s,
+
+        x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log 1/(1 - H_i),
+
+    keyed by packed exponents.  With w = phi and s = 1 it counts the cacti
+    pointed at a color-i vertex.  The term T[e] of T = E(L), e of degree g,
+    adds s * w(d) * T[e] / (s*d*g) at s*d*e, whose degree is s*d*g: each
+    exponent inside the box (only those get all their d) sums its numerators
+    and divides once, exactly.
+    """
     if family.slots:
         raise ValidationError("a centre series needs an unweighted family")
     order, inside, q = family.order, family.inside, family.m - 1
@@ -345,42 +290,72 @@ def _centre(family: PlantedFamily, color: int,
     return _lift(inner, 1 << (color - 1) * family.width, inside)
 
 
-def series_unlabelled(m: int, order: int) -> dict:
-    """Unlabelled cacti via pointed and rooted series: sum_i pointed_i -
-    (m-1) * rooted."""
-    family = solve_planted(m, order)
-    return _combine(*((1, series_centre(family, color, euler_phi))
-                      for color in range(1, m + 1)),
-                    (1 - m, series_rooted(family)))
+def _rooted(family: PlantedFamily | OneSort) -> dict[int, int] | list[int]:
+    """The rooted series R = H_1 * A_1 in the family's layout.  The planted
+    equation makes it A_1 less x_1, its part of degree 1, on lists and in an
+    unweighted family; a weighted one forms the product inside the box."""
+    if not isinstance(family, PlantedFamily):
+        return [0, 0] + family[1][2:]
+    m, hats, planted = family.m, family.hats, family.planted
+    parts = ([_product_part(hats[0], planted[0], d, family.inside)
+              for d in range(m, family.order + 1, m - 1)] if family.slots
+             else [part for d, part in planted[0].items() if d > 1])
+    return {e: c for part in parts for e, c in part.items()}
 
 
-def count_target(stat: Statistic, colors: Sequence[int],
-                 weight: Callable[[int], int] | None, s: int,
-                 rooted: int | Fraction) -> int:
-    """The count of a statistic with p >= 1 by `formulas.Centres`: the sum
-    over the 1-based `colors` of the centre series at `weight` and stretch
-    `s`, plus `rooted` times the rooted count.  Size level reads the one-sort
-    lists, whose colors share one series.  Else the family is solved inside
-    the statistic's exponent: each x_i capped at n_i and, at degree level,
-    one slot per (color, degree) pair of the rows, capped at its multiplicity.
+def centred(family: PlantedFamily | OneSort, forms: Sequence) -> list:
+    """The series of each `formulas.Centres` of `forms`: the centre series
+    of its colours at its weight and stretch, plus `rooted` times R, keyed
+    in the family's layout.  A `PlantedFamily` gives {packed exponent:
+    coefficient} maps, each colour its own centre, so the lone vertex x_i
+    counts once per colour of the form; a weighted family has no centre
+    series.  The one-sort lists (m, A, H) give lists by degree, where the
+    colours share one centre, len(colors) times, and x counts once.  Each
+    centre is solved once per call, and R once.
+    """
+    packed = isinstance(family, PlantedFamily)
+    rooted, centres, out = _rooted(family), {}, []
+    for colors, w, s, factor in forms:
+        keys = [(c, w, s) for c in colors] if packed else [(w, s)] * bool(colors)
+        for key in [key for key in keys if key not in centres]:
+            centres[key] = (_centre(family, *key) if packed
+                            else one_sort_centre(family[0], family[2], *key))
+        if packed:
+            total = {}
+            terms = ([(1, centres[key]) for key in keys]
+                     + [(factor, rooted)] * bool(factor))
+            for k, part in terms:
+                for e, c in part.items():
+                    total[e] = total.get(e, 0) + k * c
+        elif colors:  # one centre for every colour, and x once
+            centre, k = centres[w, s], len(colors)
+            total = [k * c + factor * r for c, r in zip(centre, rooted)]
+            total[1] = centre[1]
+        else:
+            total = [factor * r for r in rooted]
+        out.append(total)
+    return out
+
+
+def count_target(stat: Statistic, form) -> int:
+    """The count of a statistic with p >= 1 by one `formulas.Centres`: its
+    coefficient in the form's series (`centred`).  Size level reads the
+    one-sort lists at x^n.  Else the family is solved inside the statistic's
+    exponent: each x_i capped at n_i and, at degree level, one slot per
+    (color, degree) pair of the rows, capped at its multiplicity.
     """
     if isinstance(stat, SizeStat):  # one-sort: the order caps x
-        n, target = stat.n, (stat.n,)
-        a, hat = solve_one_sort(stat.m, n)
-        total = rooted * a[n] if rooted else 0  # H * A = A - x, and n > 1
-        if colors:
-            total += len(colors) * one_sort_centre(stat.m, hat, weight, s)[n]
+        target = (stat.n,)
+        total = centred((stat.m, *solve_one_sort(stat.m, stat.n)), [form])[0][stat.n]
     else:
         if isinstance(stat, ColorStat):
-            family, target = _solve(stat.m, stat.n, (), stat.counts), stat.counts
+            slots, target = (), stat.counts
         else:
             slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
                           for h, _ in row)
             target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
-            family = _solve(stat.m, stat.n, slots, target)
-        total = rooted * rooted_coefficient(family, target) if rooted else 0
-        for color in colors:
-            total += _centre(family, color, weight, s).get(family.pack(target), 0)
+        family = _solve(stat.m, stat.n, slots, target)
+        total = centred(family, [form])[0].get(family.pack(target), 0)
     if Fraction(total).denominator != 1:
         raise InconsistentResult(f"count {total} at {target} is not an integer")
     return int(total)

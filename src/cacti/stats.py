@@ -103,11 +103,11 @@ class ColorStat:
                 raise ColorBoundViolation(
                     f"color {i} has {c} vertices but only {p} polygons")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.counts)
 
-    @property
+    @cached_property
     def p(self) -> int:
         return (self.n - 1) // (self.m - 1)
 
@@ -144,18 +144,18 @@ class DegreeStat:
             if p >= 1 and row and row[0][0] == 0:  # sorted: degree 0 comes first
                 raise IsolatedDegreeZero(f"color {i} has a degree-0 vertex")
 
-    @property
+    @cached_property
     def p(self) -> int:
         return sum(j * k for j, k in self.rows[0])
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(k for row in self.rows for _, k in row)
 
     @cached_property
     def color_counts(self) -> tuple[int, ...]:
-        """Vertices per color, computed once per object; not a field, so
-        equality, hashing and repr ignore it."""
+        """Vertices per color.  Like `p` and `n`, computed once per object;
+        not a field, so equality, hashing and repr ignore it."""
         return tuple(sum(k for _, k in row) for row in self.rows)
 
 

@@ -1,12 +1,12 @@
 """Whole truncated power series, for the tests only.
 
 The solver in `cacti.series` keeps each series as total degree -> part, or
-as a coefficient list in the one-sort family, and returns each target as a
-plain {exponent: coefficient} map.  This module builds the same targets the
-long way, as `Series` objects with whole-series arithmetic: the full product
-H_1 * A_1 for the rooted series, weighted families included, and one
-logarithm per d, in Fractions, for the pointed series.  The tests check the
-solver against it.
+as a coefficient list in the one-sort family, and `series.centred` returns
+each form's series in that layout; `read` gives it as a plain {exponent:
+coefficient} map.  This module builds the same targets the long way, as
+`Series` objects with whole-series arithmetic: the full product H_1 * A_1
+for the rooted series, weighted families included, and one logarithm per d,
+in Fractions, for the pointed series.  The tests check the solver against it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add, gt
 from typing import Optional, Sequence
 
-from cacti import arith, series
+from cacti import arith, formulas, series, stats
 
 Box = Optional[tuple[int, ...]]
 
@@ -91,6 +91,27 @@ class Series:
         for e, c in self.coeffs.items():
             out[e[:var] + (e[var] + 1,) + e[var + 1:]] = c
         return Series(self.nvars, self.bound, out, self.box)
+
+
+ROOTED = formulas.Centres((), None, 1, 1)
+
+
+def centre(color: int, weight, s: int = 1) -> formulas.Centres:
+    """The form of one colour's centre series alone."""
+    return formulas.Centres((color,), weight, s, 0)
+
+
+def unlabelled_form(m: int) -> formulas.Centres:
+    return formulas.class_centres(stats.size_stat(m, 1), arith.euler_phi)
+
+
+def read(family, form: formulas.Centres) -> dict:
+    """A form's series by `series.centred`, as {exponent tuple: coefficient}
+    without zero entries: packed exponents unpacked, list degrees as (n,)."""
+    coeffs = series.centred(family, [form])[0]
+    if isinstance(family, series.PlantedFamily):
+        return {family.unpack(e): c for e, c in coeffs.items() if c}
+    return {(n,): c for n, c in enumerate(coeffs) if c}
 
 
 def const(nvars: int, bound: int, value: int) -> Series:

@@ -183,9 +183,9 @@ def test_criterion_5_series_formula_agreement():
         bound = 10
         for m in (2, 3):
             fam = series.solve_planted(m, bound)
-            rooted = series.series_rooted(fam)
-            unlabelled = series.series_unlabelled(m, bound)
-            pointed = [series.series_centre(fam, c, euler_phi)
+            rooted = ref.read(fam, ref.ROOTED)
+            unlabelled = ref.read(fam, ref.unlabelled_form(m))
+            pointed = [ref.read(fam, ref.centre(c, euler_phi))
                        for c in range(1, m + 1)]
             valid = {}
             for p in range(1, (bound - 1) // (m - 1) + 1):

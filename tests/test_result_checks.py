@@ -42,13 +42,15 @@ def test_non_integral_formula_result_raises_under_optimize():
 NON_INTEGRAL = ["count", "--m", "4", "--colors", "4,4,4,4", "--mode", "labelled"]
 
 
-@pytest.mark.parametrize("path, module, name, message", [
-    ("formula", F, "count_rooted", "non-integral labelled count: 331776/5"),
-    ("series", series, "rooted_coefficient",
+@pytest.mark.parametrize("path, module, name, rooted, message", [
+    ("formula", F, "count_rooted", lambda stat: 1,
+     "non-integral labelled count: 331776/5"),
+    ("series", series, "_rooted", lambda family: {family.pack((4, 4, 4, 4)): 1},
      "count 331776/5 at (4, 4, 4, 4) is not an integer"),
 ], ids=["formula", "series"])
-def test_failed_guard_exits_2(capsys, monkeypatch, path, module, name, message):
-    monkeypatch.setattr(module, name, lambda *args: 1)
+def test_failed_guard_exits_2(capsys, monkeypatch, path, module, name, rooted,
+                              message):
+    monkeypatch.setattr(module, name, rooted)
     code = cli.main(NON_INTEGRAL + ["--path", path])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -1,7 +1,7 @@
 import functools
-import itertools
 import operator
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -55,6 +55,75 @@ def collapse_to_one_sort(coeffs: dict) -> dict:
         key = (sum(e),)
         out[key] = out.get(key, 0) + c
     return out
+
+
+def _forms(stat: stats.Statistic) -> list:
+    """Every mode's `Centres` at `stat`, each colour's pointed form and the
+    strata s = 2 and 3 included; modes that read neither option repeat."""
+    colors = [None] if isinstance(stat, stats.SizeStat) else range(1, stat.m + 1)
+    return [entry.centres(stat, color=color, s=s) for entry in F.MODES.values()
+            if entry.centres for color in colors for s in (2, 3)]
+
+
+class TestCentred:
+    """`series.centred`, the one reader of `formulas.Centres` on the series
+    side, on either layout of a family."""
+
+    @pytest.mark.parametrize("kind, m", [
+        ("planted", 3), ("boxed", 3), ("weighted", 2),
+        ("one-sort", 2), ("one-sort", 3), ("one-sort", 7)])
+    def test_a_batch_reads_each_form_as_alone(self, kind, m):
+        if kind == "one-sort":
+            order = cli.SERIES_ONE_SORT_BOUND
+            stat = stats.size_stat(m, (order - 1) // (m - 1))
+            family = (m, *series.solve_one_sort(m, order))
+        elif kind == "weighted":  # rooted and labelled forms: no colours
+            stat = stats.parse_degree_spec("1^2 2^1; 1^1 3^1")
+            family = weighted_family(m, 7)
+        else:
+            stat = stats.color_stat(m, (2, 2, 3))
+            family = (series.solve_planted(m, 10) if kind == "planted"
+                      else series._solve(m, stat.n, (), stat.counts))
+        forms = [f for f in _forms(stat) if kind != "weighted" or not f.colors]
+        batch = forms + forms[::3]
+        random.Random(kind).shuffle(batch)
+        assert len({f.rooted for f in batch}) > 1 < len(set(batch)) < len(batch)
+        assert series.centred(family, batch) == [
+            series.centred(family, [form])[0] for form in batch]
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_the_lone_vertex_counts_once(self, m):
+        """x, the cactus of no polygon, is 1 in every s = 1 series with
+        colours and 0 in R: once on lists, whose colours share one centre,
+        and once per colour x_i of the form in a packed family."""
+        forms = _forms(stats.size_stat(m, 1))
+        lists = series.centred((m, *series.solve_one_sort(m, 2 * m - 1)), forms)
+        for form, coeffs in zip(forms, lists):
+            assert coeffs[1] == (form.s == 1 and bool(form.colors)), form
+        fam = series.solve_planted(m, m)
+        forms = _forms(stats.color_stat(m, (1,) * m))
+        for form, coeffs in zip(forms, series.centred(fam, forms)):
+            for i in range(1, m + 1):
+                x_i = fam.pack([int(j == i) for j in range(1, m + 1)])
+                assert coeffs.get(x_i, 0) == (form.s == 1 and i in form.colors), form
+
+    @pytest.mark.parametrize("kind", ["planted", "one-sort"])
+    def test_each_centre_is_solved_once_per_call(self, monkeypatch, kind):
+        """A key is (colour, weight, s) packed, and (weight, s) on lists,
+        the arguments after the family, or after m and H."""
+        calls = []
+        name, skip = ("_centre", 1) if kind == "planted" else ("one_sort_centre", 2)
+        solve = getattr(series, name)
+        monkeypatch.setattr(series, name,
+                            lambda *args: calls.append(args[skip:]) or solve(*args))
+        if kind == "planted":
+            stat, family = stats.color_stat(3, (2, 2, 3)), series.solve_planted(3, 7)
+            keys = {(c, f.weight, f.s) for f in _forms(stat) for c in f.colors}
+        else:
+            stat, family = stats.size_stat(3, 4), (3, *series.solve_one_sort(3, 9))
+            keys = {(f.weight, f.s) for f in _forms(stat) if f.colors}
+        series.centred(family, _forms(stat) * 2)
+        assert len(calls) == len(set(calls)) == len(keys) > 2
 
 
 class TestPlanted:
@@ -120,9 +189,9 @@ class TestPlanted:
 class TestRootedSeries:
     def test_published_coefficients(self):
         fam = series.solve_planted(2, 11)
-        assert series.series_rooted(fam)[(5, 6)] == 5292
+        assert ref.read(fam, ref.ROOTED)[(5, 6)] == 5292
         fam3 = series.solve_planted(3, 13)
-        rooted = series.series_rooted(fam3)
+        rooted = ref.read(fam3, ref.ROOTED)
         assert rooted[(1, 1, 1)] == 1
         assert rooted[(4, 4, 5)] == 225
         assert (1, 0, 0) not in rooted
@@ -132,58 +201,61 @@ class TestRootedSeries:
         (2, 30, "one-sort"), (5, 41, "one-sort")])
     def test_planted_equation_gives_the_full_product(self, m, order, kind):
         planted, hats = _solved(kind, m, order)
-        rooted = (series.one_sort_series(m, order, "rooted") if kind == "one-sort"
-                  else series.series_rooted(series.solve_planted(m, order)))
-        assert rooted == (hats[0] * planted[0]).coeffs
+        fam = ((m, *series.solve_one_sort(m, order)) if kind == "one-sort"
+               else series.solve_planted(m, order))
+        assert ref.read(fam, ref.ROOTED) == (hats[0] * planted[0]).coeffs
 
-    def test_weighted_family_rejected(self):
-        with pytest.raises(stats.ValidationError):
-            series.series_rooted(weighted_family(2, 4))
+    def test_weighted_family_reads_the_product(self):
+        """A weighted family has no planted shortcut: A_1 - x_1 r[1,1] is not
+        H_1 * A_1, so R is the product, formed inside the box."""
+        fam = weighted_family(2, 4)
+        assert ref.read(fam, ref.ROOTED) == ref.rooted(fam).coeffs
+        stem = fam.pack((1, 0) + (0,) * len(fam.slots)) + fam.pack(
+            (0, 0) + tuple(int(slot == (1, 1)) for slot in fam.slots))
+        assert stem in {e for part in fam.planted[0].values() for e in part}
+        assert stem not in series.centred(fam, [ref.ROOTED])[0]
 
     @pytest.mark.parametrize("m, order, weighted", [
         (2, 9, False), (3, 10, False), (4, 9, False), (2, 9, True), (3, 7, True)])
-    def test_one_coefficient_equals_the_full_product(self, m, order, weighted):
-        """On the support, on a grid of x exponents, and off the support:
-        each term moved by one step, or to the order and past it, in one
-        coordinate, so that some term of A_1 exceeds the target there alone,
-        and some targets lie past the order, where the product is 0."""
+    def test_rooted_series_equals_the_full_product(self, m, order, weighted):
+        """Unboxed, and boxed at every exponent of the product (weighted: at
+        its degree statistics), so that the box cuts terms of A_1 and H_1
+        in every coordinate, as a count inside a statistic does."""
         fam = (weighted_family if weighted else series.solve_planted)(m, order)
         rooted = ref.rooted(fam)
-        markers = (0,) * len(fam.slots)
-        exponents = set(rooted.coeffs) | {
-            e + markers for e in itertools.product(range(order + 1), repeat=m)
-            if sum(e) <= order} | {
-            e[:k] + (x,) + e[k + 1:] for e in rooted.coeffs for k in range(len(e))
-            for x in (e[k] - 1, e[k] + 1, order, order + 1) if x >= 0}
-        for e in exponents:
-            assert series.rooted_coefficient(fam, e) == rooted[e], e
+        assert ref.read(fam, ref.ROOTED) == rooted.coeffs
+        for e in rooted.coeffs:
+            if sum(e[:m]) == order:
+                boxed = series._solve(m, order, fam.slots, e)
+                assert ref.read(boxed, ref.ROOTED) == ref.rooted(boxed).coeffs, e
+                assert series.centred(boxed, [ref.ROOTED])[0][boxed.pack(e)] == rooted[e]
 
 
 class TestPointedSeries:
     def test_values(self):
         fam = series.solve_planted(2, 6)
-        pointed = series.series_centre(fam, 1, euler_phi)
+        pointed = ref.read(fam, ref.centre(1, euler_phi))
         assert pointed[(1, 0)] == 1
         assert pointed[(2, 2)] == 2
         fam3 = series.solve_planted(3, 9)
-        assert series.series_centre(fam3, 2, euler_phi)[(1, 2, 2)] == 1
+        assert ref.read(fam3, ref.centre(2, euler_phi))[(1, 2, 2)] == 1
         assert 0 not in pointed.values()
 
     def test_weighted_family_rejected(self):
         fam = weighted_family(2, 4)
         with pytest.raises(stats.ValidationError):
-            series.series_centre(fam, 1, euler_phi)
+            series.centred(fam, [ref.centre(1, euler_phi)])
 
     def test_weighted_family_rejected_under_optimize(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, env.get("PYTHONPATH")) if p)
-        code = ("from cacti import series, stats\n"
+        code = ("from cacti import formulas, series, stats\n"
                 "from cacti.arith import euler_phi\n"
                 "slots = tuple((i, h) for i in (1, 2) for h in range(1, 5))\n"
                 "weighted = series._solve(2, 4, slots)\n"
                 "try:\n"
-                "    series.series_centre(weighted, 1, euler_phi)\n"
+                "    series.centred(weighted, [formulas.Centres((1,), euler_phi, 1, 0)])\n"
                 "except stats.ValidationError:\n"
                 "    print('raised')\n")
         result = subprocess.run([sys.executable, "-O", "-c", code],
@@ -209,7 +281,7 @@ class TestPointedAgainstReference:
     def test_every_color_at_multi_bound(self, m):
         fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
         for color in range(1, m + 1):
-            assert (series.series_centre(fam, color, euler_phi)
+            assert (ref.read(fam, ref.centre(color, euler_phi))
                     == ref.pointed(fam, color).coeffs)
 
     @pytest.mark.parametrize("m, order", [(2, 12), (3, 13)])
@@ -222,73 +294,78 @@ class TestPointedAgainstReference:
                 c = stats.color_stat(m, counts)
                 boxed = series._solve(m, c.n, (), counts)
                 for color in range(1, m + 1):
-                    assert (series.series_centre(boxed, color, euler_phi)
+                    assert (ref.read(boxed, ref.centre(color, euler_phi))
                             == ref.pointed(boxed, color).coeffs)
-                    assert (series.count_target(c, *F.pointed_centres(c, color))
+                    assert (series.count_target(c, F.pointed_centres(c, color))
                             == pointed[color - 1][counts])
-                assert series.count_target(c, *F.class_centres(c, euler_phi)) == (
+                assert series.count_target(c, F.class_centres(c, euler_phi)) == (
                     sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
 
-    def test_non_integral_numerator_raises(self, monkeypatch):
+    def test_non_integral_numerator_raises(self):
         """The message names the exponent as a tuple, not as its packed int."""
         with pytest.raises(stats.InconsistentResult, match=(
                 r"^centre coefficient 2/3 at \(0, 3\) is not an integer$")):
-            series.series_centre(series.solve_planted(2, 6), 1, lambda d: 1)
-        monkeypatch.setattr(series, "euler_phi", lambda d: 1)
+            series.centred(series.solve_planted(2, 6), [ref.centre(1, lambda d: 1)])
         with pytest.raises(stats.InconsistentResult, match=(
                 r"^centre coefficient \d+/\d+ at \(\d+,\) is not an integer$")):
-            series.one_sort_series(2, 4, "unlabelled")
+            series.centred((2, *series.solve_one_sort(2, 4)),
+                           [F.Centres(range(1, 3), lambda d: 1, 1, -1)])
 
 
 class TestUnlabelledSeries:
     def test_multivariate(self):
-        u = series.series_unlabelled(3, 13)
+        u = ref.read(series.solve_planted(3, 13), ref.unlabelled_form(3))
         assert u[(4, 4, 5)] == 39
         assert u[(1, 0, 0)] == 1 and u[(0, 1, 0)] == 1
 
     def test_one_sort(self):
-        assert series.one_sort_series(3, 9, "unlabelled")[(9,)] == 19
-        assert series.one_sort_series(2, 7, "unlabelled")[(7,)] == 28
-        assert series.one_sort_series(4, 4, "unlabelled")[(1,)] == 1
+        for m, order, n, count in [(3, 9, 9, 19), (2, 7, 7, 28), (4, 4, 1, 1)]:
+            one_sort = (m, *series.solve_one_sort(m, order))
+            assert ref.read(one_sort, ref.unlabelled_form(m))[(n,)] == count
 
     def test_one_sort_matches_formula_column(self):
-        s = series.one_sort_series(2, 13, "unlabelled")
+        s = ref.read((2, *series.solve_one_sort(2, 13)), ref.unlabelled_form(2))
         for p in range(0, 13):
             assert s.get((p + 1,), 0) == F.count_unlabelled(stats.size_stat(2, p))
 
 
 class TestOneSort:
     def test_planted_coefficients(self):
-        assert series.one_sort_series(2, 8, "rooted")[(7,)] == 132
-        assert series.one_sort_series(2, 8, "planted")[(1,)] == 1
-        assert series.one_sort_series(3, 9, "rooted")[(9,)] == 55
+        assert ref.read((2, *series.solve_one_sort(2, 8)), ref.ROOTED)[(7,)] == 132
+        assert series.solve_one_sort(2, 8)[0][1] == 1
+        assert ref.read((3, *series.solve_one_sort(3, 9)), ref.ROOTED)[(9,)] == 55
         assert len(oracle.generate_rooted(3, 4)) == 55
 
     def test_support_grading(self):
-        a = series.one_sort_series(4, 10, "planted")
-        for (n,), c in a.items():
-            assert n % 3 == 1 and c > 0
+        a = series.solve_one_sort(4, 10)[0]
+        for n, c in enumerate(a):
+            assert (n % 3 == 1) == (c > 0)
 
     def test_cost_does_not_grow_with_m(self):
         """At m - 1 >= order, H = A^(m-1) is 0 within the order, so A = x,
-        the centre series is x and the unlabelled series m x - (m - 1) x:
-        the solver keeps no power past the order, no loop of the centre
-        runs, and nothing is allocated in proportion to m."""
+        the centre series is x, and the reader counts x once in the
+        unlabelled series: the solver keeps no power past the order, no loop
+        of the centre runs, the reader takes the m colours of the form as
+        one list centre, and nothing is allocated in proportion to m."""
+        m = 10 ** 5
+        forms = [ref.unlabelled_form(m), F.MODES["asymmetric"].centres(
+            stats.size_stat(m, 1)), ref.ROOTED]
         tracemalloc.start()
         try:
-            a, hat = series.solve_one_sort(10 ** 5, 64)
-            unlabelled = series.one_sort_series(10 ** 5, 64, "unlabelled")
+            a, hat = series.solve_one_sort(m, 64)
+            unlabelled, asymmetric, rooted = series.centred((m, a, hat), forms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert a == [0, 1] + [0] * 63 and hat == [0] * 64
-        assert unlabelled == {(1,): 1}
+        assert unlabelled == asymmetric == [0, 1] + [0] * 63
+        assert rooted == [0] * 65
         assert peak < 2 ** 16
 
     def test_collapse_of_multivariate_rooted(self):
         for m, order in [(2, 8), (3, 9)]:
             fam = series.solve_planted(m, order)
-            collapsed = collapse_to_one_sort(series.series_rooted(fam))
+            collapsed = collapse_to_one_sort(ref.read(fam, ref.ROOTED))
             a = ref.one_sort(m, order)[0]
             assert collapsed == (a - ref.variable(1, order, 0)).coeffs
 
@@ -305,8 +382,8 @@ class TestOneSort:
                 centre = series.one_sort_centre(m, hat, weight, s)
                 expected = {(n,): c for n, c in enumerate(centre) if c}
                 for color in range(1, m + 1):
-                    assert collapse_to_one_sort(series.series_centre(
-                        fam, color, weight, s)) == expected, (weight, s, color)
+                    assert collapse_to_one_sort(ref.read(
+                        fam, ref.centre(color, weight, s))) == expected, (weight, s, color)
 
 
 class TestChottin:
@@ -355,10 +432,9 @@ class TestSeriesAgainstFormulas:
     @pytest.mark.parametrize("m,bound", [(2, 8), (3, 9), (4, 10)])
     def test_rooted_pointed_unlabelled(self, m, bound):
         fam = series.solve_planted(m, bound)
-        rooted = series.series_rooted(fam)
-        unlabelled = series.series_unlabelled(m, bound)
-        pointed = [series.series_centre(fam, c, euler_phi)
-                   for c in range(1, m + 1)]
+        rooted = ref.read(fam, ref.ROOTED)
+        unlabelled = ref.read(fam, ref.unlabelled_form(m))
+        pointed = [ref.read(fam, ref.centre(c, euler_phi)) for c in range(1, m + 1)]
         for p in range(1, (bound - 1) // (m - 1) + 1):
             for counts in _color_vectors(m, p):
                 c = stats.color_stat(m, counts)
@@ -410,29 +486,27 @@ class TestSparseParts:
 
         monkeypatch.setattr(series, "_product_part", recorded)
         fam = series.solve_planted(m, 4 * (m - 1) + 1)
-        for color in range(1, m + 1):
-            for s in (1, 2):
-                series.series_centre(fam, color, euler_phi, s)
+        series.centred(fam, [ref.centre(color, euler_phi, s)
+                             for color in range(1, m + 1) for s in (1, 2)])
         assert formed and all(formed)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_route_forms_no_product_part(self, monkeypatch, m):
-        """A one-sort series has one term a degree, so its solver, its centre
-        series and every size-level count work on lists of coefficients and
-        never call the multivariate kernel."""
+        """A one-sort series has one term a degree, so its solver, the reader
+        on its lists, rooted series included, and every size-level count
+        work on lists of coefficients and never call the multivariate
+        kernel."""
         calls = []
         product_part = series._product_part
         monkeypatch.setattr(series, "_product_part",
                             lambda *args: calls.append(args) or product_part(*args))
         order = cli.SERIES_ONE_SORT_BOUND
-        for target in ("planted", "rooted", "unlabelled"):
-            series.one_sort_series(m, order, target)
-        _, hat = series.solve_one_sort(m, order)
-        for s in (1, 2):
-            series.one_sort_centre(m, hat, euler_phi, s)
         stat = stats.size_stat(m, (order - 1) // (m - 1))
-        for mode in ("rooted", "pointed", "unlabelled", "asymmetric"):
-            series.count_target(stat, *F.MODES[mode].centres(stat))
+        forms = [F.MODES[mode].centres(stat, s=s) for mode in F.MODES
+                 if F.MODES[mode].centres for s in (2, 3)]
+        series.centred((m, *series.solve_one_sort(m, order)), forms)
+        for form in forms:
+            series.count_target(stat, form)
         assert calls == []
 
     @pytest.mark.parametrize("m", range(2, 6))
@@ -449,9 +523,9 @@ class TestSparseParts:
 
         monkeypatch.setattr(series, "_product_part", recorded)
         for fam in _families(m).values():
-            for color in range(1, m + 1):
-                if not fam.slots:
-                    series.series_centre(fam, color, euler_phi)
+            series.centred(fam, [ref.ROOTED] + [ref.centre(color, euler_phi)
+                                                for color in range(1, m + 1)
+                                                if not fam.slots])
         assert factors and not any(map(any, factors))
 
 
@@ -508,5 +582,5 @@ class TestPackedExponents:
                             for mode in ("rooted", "labelled")]
             for stat, mode, color in queries:
                 entry = F.MODES[mode]
-                assert (series.count_target(stat, *entry.centres(stat, color=color))
+                assert (series.count_target(stat, entry.centres(stat, color=color))
                         == entry.formula(stat, color=color)), (mode, color, stat)

@@ -17,9 +17,9 @@ from test_series import weighted_family
 def test_color_level_at_multi_bound(m):
     order = cli.SERIES_MULTI_BOUND
     fam = series.solve_planted(m, order)
-    rooted = series.series_rooted(fam)
-    unlabelled = series.series_unlabelled(m, order)
-    pointed = [series.series_centre(fam, c, euler_phi) for c in range(1, m + 1)]
+    rooted = ref.read(fam, ref.ROOTED)
+    unlabelled = ref.read(fam, ref.unlabelled_form(m))
+    pointed = [ref.read(fam, ref.centre(c, euler_phi)) for c in range(1, m + 1)]
     checked = set()
     for p in range(1, (order - 1) // (m - 1) + 1):
         for counts in itertools.product(range(1, p + 1), repeat=m):
@@ -96,7 +96,8 @@ def test_one_sort_planted_is_fuss_catalan(m):
     order = cli.SERIES_ONE_SORT_BOUND
     fuss_catalan = {((m - 1) * p + 1,): math.comb(m * p, p) // ((m - 1) * p + 1)
                     for p in range((order - 1) // (m - 1) + 1)}
-    assert series.one_sort_series(m, order, "planted") == fuss_catalan
+    a = series.solve_one_sort(m, order)[0]
+    assert {(n,): c for n, c in enumerate(a) if c} == fuss_catalan
 
 
 @pytest.mark.parametrize("m,order", [(1, 3), (0, 3), (2, 0)])

@@ -191,3 +191,24 @@ def test_direct_degree_rows_must_be_in_normal_form():
                  (((1, 0), (2, 1)), ((1, 1),))):   # zero multiplicity
         with pytest.raises(stats.ValidationError):
             stats.DegreeStat(2, rows)
+
+
+
+@pytest.mark.parametrize("stat, fields, sizes, text", [
+    (stats.color_stat(3, (4, 4, 5)), (3, (4, 4, 5)), (6, 13),
+     "ColorStat(m=3, counts=(4, 4, 5))"),
+    (stats.parse_degree_spec("1^2 2^2 4^1; 1^2 2^4"),
+     (2, (((1, 2), (2, 2), (4, 1)), ((1, 2), (2, 4)))), (10, 11),
+     "DegreeStat(m=2, rows=(((1, 2), (2, 2), (4, 1)), ((1, 2), (2, 4))))"),
+], ids=["color", "degree"])
+def test_cached_sizes_leave_equality_hash_and_repr_alone(stat, fields, sizes, text):
+    """`p`, `n` and `color_counts` are cached on the object, not fields: the
+    oracle's tallies key by statistics, so reading them must not change how
+    a statistic compares, hashes or prints."""
+    fresh = type(stat)(*fields)
+    assert (stat.p, stat.n) == sizes
+    if isinstance(stat, stats.DegreeStat):
+        assert stat.color_counts == (5, 6)
+    assert stat == fresh and hash(stat) == hash(fresh) == hash(fields)
+    assert repr(stat) == repr(fresh) == text
+    assert {fresh: 1}[stat] == 1
