@@ -13,11 +13,11 @@ vertex is one incident polygon with everything beyond it.  Exactly one of
 two cases holds:
 
 - Vertex-centred: some vertex v has no branch of more than p/2 polygons.
-  That vertex is unique, and the class is a necklace of its k branches.
-  The sequence that is its own least rotation is built once; with period
+  That vertex is unique, and the class is a necklace of its k branches,
+  built once for every centre colour as its least rotation; with period
   t, the automorphism group is the rotations by multiples of t, of order
   k / t.  The class is represented by its rooting at the first polygon of
-  that sequence.
+  that sequence, whose degree rows are read once and rotated to its colour.
 - Polygon-centred: a unique polygon has m planted parts of fewer than p/2
   polygons each.  Its corners carry the colours 1..m in order, so every
   automorphism fixes it, and rigidity leaves only the identity.  The class
@@ -31,8 +31,8 @@ has colour c and 0 otherwise.
 A planted cactus stores no colours: a polygon carries the colours 1..m in
 cyclic order, so one value serves every root colour, and it caches its
 vertex degrees by colour offset from the root.  Colour and degree
-statistics are read off this recursive form, and the branches at the
-centroid, as values, key the gonal classes: the oracle builds no graph.
+statistics are read off this recursive form, and the gonal classes are
+counted off the centroid's branches, as values: the oracle builds no graph.
 
 Everything here is brute force on purpose.  Budgets are hard caps: beyond
 them the functions raise instead of grinding for hours.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -143,14 +142,6 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
             for bars in combinations(range(slots), parts - 1)]
 
 
-def _capped_compositions(total: int, cap: int) -> list[tuple[int, ...]]:
-    """All tuples of ints in 1..cap summing to `total`."""
-    if total == 0:
-        return [()]
-    return [(head,) + rest for head in range(1, min(total, cap) + 1)
-            for rest in _capped_compositions(total - head, cap)]
-
-
 _planted_cache: dict[tuple[int, int], tuple[Planted, ...]] = {}
 
 
@@ -221,59 +212,68 @@ def rooted_tally(rooted: list[Rooted]) -> Counter:
     return tally
 
 
-def _necklaces(m: int, p: int) -> Iterator[
+def _necklaces(m: int, p: int) -> list[
         tuple[tuple[tuple[Planted, ...], ...], int]]:
     """(branches, automorphism order) of each vertex-centred class with a
     centre of any one colour: every branch sequence around the centre with
-    at most p // 2 polygons per branch that is its own least rotation."""
-    for weights in _capped_compositions(p, p // 2):
-        k = len(weights)
-        for picks in product(*(enumerate(_polygons_at(m, w)) for w in weights)):
-            seq = [(w, i) for w, (i, _) in zip(weights, picks)]
-            rotations = [seq[r:] + seq[:r] for r in range(1, k)]
-            if any(rot < seq for rot in rotations):
-                continue
-            period = next((r for r, rot in enumerate(rotations, start=1)
-                           if rot == seq), k)
-            yield tuple(poly for _, poly in picks), k // period
+    at most p // 2 polygons per branch that is its own least rotation.
 
+    The Fredricksen-Kessler-Maiorana recursion (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992) extends prenecklaces
+    only, over the branches ordered by weight and index in `_polygons_at`:
+    a prefix of period t takes a letter no less than the one t back, and
+    keeps t iff the letter equals it.  At weight p a prefix of length k is
+    a necklace iff t divides k, and the rotations by multiples of t, of
+    order k / t, fix it."""
+    letters = [(w, poly) for w in range(1, p // 2 + 1)
+               for poly in _polygons_at(m, w)]
+    out = []
+    seq: list[int] = []
 
-def _rooted_at_first(m: int, color: int,
-                     branches: tuple[tuple[Planted, ...], ...]) -> Rooted:
-    """The rooting at the first branch's polygon of a colour-`color` centre."""
-    # The centre, then the first polygon's parts: colours color, color + 1, ...
-    around = (Planted(branches[1:]),) + branches[0]
-    shift = m + 1 - color
-    return Rooted(around[shift:] + around[:shift])
+    def extend(weight: int, period: int) -> None:
+        k = len(seq)
+        if weight == p and k % period == 0:
+            out.append((tuple(letters[i][1] for i in seq), k // period))
+        least = seq[k - period] if k else 0
+        for i in range(least, len(letters)):
+            w = letters[i][0]
+            if weight + w > p:
+                break  # the letters run by weight: at weight p, at once
+            seq.append(i)
+            extend(weight + w, period if k and i == least else k + 1)
+            seq.pop()
 
-
-def _classes(m: int, p: int) -> Iterator[tuple[Rooted, tuple, int | None, int]]:
-    """(representative, branches, centre colour, automorphism order) of each
-    class, built from its centroid: the branches are the m planted parts of a
-    centre polygon (centre colour None), or the polygons around a centre
-    vertex.  Polygon-centred classes come first, then the vertex-centred
-    ones by centre colour, each necklace once per colour."""
-    for rc in _rooted(m, p, (p - 1) // 2):
-        yield rc, rc.components, None, 1
-    necklaces = list(_necklaces(m, p))
-    for color in range(1, m + 1):
-        for branches, aut in necklaces:
-            yield _rooted_at_first(m, color, branches), branches, color, aut
+    extend(0, 1)
+    return out
 
 
 def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
     """One representative per isomorphism class, with exact automorphism data,
-    built from the class's centroid (see the module docstring)."""
+    built from the class's centroid (see the module docstring): the
+    polygon-centred classes first, then the vertex-centred ones by centre
+    colour, each necklace once per colour."""
     _check_size(m, p)
     by_rows: dict[DegreeRows, tuple[ColorStat, DegreeStat]] = {}
-    out = []
-    for rep, _, centre, aut in _classes(m, p):
-        rows = _merged_rows(tuple(pc.degrees for pc in rep.components))
+
+    def statistics(rows: DegreeRows, aut: int, centre: int | None) -> CactusStats:
         pair = by_rows.get(rows)
         if pair is None:
             degrees = DegreeStat(m, rows)
             pair = by_rows[rows] = (color_marginal(degrees), degrees)
-        out.append((rep, CactusStats(*pair, aut, centre)))
+        return CactusStats(*pair, aut, centre)
+
+    out = [(rc, statistics(_merged_rows(tuple(pc.degrees for pc in rc.components)),
+                           1, None))
+           for rc in _rooted(m, p, (p - 1) // 2)]
+    # Around a colour-1 centre: the centre, then the first polygon's parts
+    arounds = [((Planted(b[1:]),) + b[0], aut) for b, aut in _necklaces(m, p)]
+    necklaces = [(around, _merged_rows(tuple(pc.degrees for pc in around)), aut)
+                 for around, aut in arounds]
+    for color in range(1, m + 1):
+        shift = m + 1 - color  # a colour-`color` centre leads at that colour
+        out += [(Rooted(around[shift:] + around[:shift]),
+                 statistics(rows[shift:] + rows[:shift], aut, color))
+                for around, rows, aut in necklaces]
     return out
 
 
@@ -405,23 +405,20 @@ def enumerate_gonal(m: int, p: int) -> int:
     """Unlabelled plane m-gonal cacti (colors erased) with p polygons.
 
     The centroid is chosen by polygon counts alone, so it survives erasing
-    the colours, and each gonal class is keyed at its centre by the planted
-    cacti there, which store no colours.  A centre polygon may then rotate:
-    its key is the least of the m rotations of its parts.  A centre vertex
-    keys by the least rotation of its branches.  A colouring is fixed by
-    the colour of one vertex, and the centre is unique, so every
+    the colours.  A centre polygon is keyed by the planted cacti at its
+    corners, which store no colours; the polygon may then rotate, so its
+    key is the least of the m rotations of its parts.  A colouring is fixed
+    by the colour of one vertex, and the centre is unique, so every
     vertex-centred gonal class has exactly one colouring with a colour-1
-    centre: only those are keyed.  Each key leads with its centre colour,
-    None or 1, so the two cases never share a key.
+    centre.  The necklaces around a centre of one colour are those classes,
+    each once, so they are counted, not keyed.
     """
     _check_size(m, p)
     keys = set()
-    for _, branches, centre, _ in _classes(m, p):
-        if centre not in (None, 1):
-            break  # `_classes` yields the centre colours in order
-        k, doubled = len(branches), branches * 2
-        keys.add((centre, min(doubled[r:r + k] for r in range(k))))
-    return len(keys)
+    for rc in _rooted(m, p, (p - 1) // 2):
+        doubled = rc.components * 2
+        keys.add(min(doubled[r:r + m] for r in range(m)))
+    return len(keys) + len(_necklaces(m, p))
 
 
 @dataclass
@@ -494,16 +491,18 @@ def verify(m: int, p_max: int) -> VerifyReport:
         raise BudgetExceeded(f"verify capped at m <= {VERIFY_M_BUDGET}, got m = {m}")
     results: list[CheckResult] = []
 
-    def record(name: str, p: int, pairs: list[tuple[str, object, object]]) -> None:
-        bad = [(what, exp, act) for what, exp, act in pairs if exp != act]
+    def record(name: str, p: int, pairs: list[tuple[tuple, object, object]]) -> None:
+        """Each pair's label is a tuple of parts; only the first failure's
+        is joined, by spaces, into the detail."""
+        bad = next((pair for pair in pairs if pair[1] != pair[2]), None)
         detail = ""
         if bad:
-            what, exp, act = bad[0]
-            detail = f"{what}: expected {exp}, got {act}"
+            what, exp, act = bad
+            detail = f"{' '.join(map(str, what))}: expected {exp}, got {act}"
         results.append(CheckResult(name, p, len(pairs), not bad, detail))
 
-    def compare(label: str, mode: str, stat, members: list[CactusStats],
-                option: int | None = None) -> tuple[str, int, int]:
+    def compare(label: tuple, mode: str, stat, members: list[CactusStats],
+                option: int | None = None) -> tuple[tuple, int, int]:
         """The mode's closed form, read off the statistic's centred counts,
         against its count over the classes; `option` is the mode's s or
         colour, and each mode ignores the keyword it does not read."""
@@ -531,45 +530,45 @@ def verify(m: int, p_max: int) -> VerifyReport:
                    for stat in [size, *color_vectors, *degree_matrices]}
 
         record("rooted size", p,
-               [("count", centred[size]["rooted", None], len(rooted))])
+               [(("count",), centred[size]["rooted", None], len(rooted))])
         tally = rooted_tally(rooted)
         for level, keyed in levels:
-            record(f"rooted {level}", p, [(str(key), centred[stat]["rooted", None],
+            record(f"rooted {level}", p, [((key,), centred[stat]["rooted", None],
                                            tally[stat]) for stat, key in keyed])
 
         strata = sorted(s for s in divisors(p) if s >= 2)
-        pairs = [compare(mode, mode, size, classes)
+        pairs = [compare((mode,), mode, size, classes)
                  for mode in ("unlabelled", "asymmetric")]
         for s in strata:
-            pairs.append(compare(f"aut={s}", "aut-exact", size, classes, s))
-            pairs.append(compare(f"aut>={s}", "aut-atleast", size, classes, s))
+            pairs.append(compare((f"aut={s}",), "aut-exact", size, classes, s))
+            pairs.append(compare((f"aut>={s}",), "aut-atleast", size, classes, s))
         record("classes size", p, pairs)
 
         for level, keyed in levels:
             pairs = []
             for stat, key in keyed:
                 members = groups.get(stat, [])
-                pairs += [compare(f"{mode} {key}", mode, stat, members)
+                pairs += [compare((mode, key), mode, stat, members)
                           for mode in ("unlabelled", "asymmetric")]
-                pairs += [compare(f"aut={s} {key}", "aut-exact", stat, members, s)
+                pairs += [compare((f"aut={s}", key), "aut-exact", stat, members, s)
                           for s in strata]
                 if level == "degree":
                     # the sum of 1/|Aut|: a class has p/|Aut| rootings
-                    pairs.append((f"reciprocal {key}",
+                    pairs.append((("reciprocal", key),
                                   Fraction(centred[stat]["rooted", None], p),
                                   sum(Fraction(1, st.aut_order)
                                       for st in members) or Fraction(0)))
             record(f"classes {level}", p, pairs)
 
         labelled = formulas.MODES["labelled"].classes
-        record("labelled", p, [("size", formulas.count_labelled(size),
+        record("labelled", p, [(("size",), formulas.count_labelled(size),
                                 labelled(classes, size))] + [
-            (f"color {c.counts}", formulas.count_labelled(c),
+            (("color", c.counts), formulas.count_labelled(c),
              labelled(groups.get(c, []), c)) for c in color_vectors])
 
-        pairs = [compare("size", "pointed", size, classes)]
+        pairs = [compare(("size",), "pointed", size, classes)]
         for level, keyed in levels:
-            pairs += [compare(f"{level} {key} @{color}", "pointed", stat,
+            pairs += [compare((level, key, f"@{color}"), "pointed", stat,
                               groups.get(stat, []), color)
                       for stat, key in keyed for color in range(1, m + 1)]
         record("pointed orbits", p, pairs)
@@ -577,7 +576,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
         if p <= FACT_BUDGET.get(m, 2):
             census = factorizations(m, p)
             valid_keys = {d.rows: d for d in degree_matrices}
-            pairs = [(f"census {d.rows}", centred[d]["rooted", None],
+            pairs = [(("census", d.rows), centred[d]["rooted", None],
                       census.get(d.rows, 0)) for d in degree_matrices]
             for key in census:
                 if key not in valid_keys:
@@ -586,7 +585,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
                         coherent = True
                     except ValidationError:
                         coherent = False
-                    pairs.append((f"incoherent {key}", False, coherent))
+                    pairs.append((("incoherent", key), False, coherent))
             record("factorizations", p, pairs)
 
     return VerifyReport(m, p_max, results)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 
@@ -84,6 +83,9 @@ class SizeStat:
 
 @dataclass(frozen=True)
 class ColorStat:
+    """`n` and `p`, computed once by validation, are plain attributes and
+    not fields, so equality, hashing and repr ignore them."""
+
     m: int
     counts: tuple[int, ...]
 
@@ -102,18 +104,16 @@ class ColorStat:
             if c > p >= 1:
                 raise ColorBoundViolation(
                     f"color {i} has {c} vertices but only {p} polygons")
-
-    @cached_property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @cached_property
-    def p(self) -> int:
-        return (self.n - 1) // (self.m - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
 class DegreeStat:
+    """`p`, `n` and `color_counts`, the vertices per color, are computed
+    once by validation, as plain attributes and not fields, so equality,
+    hashing and repr ignore them."""
+
     # rows[i] lists (degree, multiplicity) pairs for color i+1, sorted by
     # distinct degree, multiplicities >= 1; degrees are unbounded so rows
     # stay sparse.
@@ -125,16 +125,18 @@ class DegreeStat:
         _check_m(m)
         if len(rows) != m:
             raise ValidationError(f"{len(rows)} rows for m = {m} colors")
-        sums, n = [], 0
+        sums, color_counts = [], []
         for row in rows:
-            last, total = -1, 0
+            last, total, count = -1, 0, 0
             for j, k in row:
                 if j < 0 or k < 1:
                     raise ValidationError(f"bad degree entry {j}^{k}")
                 if j <= last:
                     raise ValidationError(f"row {row} not sorted by distinct degree")
-                last, total, n = j, total + j * k, n + k
+                last, total, count = j, total + j * k, count + k
             sums.append(total)
+            color_counts.append(count)
+        n = sum(color_counts)
         if len(set(sums)) > 1:
             raise RowSumMismatch(f"rows imply different polygon counts: {sums}")
         p = sums[0]
@@ -143,20 +145,9 @@ class DegreeStat:
         for i, row in enumerate(rows, start=1):
             if p >= 1 and row and row[0][0] == 0:  # sorted: degree 0 comes first
                 raise IsolatedDegreeZero(f"color {i} has a degree-0 vertex")
-
-    @cached_property
-    def p(self) -> int:
-        return sum(j * k for j, k in self.rows[0])
-
-    @cached_property
-    def n(self) -> int:
-        return sum(k for row in self.rows for _, k in row)
-
-    @cached_property
-    def color_counts(self) -> tuple[int, ...]:
-        """Vertices per color.  Like `p` and `n`, computed once per object;
-        not a field, so equality, hashing and repr ignore it."""
-        return tuple(sum(k for _, k in row) for row in self.rows)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "color_counts", tuple(color_counts))
 
 
 Statistic = Union[SizeStat, ColorStat, DegreeStat]

@@ -15,6 +15,9 @@ expands it into an explicit incidence graph, a `CactusGraph`, and
 by vertex, where the oracle reads them off the recursive form.
 `reference_gonal` keys every generated rooted cactus by its least colourless
 rooting, where the oracle keys each class at its centroid.
+`rotation_filter_necklaces` builds the branch sequences around a centre
+vertex by enumerating every sequence and keeping each that is its own least
+rotation, where the oracle extends prenecklaces only.
 
 The recursive form stores no colours: component c - 1 of a rooted cactus
 hangs at colour c, and part k of a polygon sits k colours on from the
@@ -23,6 +26,7 @@ that position.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from cacti import oracle
 from cacti.oracle import Planted, Rooted
@@ -226,3 +230,28 @@ def reference_gonal(m, p):
                     best = key
         keys.add(best)
     return len(keys)
+
+
+def _capped_compositions(total, cap):
+    """All tuples of ints in 1..cap summing to `total`."""
+    if total == 0:
+        return [()]
+    return [(head,) + rest for head in range(1, min(total, cap) + 1)
+            for rest in _capped_compositions(total - head, cap)]
+
+
+def rotation_filter_necklaces(m, p):
+    """(branches, automorphism order) of each vertex-centred class with a
+    centre of any one colour: every branch sequence around the centre with
+    at most p // 2 polygons per branch that is its own least rotation."""
+    for weights in _capped_compositions(p, p // 2):
+        k = len(weights)
+        for picks in product(*(enumerate(oracle._polygons_at(m, w))
+                               for w in weights)):
+            seq = [(w, i) for w, (i, _) in zip(weights, picks)]
+            rotations = [seq[r:] + seq[:r] for r in range(1, k)]
+            if any(rot < seq for rot in rotations):
+                continue
+            period = next((r for r, rot in enumerate(rotations, start=1)
+                           if rot == seq), k)
+            yield tuple(poly for _, poly in picks), k // period

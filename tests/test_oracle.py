@@ -139,6 +139,26 @@ def test_rooted_tally_builds_one_statistic_per_degree_matrix(monkeypatch):
     assert sorted(built) == sorted(d.rows for d in matrices)
 
 
+def test_unlabelled_classes_read_each_necklace_once(monkeypatch):
+    m, p = 3, 5
+    polygon_centred = len(oracle._rooted(m, p, (p - 1) // 2))
+    necklaces = len(oracle._necklaces(m, p))
+    calls = []
+    merged_rows = oracle._merged_rows
+
+    def counted(readings):
+        calls.append(readings)
+        return merged_rows(readings)
+
+    monkeypatch.setattr(oracle, "_merged_rows", counted)
+    classes = oracle.enumerate_unlabelled(m, p)
+    assert len(calls) == polygon_centred + necklaces
+    assert len(classes) == polygon_centred + m * necklaces
+    assert [st.centre for _, st in classes] == (
+        [None] * polygon_centred + [c for c in range(1, m + 1)
+                                    for _ in range(necklaces)])
+
+
 def test_to_graph_shapes():
     single = Rooted((Planted(()),) * 3)
     g = to_graph(single)
@@ -285,3 +305,31 @@ def test_verify_passes():
     assert report.passed and report.first_failure is None
     assert {r.p for r in report.results} == {1, 2, 3, 4}
     assert oracle.verify(2, 6).passed
+
+
+def test_verify_details_name_the_first_failure(monkeypatch):
+    """A colour-level and a degree-level closed form off by one: each check
+    fails with the first failing comparison's label, and every check keeps
+    its comparison count."""
+    colour = stats.color_stat(2, (2, 3))
+    degree = stats.degree_stat(2, [{2: 2}, {1: 2, 2: 1}])
+    passing = oracle.verify(2, 4)
+    centred_counts = F.centred_counts
+
+    def off_by_one(stat):
+        counts = centred_counts(stat)
+        if stat == colour:
+            counts["unlabelled", None] += 1
+        if stat == degree:
+            counts["aut-exact", 2] += 1
+        return counts
+
+    monkeypatch.setattr(F, "centred_counts", off_by_one)
+    report = oracle.verify(2, 4)
+    assert [(r.name, r.p, r.comparisons) for r in report.results] == [
+        (r.name, r.p, r.comparisons) for r in passing.results]
+    assert [(r.name, r.p, r.detail) for r in report.results if not r.passed] == [
+        ("classes color", 4, "unlabelled (2, 3): expected 3, got 2"),
+        ("classes degree", 4,
+         "aut=2 (((2, 2),), ((1, 2), (2, 1))): expected 2, got 1")]
+    assert report.first_failure.name == "classes color"

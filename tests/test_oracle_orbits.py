@@ -6,6 +6,8 @@ generated cactus instead, and keys every vertex for the pointed orbits.
 The re-rooting reference is itself checked against a grouping by
 `canonical_unrooted`.  `enumerate_gonal` keys each class at its centroid;
 `reference_gonal` keys every rooted cactus at every rooting.
+`_necklaces` extends prenecklaces only; `rotation_filter_necklaces` keeps
+each branch sequence that is its own least rotation.
 `factorizations` steps through one factor at a time, counting the first
 factors once per cycle type of what they factor; the reference recounts
 every tuple.
@@ -76,6 +78,14 @@ def test_gonal_classes_from_representatives_match_reference(m, p):
     got = oracle.enumerate_gonal(m, p)
     assert got == reference_gonal(m, p)
     assert got == formulas.count_gonal(m, p, GonalKind.UNLABELLED)
+
+
+@pytest.mark.parametrize("m, p", SIZES + [(2, 9), (2, 10)])
+def test_necklaces_match_rotation_filter(m, p):
+    necklaces = oracle._necklaces(m, p)
+    assert Counter(necklaces) == Counter(
+        oracle_reference.rotation_filter_necklaces(m, p))
+    assert len(set(necklaces)) == len(necklaces)
 
 
 def test_gonal_classes_build_no_statistic(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -202,10 +204,14 @@ def test_direct_degree_rows_must_be_in_normal_form():
      "DegreeStat(m=2, rows=(((1, 2), (2, 2), (4, 1)), ((1, 2), (2, 4))))"),
 ], ids=["color", "degree"])
 def test_cached_sizes_leave_equality_hash_and_repr_alone(stat, fields, sizes, text):
-    """`p`, `n` and `color_counts` are cached on the object, not fields: the
-    oracle's tallies key by statistics, so reading them must not change how
-    a statistic compares, hashes or prints."""
+    """`p`, `n` and `color_counts` are stored on the object by validation,
+    not as fields: the oracle's tallies key by statistics, so they must not
+    change a statistic's fields, nor how it compares, hashes or prints."""
     fresh = type(stat)(*fields)
+    assert tuple(getattr(fresh, f.name) for f in dataclasses.fields(fresh)) == fields
+    stored = vars(fresh)  # set at construction, before any read
+    assert (stored["p"], stored["n"]) == sizes
+    assert all(name not in vars(type(fresh)) for name in ("p", "n", "color_counts"))
     assert (stat.p, stat.n) == sizes
     if isinstance(stat, stats.DegreeStat):
         assert stat.color_counts == (5, 6)
