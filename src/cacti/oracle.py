@@ -296,11 +296,6 @@ def _cycle_type(perm: tuple[int, ...]) -> CycleType:
     return tuple(sorted(lengths.items()))
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply a first, then b."""
-    return tuple(b[a[i]] for i in range(len(a)))
-
-
 def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, j in enumerate(a):
@@ -485,7 +480,9 @@ def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
 
 
 def verify(m: int, p_max: int) -> VerifyReport:
-    """Compare every formula against exhaustive enumeration for p <= p_max."""
+    """Compare every formula against exhaustive enumeration for p <= p_max:
+    each check walks the size, colour and degree levels in one loop, and
+    one `compare` holds a mode's closed form to its count at every level."""
     _check_size(m, p_max)
     if m > VERIFY_M_BUDGET:
         raise BudgetExceeded(f"verify capped at m <= {VERIFY_M_BUDGET}, got m = {m}")
@@ -501,13 +498,14 @@ def verify(m: int, p_max: int) -> VerifyReport:
             detail = f"{' '.join(map(str, what))}: expected {exp}, got {act}"
         results.append(CheckResult(name, p, len(pairs), not bad, detail))
 
-    def compare(label: tuple, mode: str, stat, members: list[CactusStats],
-                option: int | None = None) -> tuple[tuple, int, int]:
-        """The mode's closed form, read off the statistic's centred counts,
-        against its count over the classes; `option` is the mode's s or
-        colour, and each mode ignores the keyword it does not read."""
-        return (label, centred[stat][mode, option],
-                formulas.MODES[mode].classes(members, stat, color=option, s=option))
+    def compare(label: tuple, mode: str, stat, option: int | None = None) -> tuple:
+        """The mode's closed form (a centred count but for labelled) against the
+        rooted tally or its count over the classes; `option` is its s or colour."""
+        form = formulas.MODES[mode]
+        expected = (form.formula(stat) if mode == "labelled"
+                    else centred[stat][mode, option])
+        return (label, expected, tally[stat] if mode == "rooted"
+                else form.classes(groups.get(stat, []), stat, color=option, s=option))
 
     for p in range(1, p_max + 1):
         size = size_stat(m, p)
@@ -518,68 +516,55 @@ def verify(m: int, p_max: int) -> VerifyReport:
             raise InconsistentResult(
                 f"{len(classes)} classes have {rootings} rootings, "
                 f"but {len(rooted)} rooted cacti were generated")
-        groups: dict[ColorStat | DegreeStat, list[CactusStats]] = {}
+        groups: dict[object, list[CactusStats]] = {size: classes}
         for st in classes:
             for stat in (st.colors, st.degrees):
                 groups.setdefault(stat, []).append(st)
-        color_vectors = _all_color_vectors(m, p)
-        degree_matrices = _all_degree_matrices(m, p)
-        levels = [("color", [(c, c.counts) for c in color_vectors]),
-                  ("degree", [(d, d.rows) for d in degree_matrices])]
+        # each level's statistics, with the label parts that name one
+        levels = {"size": [(size, ())],
+                  "color": [(c, (c.counts,)) for c in _all_color_vectors(m, p)],
+                  "degree": [(d, (d.rows,)) for d in _all_degree_matrices(m, p)]}
         centred = {stat: formulas.centred_counts(stat)
-                   for stat in [size, *color_vectors, *degree_matrices]}
-
-        record("rooted size", p,
-               [(("count",), centred[size]["rooted", None], len(rooted))])
+                   for keyed in levels.values() for stat, _ in keyed}
         tally = rooted_tally(rooted)
-        for level, keyed in levels:
-            record(f"rooted {level}", p, [((key,), centred[stat]["rooted", None],
-                                           tally[stat]) for stat, key in keyed])
+        tally[size] = len(rooted)
+
+        for level, keyed in levels.items():
+            record(f"rooted {level}", p, [compare(key or ("count",), "rooted", stat)
+                                          for stat, key in keyed])
 
         strata = sorted(s for s in divisors(p) if s >= 2)
-        pairs = [compare((mode,), mode, size, classes)
-                 for mode in ("unlabelled", "asymmetric")]
-        for s in strata:
-            pairs.append(compare((f"aut={s}",), "aut-exact", size, classes, s))
-            pairs.append(compare((f"aut>={s}",), "aut-atleast", size, classes, s))
-        record("classes size", p, pairs)
-
-        for level, keyed in levels:
+        for level, keyed in levels.items():
             pairs = []
             for stat, key in keyed:
-                members = groups.get(stat, [])
-                pairs += [compare((mode, key), mode, stat, members)
+                pairs += [compare((mode, *key), mode, stat)
                           for mode in ("unlabelled", "asymmetric")]
-                pairs += [compare((f"aut={s}", key), "aut-exact", stat, members, s)
-                          for s in strata]
-                if level == "degree":
-                    # the sum of 1/|Aut|: a class has p/|Aut| rootings
-                    pairs.append((("reciprocal", key),
+                for s in strata:
+                    pairs.append(compare((f"aut={s}", *key), "aut-exact", stat, s))
+                    if level == "size":
+                        pairs.append(compare((f"aut>={s}",), "aut-atleast", stat, s))
+                if level == "degree":  # the sum of 1/|Aut|: a class has p/|Aut| rootings
+                    pairs.append((("reciprocal", *key),
                                   Fraction(centred[stat]["rooted", None], p),
                                   sum(Fraction(1, st.aut_order)
-                                      for st in members) or Fraction(0)))
+                                      for st in groups.get(stat, []))))
             record(f"classes {level}", p, pairs)
 
-        labelled = formulas.MODES["labelled"].classes
-        record("labelled", p, [(("size",), formulas.count_labelled(size),
-                                labelled(classes, size))] + [
-            (("color", c.counts), formulas.count_labelled(c),
-             labelled(groups.get(c, []), c)) for c in color_vectors])
-
-        pairs = [compare(("size",), "pointed", size, classes)]
-        for level, keyed in levels:
-            pairs += [compare((level, key, f"@{color}"), "pointed", stat,
-                              groups.get(stat, []), color)
-                      for stat, key in keyed for color in range(1, m + 1)]
-        record("pointed orbits", p, pairs)
+        record("labelled", p, [compare((level, *key), "labelled", stat)
+                               for level in ("size", "color")
+                               for stat, key in levels[level]])
+        record("pointed orbits", p, [
+            compare((level, *key, f"@{c}") if c else (level,), "pointed", stat, c)
+            for level, keyed in levels.items() for stat, key in keyed
+            for c in ([None] if level == "size" else range(1, m + 1))])
 
         if p <= FACT_BUDGET.get(m, 2):
             census = factorizations(m, p)
-            valid_keys = {d.rows: d for d in degree_matrices}
-            pairs = [(("census", d.rows), centred[d]["rooted", None],
-                      census.get(d.rows, 0)) for d in degree_matrices]
+            known = {rows for _, (rows,) in levels["degree"]}
+            pairs = [(("census", rows), centred[d]["rooted", None],
+                      census.get(rows, 0)) for d, (rows,) in levels["degree"]]
             for key in census:
-                if key not in valid_keys:
+                if key not in known:
                     try:
                         degree_stat(m, [dict(row) for row in key])
                         coherent = True

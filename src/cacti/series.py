@@ -122,9 +122,10 @@ class PlantedFamily:
                  self.pack([top] * len(self.box))) if self.box else (0, 0))
 
 
-def _solve(m: int, order: int, slots: tuple = (),
-           box: Optional[tuple[int, ...]] = None) -> PlantedFamily:
-    """The m planted series, one x_i per color, by increasing total degree.
+def solve_planted(m: int, order: int, slots: tuple = (),
+                  box: Optional[tuple[int, ...]] = None) -> PlantedFamily:
+    """The m planted series A_i = x_i / (1 - H_i), one x_i per color, exact
+    to the truncation order, by increasing total degree.
 
     A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
     H_i^(h-1) with marker `slots`, and H_i = prod_{j != i} A_j starts at
@@ -184,12 +185,6 @@ def _solve(m: int, order: int, slots: tuple = (),
     # for m = 2 the hats are A_2 and A_1, which reach the order
     return PlantedFamily(m, order, slots, box, tuple(a), tuple(
         {d: part for d, part in hat.items() if d < order} for hat in hats))
-
-
-def solve_planted(m: int, order: int) -> PlantedFamily:
-    """The planted series A_i = x_i / (1 - H_i), exact to the truncation
-    order, one x_i per color."""
-    return _solve(m, order)
 
 
 def solve_one_sort(m: int, order: int) -> tuple[list[int], list[int]]:
@@ -354,7 +349,7 @@ def count_target(stat: Statistic, form) -> int:
             slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
                           for h, _ in row)
             target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
-        family = _solve(stat.m, stat.n, slots, target)
+        family = solve_planted(stat.m, stat.n, slots, target)
         total = centred(family, [form])[0].get(family.pack(target), 0)
     if Fraction(total).denominator != 1:
         raise InconsistentResult(f"count {total} at {target} is not an integer")

@@ -119,10 +119,16 @@ COMPARISONS = {
     (2, 6): [(1, 1, 1, 2, 2, 3, 2, 5, 1), (1, 2, 2, 4, 6, 8, 3, 9, 2),
              (1, 3, 3, 4, 9, 12, 4, 13, 4), (1, 4, 6, 6, 16, 30, 5, 21, 10),
              (1, 5, 10, 4, 15, 40, 6, 31, 19), (1, 6, 20, 8, 30, 120, 7, 53, 48)],
+    (4, 4): [(1, 1, 1, 2, 2, 3, 2, 9, 1), (1, 4, 4, 4, 12, 16, 5, 33, 8),
+             (1, 10, 10, 4, 30, 40, 11, 81, 40), (1, 20, 32, 6, 80, 160, 21, 209, 308)],
+    (5, 4): [(1, 1, 1, 2, 2, 3, 2, 11, 1), (1, 5, 5, 4, 15, 20, 6, 51, 16),
+             (1, 15, 15, 4, 45, 60, 16, 151, 121),
+             (1, 35, 55, 6, 140, 275, 36, 451, 1557)],
 }
 
 
-@pytest.mark.parametrize("m, p_max", COMPARISONS, ids=["m3-p4", "m2-p6"])
+@pytest.mark.parametrize("m, p_max", COMPARISONS,
+                         ids=["m3-p4", "m2-p6", "m4-p4", "m5-p4"])
 def test_verify_makes_the_same_comparisons(m, p_max):
     report = oracle.verify(m, p_max)
     assert report.passed

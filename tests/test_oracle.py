@@ -308,28 +308,70 @@ def test_verify_passes():
 
 
 def test_verify_details_name_the_first_failure(monkeypatch):
-    """A colour-level and a degree-level closed form off by one: each check
-    fails with the first failing comparison's label, and every check keeps
-    its comparison count."""
+    """A closed form or a census entry off in every check: each check fails
+    with the first failing comparison's label, at every level it compares,
+    and every check keeps its comparison count."""
     colour = stats.color_stat(2, (2, 3))
     degree = stats.degree_stat(2, [{2: 2}, {1: 2, 2: 1}])
+    rooted_degree, pointed_degree = oracle._all_degree_matrices(2, 3)[:2]
+    census_degree = oracle._all_degree_matrices(2, 2)[0]
+    bumps = {  # statistic -> the centred-count keys that are off by one
+        stats.size_stat(2, 1): [("rooted", None), ("pointed", None)],
+        stats.color_stat(2, (2, 1)): [("rooted", None)],
+        stats.color_stat(2, (1, 2)): [("pointed", 2)],
+        rooted_degree: [("rooted", None)],
+        pointed_degree: [("pointed", 1)],
+        stats.size_stat(2, 4): [("aut-atleast", 2)],
+        colour: [("unlabelled", None)],
+        degree: [("aut-exact", 2)],
+    }
     passing = oracle.verify(2, 4)
-    centred_counts = F.centred_counts
+    centred_counts, count_labelled = F.centred_counts, F.count_labelled
+    factorizations = oracle.factorizations
 
     def off_by_one(stat):
         counts = centred_counts(stat)
-        if stat == colour:
-            counts["unlabelled", None] += 1
-        if stat == degree:
-            counts["aut-exact", 2] += 1
+        for key in bumps.get(stat, []):
+            counts[key] += 1
         return counts
 
+    def labelled_off_by_one(stat):
+        bumped = stat in (stats.size_stat(2, 2), stats.color_stat(2, (2, 2)))
+        return count_labelled(stat) + bumped
+
+    def census_off(m, p):
+        census = factorizations(m, p)
+        if p == 2:
+            census[census_degree.rows] += 1
+        if p == 4:  # a coherent key of another size
+            census[rooted_degree.rows] = 1
+        return census
+
     monkeypatch.setattr(F, "centred_counts", off_by_one)
+    monkeypatch.setattr(F, "count_labelled", labelled_off_by_one)
+    monkeypatch.setattr(oracle, "factorizations", census_off)
     report = oracle.verify(2, 4)
     assert [(r.name, r.p, r.comparisons) for r in report.results] == [
-        (r.name, r.p, r.comparisons) for r in passing.results]
+        (r.name, r.p, r.comparisons + ((r.name, r.p) == ("factorizations", 4)))
+        for r in passing.results]
     assert [(r.name, r.p, r.detail) for r in report.results if not r.passed] == [
+        ("rooted size", 1, "count: expected 2, got 1"),
+        ("pointed orbits", 1, "size: expected 3, got 2"),
+        ("rooted color", 2, "(2, 1): expected 2, got 1"),
+        ("labelled", 2, "size: expected 7, got 6"),
+        ("pointed orbits", 2, "color (1, 2) @2: expected 2, got 1"),
+        ("factorizations", 2, "census (((2, 1),), ((1, 2),)): expected 1, got 2"),
+        ("rooted degree", 3, "(((3, 1),), ((1, 3),)): expected 2, got 1"),
+        ("classes degree", 3,
+         "reciprocal (((3, 1),), ((1, 3),)): expected 2/3, got 1/3"),
+        ("labelled", 3, "color (2, 2): expected 5, got 4"),
+        ("pointed orbits", 3,
+         "degree (((1, 1), (2, 1)), ((1, 1), (2, 1))) @1: expected 3, got 2"),
+        ("factorizations", 3, "census (((3, 1),), ((1, 3),)): expected 2, got 1"),
+        ("classes size", 4, "aut>=2: expected 5, got 4"),
         ("classes color", 4, "unlabelled (2, 3): expected 3, got 2"),
         ("classes degree", 4,
-         "aut=2 (((2, 2),), ((1, 2), (2, 1))): expected 2, got 1")]
-    assert report.first_failure.name == "classes color"
+         "aut=2 (((2, 2),), ((1, 2), (2, 1))): expected 2, got 1"),
+        ("factorizations", 4,
+         "incoherent (((3, 1),), ((1, 3),)): expected False, got True")]
+    assert report.first_failure.name == "rooted size"

@@ -96,14 +96,19 @@ def test_gonal_classes_build_no_statistic(monkeypatch):
     assert oracle.enumerate_gonal(3, 5) == 19
 
 
+def compose(a, b):
+    """Apply a first, then b."""
+    return tuple(b[i] for i in a)
+
+
 def factorizations_recounted(m, p):
     sigma = tuple((i + 1) % p for i in range(p))
     census = {}
     for gs in product(permutations(range(p)), repeat=m - 1):
         acc = tuple(range(p))
         for g in gs:
-            acc = oracle._compose(acc, g)
-        last = oracle._compose(oracle._inverse(acc), sigma)
+            acc = compose(acc, g)
+        last = compose(oracle._inverse(acc), sigma)
         key = tuple(oracle._cycle_type(g) for g in gs + (last,))
         census[key] = census.get(key, 0) + 1
     return census

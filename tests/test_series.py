@@ -27,7 +27,7 @@ def weighted_family(m: int, order: int) -> series.PlantedFamily:
     h <= (order - 1) // (m - 1) + 1, the planted root's stem included."""
     slots = tuple((i, h) for i in range(1, m + 1)
                   for h in range(1, (order - 1) // (m - 1) + 2))
-    return series._solve(m, order, slots)
+    return series.solve_planted(m, order, slots)
 
 
 def _solved(kind: str, m: int, order: int) -> tuple[list, list]:
@@ -83,7 +83,7 @@ class TestCentred:
         else:
             stat = stats.color_stat(m, (2, 2, 3))
             family = (series.solve_planted(m, 10) if kind == "planted"
-                      else series._solve(m, stat.n, (), stat.counts))
+                      else series.solve_planted(m, stat.n, (), stat.counts))
         forms = [f for f in _forms(stat) if kind != "weighted" or not f.colors]
         batch = forms + forms[::3]
         random.Random(kind).shuffle(batch)
@@ -226,7 +226,7 @@ class TestRootedSeries:
         assert ref.read(fam, ref.ROOTED) == rooted.coeffs
         for e in rooted.coeffs:
             if sum(e[:m]) == order:
-                boxed = series._solve(m, order, fam.slots, e)
+                boxed = series.solve_planted(m, order, fam.slots, e)
                 assert ref.read(boxed, ref.ROOTED) == ref.rooted(boxed).coeffs, e
                 assert series.centred(boxed, [ref.ROOTED])[0][boxed.pack(e)] == rooted[e]
 
@@ -253,7 +253,7 @@ class TestPointedSeries:
         code = ("from cacti import formulas, series, stats\n"
                 "from cacti.arith import euler_phi\n"
                 "slots = tuple((i, h) for i in (1, 2) for h in range(1, 5))\n"
-                "weighted = series._solve(2, 4, slots)\n"
+                "weighted = series.solve_planted(2, 4, slots)\n"
                 "try:\n"
                 "    series.centred(weighted, [formulas.Centres((1,), euler_phi, 1, 0)])\n"
                 "except stats.ValidationError:\n"
@@ -292,7 +292,7 @@ class TestPointedAgainstReference:
         for p in range(1, (order - 1) // (m - 1) + 1):
             for counts in _color_vectors(m, p):
                 c = stats.color_stat(m, counts)
-                boxed = series._solve(m, c.n, (), counts)
+                boxed = series.solve_planted(m, c.n, (), counts)
                 for color in range(1, m + 1):
                     assert (ref.read(boxed, ref.centre(color, euler_phi))
                             == ref.pointed(boxed, color).coeffs)
@@ -451,7 +451,7 @@ def _families(m: int) -> dict:
     vectors = _color_vectors(m, 3)
     counts = vectors[len(vectors) // 2]
     return {"planted": series.solve_planted(m, order),
-            "boxed": series._solve(m, sum(counts), (), counts),
+            "boxed": series.solve_planted(m, sum(counts), (), counts),
             "weighted": weighted_family(m, order)}
 
 
