@@ -35,9 +35,10 @@ over isomorphism classes, the statistic level it is bound to and its
 
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), and so are the strata s >= 2 (it
-has no symmetry); all other counts are 1.  Every division in the formulas
-below cancels exactly; `_exact` raises `InconsistentResult` on a remainder,
-which would signal an implementation bug.
+has no symmetry), and so are pointed counts at a colour the vertex lacks;
+all other counts are 1.  Every division in the formulas below cancels
+exactly; `_exact` raises `InconsistentResult` on a remainder, which would
+signal an implementation bug.
 """
 
 from __future__ import annotations
@@ -184,11 +185,14 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
     n_i colour-i vertices of each of the R rooted cacti over the p rootings
     of a cactus.  At size level colour rotation makes colour 1's terms
     every colour's, and n_i is n / m.  The p = 0 cactus, a lone vertex, has
-    no rooting, one class, one pointing and no symmetry."""
+    no rooting, one class and no symmetry, and one pointing at its own
+    colour only; a size-level form sums all colours or none."""
     p, m = stat.p, stat.m
-    if p == 0:
-        return [int(form.s == 1 and bool(form.colors)) for form in forms]
     size = isinstance(stat, SizeStat)
+    if p == 0:
+        lone = 1 if size else (stat.counts if isinstance(stat, ColorStat)
+                               else stat.color_counts).index(1) + 1
+        return [int(form.s == 1 and lone in form.colors) for form in forms]
     specs = [(k, form.colors, form.s, form.weight)
              for k, form in enumerate(forms) if form.colors]
     totals = [0] * len(forms)

@@ -1,29 +1,29 @@
 """Truncated formal power series solving the cactus functional equations.
 
 This is the second, independent computation path: the planted generating
-series A_1, ..., A_m satisfy A_i = x_i / (1 - prod_{j != i} A_j); solved
-degree by degree, they give the rooted series R = H_1 * A_1 and the centre
-series.  By the dissymmetry theorem a count is a sum of centre series plus a
-multiple of R, as a `formulas.Centres` writes it; `centred` is the one place
-that forms that sum, for any list of forms, and `count_target` reads one
-coefficient of it.  Coefficients are exact.  The solver keeps each series as
-total degree -> part, each exponent packed into one int (see
-`PlantedFamily`), and `centred` keys its series so.  The centre series at
-weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i), H_i =
-prod_{j != i} A_j, for every d: its Euler derivative is solved in integers,
-and each coefficient is one exact division by its total degree, which raises
-`InconsistentResult` if it leaves a remainder.  The weighted variant marks a
-color-i vertex of degree h with r[i,h], one more coordinate of the exponent
-after x_1..x_m.  The one-sort family, every color graded by one x, has one
-term a degree: A = x + A^m, its H = A^(m-1), R = A - x and its centre series
-are lists of coefficients by degree, solved and read without the packed layer.
-Truncation is by the total degree of the x coordinates: every monomial of a
-p-polygon cactus has total degree (m-1)p + 1, so a total-degree bound is a
-polygon bound, and a product of k planted series lies at total degrees = k
-(mod m - 1): the solver forms no other part, and keeps no empty one.  A count
-of one statistic solves inside a box instead, one cap per coordinate taken
-from the statistic: a term above a cap cannot divide the target, so it is
-dropped as soon as it is formed.
+series A_1, ..., A_m satisfy A_i = x_i / (1 - H_i), H_i = prod_{j != i} A_j,
+and unweighted A_i = x_i + R for every colour i, R = H_1 * A_1 being the
+rooted series; solved degree by degree, they give R and the centre series.  By
+the dissymmetry theorem a count is a sum of centre series plus a multiple of
+R, as a `formulas.Centres` writes it; `centred` is the one place that forms
+that sum, for any list of forms, and `count_target` reads one coefficient of
+it.  Coefficients are exact.  The solver keeps each series as total degree ->
+part, each exponent packed into one int (see `PlantedFamily`), and `centred`
+keys its series so.  The centre series at weight w (phi or mu) and stretch s
+takes one log L = log 1/(1 - H_i) for every d: its Euler derivative is solved
+in integers, and each coefficient is one exact division by its total degree,
+which raises `InconsistentResult` if it leaves a remainder.  The weighted
+variant marks a color-i vertex of degree h with r[i,h], one more coordinate of
+the exponent after x_1..x_m.  The one-sort family, every color graded by one
+x, has one term a degree: A = x + A^m, its H = A^(m-1), R = A - x and its
+centre series are lists of coefficients by degree, solved and read without the
+packed layer.  Truncation is by the total degree of the x coordinates: every
+monomial of a p-polygon cactus has total degree (m-1)p + 1, so a total-degree
+bound is a polygon bound, and a product of k planted series lies at total
+degrees = k (mod m - 1): the solver forms no other part, and keeps no empty
+one.  A count of one statistic solves inside a box instead, one cap per
+coordinate taken from the statistic: a term above a cap cannot divide the
+target, so it is dropped as soon as it is formed.
 """
 
 from __future__ import annotations
@@ -80,12 +80,13 @@ class PlantedFamily:
     and kept as the degree -> part maps the solver built.
 
     `planted[i - 1]` holds A_i to total degree `order`, and `hats[i - 1]`
-    holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  Only
-    the non-empty parts are kept: those of A_i lie at total degrees = 1 and
-    those of H_i at degrees = 0 (mod m - 1).  An exponent has the m graded
-    coordinates x_1..x_m and, in a weighted family, one marker coordinate
-    per (color, degree) pair of `slots`, in that order.  `box` caps each
-    coordinate, or is None.
+    holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  In
+    an unweighted family A_i = x_i + R, so past degree 1 every A_i keeps the
+    same parts, R's.  Only the non-empty parts are kept: those of A_i lie at
+    total degrees = 1 and those of H_i at degrees = 0 (mod m - 1).  An
+    exponent has the m graded coordinates x_1..x_m and, in a weighted
+    family, one marker coordinate per (color, degree) pair of `slots`, in
+    that order.  `box` caps each coordinate, or is None.
 
     A part keys each exponent by one int, `pack`ed with coordinate k in bits
     k * width .. k * width + width - 1.  A vertex adds one to an x and to at
@@ -127,34 +128,30 @@ def solve_planted(m: int, order: int, slots: tuple = (),
     """The m planted series A_i = x_i / (1 - H_i), one x_i per color, exact
     to the truncation order, by increasing total degree.
 
-    A_i = x_i * B_i with B_i = 1 + H_i * B_i, or B_i = sum_{h>=1} r[i,h] *
-    H_i^(h-1) with marker `slots`, and H_i = prod_{j != i} A_j starts at
-    degree m - 1, so the degree-d part of B_i needs only lower parts.  The
-    marker r[i,h] adds one to coordinate m + k for (i, h) = slots[k]; a
-    marker without a slot, and a term above the box, is dropped as soon as
-    its part is formed.  Nothing is multiplied by the constant 1: H_1 is
-    right[1], H_m is left[m - 1], H_i^1 is H_i, and b[i] holds B_i less its
-    constant, so that unweighted b[i] = H_i + H_i * b[i].
+    H_i = prod_{j != i} A_j starts at degree m - 1, so the degree-d part of
+    A_i needs only lower parts.  Unweighted, H_i * A_i = R, the product of
+    all m series, so A_i = x_i + R: R = H_1 * A_1 is formed once a degree,
+    as every A_i's part.  Weighted, A_i = x_i * sum_{h>=1} r[i,h] *
+    H_i^(h-1); the marker r[i,h] adds one to coordinate m + k for (i, h) =
+    slots[k], and a power of H_i that no slot marks, and a term above the
+    box, is dropped as soon as its part is formed.  Nothing is multiplied
+    by the constant 1: H_1 is right[1], H_m is left[m - 1], H_i^1 is H_i.
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
     shell = PlantedFamily(m, order, slots, box)  # the layout, no series yet
     inside = shell.inside
     unit = [1 << k * shell.width for k in range(m + len(slots))]  # x_i, then markers
-    # the unit of marker r[i,h]; unweighted, r[i,1] = r[i,2] = 1 mark nothing
-    marker = ({slot: unit[m + k] for k, slot in enumerate(slots)} if slots
-              else {(i, h): 0 for i in range(1, m + 1) for h in (1, 2)})
+    marker = {slot: unit[m + k] for k, slot in enumerate(slots)}  # the unit of r[i,h]
     # the highest power of H_i that a marker of color i multiplies
     top = [max((h - 1 for c, h in marker if c == i + 1), default=0)
            for i in range(m)]
     a: list[Parts] = [{} for _ in range(m)]
-    b: list[Parts] = [{} for _ in range(m)]
-    for i in range(m):
-        stem = _lift({0: 1}, marker.get((i + 1, 1)), inside)
+    for i in range(m):  # x_i, and r[i,1] with it when weighted
+        stem = _lift({0: 1}, marker.get((i + 1, 1)), inside) if slots else {0: 1}
         _keep(a[i], 1, _lift(stem, unit[i], inside))
-    # left[k] = A_0 ... A_{k-1} and right[k] = A_k ... A_{m-1}, so H_i =
-    # left[i] * right[i + 1]; the empty products left[0] and right[m] are
-    # never formed.
+    # left[k] = A_0 ... A_{k-1}, right[k] = A_k ... A_{m-1}, H_i = left[i] *
+    # right[i + 1]; the empty products left[0] and right[m] are never formed.
     left = [None, a[0]] + [{} for _ in range(2, m)]
     right = [{} for _ in range(m - 1)] + [a[m - 1]]
     hats = [right[1]] + [{} for _ in range(2, m)] + [left[-1]]
@@ -169,10 +166,14 @@ def solve_planted(m: int, order: int, slots: tuple = (),
                 _keep(right[k], d, _product_part(a[k], right[k + 1], d, inside))
         if d % q:
             continue
-        for i, hat in enumerate(hats):
-            if 0 < i < m - 1:
-                _keep(hat, d, _product_part(left[i], right[i + 1], d, inside))
-            part = _product_part(hat, b[i], d, inside) if b[i] and not slots else {}
+        for i in range(1, m - 1):
+            _keep(hats[i], d, _product_part(left[i], right[i + 1], d, inside))
+        if not slots:  # R's degree-(d + 1) part, every A_i's
+            rooted = _product_part(hats[0], a[0], d + 1, inside)
+            for parts in a:
+                _keep(parts, d + 1, rooted)
+        for i, hat in enumerate(hats if slots else ()):  # weighted, by powers
+            part: dict[int, int] = {}
             for k in range(1, min(d // q, top[i]) + 1):  # H_i^k at powers[i][k - 1]
                 if k > 1:
                     _keep(powers[i][k - 1], d,
@@ -180,7 +181,6 @@ def solve_planted(m: int, order: int, slots: tuple = (),
                 power = powers[i][k - 1].get(d, {})
                 for e, c in _lift(power, marker.get((i + 1, k + 1)), inside).items():
                     part[e] = part.get(e, 0) + c
-            _keep(b[i], d, part)
             _keep(a[i], d + 1, _lift(part, unit[i], inside))
     # for m = 2 the hats are A_2 and A_1, which reach the order
     return PlantedFamily(m, order, slots, box, tuple(a), tuple(

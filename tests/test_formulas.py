@@ -262,11 +262,18 @@ class TestIdentities:
         assert F.count_pointed(s) == (
             F.count_unlabelled(s) + (m - 1) * F.count_rooted(s))
 
-    @pytest.mark.parametrize("m,p", [(2, 5), (3, 4)])
+    @pytest.mark.parametrize("m,p", [(2, 5), (3, 4)] + [(m, 0) for m in range(2, 6)])
     def test_dissymmetry_color(self, m, p):
-        for c in _valid_color_vectors(m, p):
+        """Pointed at each colour, summed, is unlabelled plus (m - 1) rooted;
+        at p = 0 over the lone vertex of each colour, at colour and degree
+        level, where it is pointed once, at its own colour."""
+        lone = [[int(j == i) for j in range(m)] for i in range(m)]
+        statistics = _valid_color_vectors(m, p) if p else (
+            [color(m, counts) for counts in lone]
+            + [stats.degree_stat(m, [{0: k} for k in counts]) for counts in lone])
+        for c in statistics:
             lhs = sum(F.count_pointed(c, i) for i in range(1, m + 1))
-            assert lhs == F.count_unlabelled(c) + (m - 1) * F.count_rooted(c)
+            assert lhs == F.count_unlabelled(c) + (m - 1) * F.count_rooted(c), c
 
     @pytest.mark.parametrize("m,p", [(2, 6), (3, 4), (5, 6)])
     def test_labelled_rooted_bridge(self, m, p):

@@ -307,6 +307,30 @@ def test_verify_passes():
     assert oracle.verify(2, 6).passed
 
 
+@pytest.mark.parametrize("m, p_max", [(2, 6), (3, 4), (4, 3)],
+                         ids=["m2-p6", "m3-p4", "m4-p3"])
+def test_entries_that_verify_leaves_out_count_the_classes(m, p_max):
+    """`verify` holds the `aut-atleast` entries of `formulas.centred_counts`
+    to the classes at size level only, and the labelled closed form at size
+    and colour level only; the colour- and degree-level strata and the
+    degree-level labelled count agree with the classes too."""
+    for p in range(1, p_max + 1):
+        groups = {}
+        for _, st in oracle.enumerate_unlabelled(m, p):
+            for stat in (st.colors, st.degrees):
+                groups.setdefault(stat, []).append(st)
+        degrees = oracle._all_degree_matrices(m, p)
+        for stat in oracle._all_color_vectors(m, p) + degrees:
+            counts = F.centred_counts(stat)
+            for s in range(2, p + 1):
+                if p % s == 0:
+                    assert counts["aut-atleast", s] == F.MODES["aut-atleast"].classes(
+                        groups[stat], stat, s=s), (stat, s)
+        for stat in degrees:
+            assert F.MODES["labelled"].formula(stat) == F.MODES["labelled"].classes(
+                groups[stat], stat), stat
+
+
 def test_verify_details_name_the_first_failure(monkeypatch):
     """A closed form or a census entry off in every check: each check fails
     with the first failing comparison's label, at every level it compares,

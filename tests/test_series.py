@@ -512,7 +512,7 @@ class TestSparseParts:
     @pytest.mark.parametrize("m", range(2, 6))
     def test_no_product_by_the_constant_one(self, monkeypatch, m):
         """H_1 is right[1] and H_m is left[m - 1], not products with the
-        constant series 1, and B_i's constant part takes part in no product."""
+        constant series 1, and no planted series is formed by one."""
         one = {0: {0: 1}}  # the constant 1 as degree -> packed part
         factors = []
         product_part = series._product_part
@@ -527,6 +527,42 @@ class TestSparseParts:
                                                 for color in range(1, m + 1)
                                                 if not fam.slots])
         assert factors and not any(map(any, factors))
+
+
+class TestOneRootedPart:
+    """Unweighted, H_i * A_i is the product R of all m planted series, so
+    A_i = x_i + R for every colour: the solver forms R's part once a degree
+    and keeps it as every A_i's."""
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_one_product_a_degree_for_all_planted_series(self, monkeypatch, m):
+        degrees = []
+        product_part = series._product_part
+
+        def counted(a, b, d, inside):
+            degrees.append(d)
+            return product_part(a, b, d, inside)
+
+        monkeypatch.setattr(series, "_product_part", counted)
+        q = m - 1
+        for order in range(1, 17):
+            degrees.clear()
+            series.solve_planted(m, order)
+            # a prefix, a suffix or an H_i lies at a degree != 1 (mod q) for m > 2
+            assert sum(d % q == 1 % q for d in degrees) == (order - 1) // q, order
+            if m == 2:  # H_1 = A_2 and H_2 = A_1: R is the only product
+                assert len(degrees) == order - 1
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_every_planted_series_keeps_one_rooted_map(self, m):
+        families = _families(m)
+        vectors = _color_vectors(m, 5)
+        counts = vectors[len(vectors) // 3]
+        for fam in (families["planted"], families["boxed"], series.solve_planted(m, 16),
+                    series.solve_planted(m, sum(counts), (), counts)):
+            rooted = [{d: part for d, part in a.items() if d > 1} for a in fam.planted]
+            assert rooted[0] and all(r == rooted[0] for r in rooted), fam.box
+            assert all(r[d] is rooted[0][d] for r in rooted for d in r), fam.box
 
 
 def _color_vectors(m, p):
