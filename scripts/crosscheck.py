@@ -23,8 +23,8 @@ import sys
 import time
 
 from cacti import formulas, oracle, series, stats
-from cacti.cli import SERIES_MULTI_BOUND, SERIES_ONE_SORT_BOUND
 from cacti.formulas import GonalKind
+from cacti.series import SERIES_MULTI_BOUND, SERIES_ONE_SORT_BOUND
 
 
 def parse_budgets(text: str) -> dict[int, int]:

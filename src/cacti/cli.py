@@ -1,9 +1,13 @@
 """Command-line front end: counting, table reproduction, verification, series.
 
-Exit codes are a stable contract: 0 success, 1 cross-check mismatch,
-2 usage / validation / budget errors and failed exactness guards.  Counts
-are always rendered as exact decimal strings (they outgrow 64-bit integers
-quickly), and JSON output never encodes a count as a native number.
+`cacti count` holds no route's rules: it checks the mode table's level and
+flag rules, then looks the route up in `ROUTES`, whose entry points all take
+`(mode, stat, *, color, s, kind)` and answer, p = 0 included, or raise their
+own refusal; `--check` recomputes through `ROUTES` too.  Exit codes are a
+stable contract: 0 success, 1 cross-check mismatch, 2 usage / validation /
+budget errors and failed exactness guards.  Counts are always rendered as
+exact decimal strings (they outgrow 64-bit integers quickly), and JSON
+output never encodes a count as a native number.
 """
 
 from __future__ import annotations
@@ -18,11 +22,8 @@ import sys
 
 from . import formulas, oracle, series, stats
 from .formulas import GonalKind
-from .stats import (ColorStat, DegreeStat, InconsistentResult, SizeStat,
-                    Statistic, ValidationError)
-
-SERIES_MULTI_BOUND = 16
-SERIES_ONE_SORT_BOUND = 64
+from .stats import (BudgetExceeded, ColorStat, InconsistentResult, SizeStat,
+                    Statistic, UsageError, ValidationError)
 
 # The options a JSON count echoes as its query, in this order; `kind` only
 # for --mode gonal.
@@ -58,10 +59,6 @@ TABLE2_ROWS: list[tuple[int, ...]] = [
 ]
 
 
-class UsageError(ValueError):
-    """Incompatible or missing flags."""
-
-
 def _exact_str(value) -> str:
     """Decimal string of a count of any size."""
     try:
@@ -93,72 +90,26 @@ def _build_stat(args) -> Statistic:
 _LEVELS = {SizeStat: "works at size level (--p)", ColorStat: "needs --colors"}
 
 
-def _check_query(mode: str, stat: Statistic, args) -> None:
-    """The level and flag rules of the mode table, checked before any route."""
-    level = formulas.MODES[mode].level
-    if level is not None and not isinstance(stat, level):
-        raise UsageError(f"--mode {mode} {_LEVELS[level]}")
-    if mode.startswith("aut-") and args.s is None:
-        raise UsageError(f"--mode {mode} requires --s")
-
-
-def _count_formula(mode: str, stat: Statistic, args) -> int:
-    return formulas.MODES[mode].formula(stat, color=args.color, s=args.s,
-                                        kind=GonalKind(args.kind))
-
-
-def _count_series(mode: str, stat: Statistic, args) -> int:
-    # The series route counts what the mode's `Centres` express; the p = 0
-    # row is reconciled with the single-vertex conventions here rather than
-    # inside the series module.
-    centres = formulas.MODES[mode].centres
-    if centres is None:
-        raise UsageError(f"--path series does not support mode {mode!r}")
-    if stat.p == 0:
-        return _count_formula(mode, stat, args)
-    form = centres(stat, color=args.color, s=args.s)
-    bound = SERIES_ONE_SORT_BOUND if isinstance(stat, SizeStat) else SERIES_MULTI_BOUND
-    if stat.n > bound:
-        raise oracle.BudgetExceeded(f"series order {stat.n} > {bound}")
-    if isinstance(stat, DegreeStat) and form.colors:
-        raise UsageError("--path series at degree level counts no centres: "
-                         "--mode rooted or labelled only")
-    return series.count_target(stat, form)
-
-
-def _count_oracle(mode: str, stat: Statistic, args) -> int:
-    # The refusals come before the p = 0 row, so they hold at every p.
-    if mode == "gonal" and GonalKind(args.kind) is not GonalKind.UNLABELLED:
-        raise UsageError("--path oracle supports only unlabelled gonal counts")
-    if mode == "constellation":
-        raise UsageError("no exhaustive constellation generator; use --path formula")
-    if stat.p == 0:
-        return _count_formula(mode, stat, args)
-    m, p = stat.m, stat.p
-    if mode == "free":
-        return oracle.free_labelled_bruteforce(stat)
-    if mode == "gonal":
-        return oracle.enumerate_gonal(m, p)
-    if mode == "rooted":
-        rooted = oracle.generate_rooted(m, p)
-        if isinstance(stat, SizeStat):
-            return len(rooted)
-        return oracle.rooted_tally(rooted)[stat]
-    members = [st for _, st in oracle.enumerate_unlabelled(m, p)
-               if isinstance(stat, SizeStat) or stat in (st.colors, st.degrees)]
-    return formulas.MODES[mode].classes(members, stat, color=args.color, s=args.s)
+ROUTES = {  # --path or --check: the route's `(mode, stat, *, color, s, kind)`
+    "formula": lambda mode, stat, **options: formulas.MODES[mode].formula(stat, **options),
+    "series": series.count,
+    "oracle": oracle.count,
+}
 
 
 def cmd_count(args) -> int:
     stat = _build_stat(args)
-    _check_query(args.mode, stat, args)
-    compute = {"formula": _count_formula, "series": _count_series,
-               "oracle": _count_oracle}[args.path]
-    count = compute(args.mode, stat, args)
+    level = formulas.MODES[args.mode].level  # the mode table's rules, before any route
+    if level is not None and not isinstance(stat, level):
+        raise UsageError(f"--mode {args.mode} {_LEVELS[level]}")
+    if args.mode.startswith("aut-") and args.s is None:
+        raise UsageError(f"--mode {args.mode} requires --s")
+    options = {"color": args.color, "s": args.s, "kind": GonalKind(args.kind)}
+    count = ROUTES[args.path](args.mode, stat, **options)
     if args.check and args.path != args.check:
-        other = _count_oracle(args.mode, stat, args)
+        other = ROUTES[args.check](args.mode, stat, **options)
         if other != count:
-            print(f"MISMATCH: {args.path} gives {count}, oracle gives {other}",
+            print(f"MISMATCH: {args.path} gives {count}, {args.check} gives {other}",
                   file=sys.stderr)
             return 1
     if args.format == "json":
@@ -258,16 +209,16 @@ def cmd_series(args) -> int:
     if args.color is not None and (args.target != "planted" or one_sort):
         named = f"--target {args.target}" + (" --one-sort" if one_sort else "")
         raise UsageError(f"{named} takes no --color")
-    bound = SERIES_ONE_SORT_BOUND if one_sort else SERIES_MULTI_BOUND
+    bound = series.SERIES_ONE_SORT_BOUND if one_sort else series.SERIES_MULTI_BOUND
     if args.order < 1 or args.order > bound:
-        raise oracle.BudgetExceeded(
+        raise BudgetExceeded(
             f"--order must be within 1..{bound} for this target")
     if args.color is not None and not 1 <= args.color <= args.m:
         raise formulas.ColorOutOfRange(f"color {args.color} not in 1..{args.m}")
-    if not one_sort and args.m > SERIES_MULTI_BOUND + 1:
+    if not one_sort and args.m > series.SERIES_MULTI_BOUND + 1:
         # m - 1 exceeds every accepted order: each H_i is 0, each A_i is x_i
-        raise oracle.BudgetExceeded(
-            f"--m must be at most {SERIES_MULTI_BOUND + 1} without --one-sort")
+        raise BudgetExceeded(
+            f"--m must be at most {series.SERIES_MULTI_BOUND + 1} without --one-sort")
     family = ((args.m, *series.solve_one_sort(args.m, args.order)) if one_sort
               else series.solve_planted(args.m, args.order))
     if args.target == "planted":
@@ -388,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UsageError, oracle.BudgetExceeded,
-            InconsistentResult) as exc:
+    except (ValidationError, UsageError, BudgetExceeded, InconsistentResult) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

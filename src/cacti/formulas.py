@@ -149,10 +149,9 @@ class Centres(NamedTuple):
     """A count by the dissymmetry theorem: the centre sums of the 1-based
     `colors` at `weight` and stretch `s`, plus `rooted` times the rooted
     count (-(m - 1) for the classes at s = 1, 0 for pointed counts; the
-    rooted and labelled counts sum no centres).  Both routes read it so:
-    the formula route by `_count_centred`, the series route by
-    `series.centred`, which `series.count_target` and `cacti series`
-    call."""
+    rooted and labelled counts sum no centres but at p = 0).  Both routes
+    read it so: the formula route by `_count_centred`, the series route by
+    `series.centred`, which `series.count` and `cacti series` call."""
 
     colors: Sequence[int]
     weight: Callable[[int], int] | None
@@ -362,10 +361,10 @@ class Mode:
     reading of each only `aut_order`, `colors` and `pointed(color)`; it is
     None where the oracle counts another way or not at all.  `centres(stat,
     ...)` writes the count as centre sums plus a multiple of the rooted
-    count, for a statistic with p >= 1; it is None where the series route
-    has no such form.  All three take the options `color`, `s` and `kind`
-    by keyword and ignore those their mode does not read.  `level` is the
-    one statistic type the mode accepts, if it accepts just one.
+    count, at every p; it is None where the series route has no such form.
+    All three take the options `color`, `s` and `kind` by keyword and
+    ignore those their mode does not read.  `level` is the one statistic
+    type the mode accepts, if it accepts just one.
     """
 
     formula: Callable[..., int]
@@ -393,12 +392,14 @@ def _aut_mode(which: AutMode) -> Mode:
 MODES: dict[str, Mode] = {
     "rooted": Mode(lambda stat, **_: count_rooted(stat),
                    centres=lambda stat, **_: Centres((), None, 1, 1)),
-    # The sum over classes of labellings / |Aut| is labellings * rooted / p.
+    # The sum over classes of labellings / |Aut| is labellings * rooted / p;
+    # the lone vertex has one labelling and is one class, with no symmetry.
     "labelled": Mode(lambda stat, **_: count_labelled(stat),
                      lambda members, stat, **_: sum(
                          _labellings(stat) // st.aut_order for st in members),
                      centres=lambda stat, **_: Centres(
-                         (), None, 1, Fraction(_labellings(stat), stat.p))),
+                         (), None, 1, Fraction(_labellings(stat), stat.p))
+                     if stat.p else class_centres(stat, euler_phi)),
     "pointed": Mode(
         lambda stat, color=None, **_: count_pointed(stat, color),
         lambda members, stat, color=None, **_: sum(

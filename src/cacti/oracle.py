@@ -51,26 +51,16 @@ from operator import itemgetter
 from . import formulas
 from .arith import divisors
 from .formulas import ColorOutOfRange  # raised by CactusStats.pointed
-from .stats import (
-    ColorStat,
-    DegreeStat,
-    InconsistentResult,
-    ValidationError,
-    color_marginal,
-    color_stat,
-    degree_stat,
-    size_stat,
-)
+from .formulas import GonalKind
+from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
+                    SizeStat, Statistic, UsageError, ValidationError,
+                    color_marginal, color_stat, degree_stat, size_stat)
 
 GEN_BUDGET = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3}  # generate_rooted: max p per m
 FACT_BUDGET = {2: 7, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3}  # factorizations: max p per m
 FREE_POOL_BUDGET = 16                 # free_labelled_bruteforce: candidate polygons
 FREE_P_BUDGET = 4
 VERIFY_M_BUDGET = 100  # verify: its pointed comparisons grow as m^2 at p = 1
-
-
-class BudgetExceeded(ValueError):
-    """Requested size is beyond the documented brute-force bounds."""
 
 
 DegreeReading = tuple[tuple[tuple[int, int], int], ...]  # ((offset, degree), count)
@@ -125,9 +115,9 @@ class CactusStats:
         return orbits + fixed
 
 
-def _check_size(m: int, p: int) -> None:
-    if m < 2 or p < 1:
-        raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
+def _check_size(m: int, p: int, least: int = 1) -> None:
+    if m < 2 or p < least:
+        raise ValidationError(f"need m >= 2 and p >= {least}, got m = {m}, p = {p}")
     budget = GEN_BUDGET.get(m, 1)
     if p > budget:
         raise BudgetExceeded(
@@ -178,8 +168,8 @@ def _rooted(m: int, p: int, cap: int) -> list[Rooted]:
 
 
 def generate_rooted(m: int, p: int) -> list[Rooted]:
-    """All rooted cacti with p polygons, each once."""
-    _check_size(m, p)
+    """All rooted cacti with p polygons, each once: none at p = 0."""
+    _check_size(m, p, 0)
     return _rooted(m, p, p)
 
 
@@ -360,8 +350,6 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
     are already connected.  Such a subset uses every vertex.
     """
     p = colors.p
-    if p == 0:
-        return 1
     pool = math.prod(colors.counts)
     if pool > FREE_POOL_BUDGET or p > FREE_P_BUDGET:
         raise BudgetExceeded(
@@ -406,14 +394,45 @@ def enumerate_gonal(m: int, p: int) -> int:
     by the colour of one vertex, and the centre is unique, so every
     vertex-centred gonal class has exactly one colouring with a colour-1
     centre.  The necklaces around a centre of one colour are those classes,
-    each once, so they are counted, not keyed.
+    each once, so they are counted, not keyed.  At p = 0 the one necklace
+    is empty: the lone vertex.
     """
-    _check_size(m, p)
+    _check_size(m, p, 0)
     keys = set()
     for rc in _rooted(m, p, (p - 1) // 2):
         doubled = rc.components * 2
         keys.add(min(doubled[r:r + m] for r in range(m)))
     return len(keys) + len(_necklaces(m, p))
+
+
+def count(mode: str, stat: Statistic, *, color: int | None = None,
+          s: int | None = None, kind: GonalKind = GonalKind.UNLABELLED) -> int:
+    """The exhaustive route's count of `mode` at `stat`, or its refusal, the
+    same at every p: gonal counts but the unlabelled, and constellations.
+    The classes are counted by the mode's `classes` over those of
+    `enumerate_unlabelled`.  The lone vertex (p = 0) has no rooting, and is
+    one rigid class, pointed once at its own colour, colour 1 at size level."""
+    if mode == "gonal" and kind is not GonalKind.UNLABELLED:
+        raise UsageError("--path oracle supports only unlabelled gonal counts")
+    if mode == "constellation":
+        raise UsageError("no exhaustive constellation generator; use --path formula")
+    m, p = stat.m, stat.p
+    if mode == "free":
+        return free_labelled_bruteforce(stat)
+    if mode == "gonal":
+        return enumerate_gonal(m, p)
+    if mode == "rooted":
+        rooted = generate_rooted(m, p)
+        return len(rooted) if isinstance(stat, SizeStat) else rooted_tally(rooted)[stat]
+    if p == 0:
+        lone = (color_stat(m, (1,) + (0,) * (m - 1)) if isinstance(stat, SizeStat)
+                else color_marginal(stat) if isinstance(stat, DegreeStat) else stat)
+        members = [CactusStats(lone, degree_stat(m, [{0: k} for k in lone.counts]),
+                               1, lone.counts.index(1) + 1)]
+    else:
+        members = [st for _, st in enumerate_unlabelled(m, p)
+                   if isinstance(stat, SizeStat) or stat in (st.colors, st.degrees)]
+    return formulas.MODES[mode].classes(members, stat, color=color, s=s)
 
 
 @dataclass

@@ -6,24 +6,24 @@ and unweighted A_i = x_i + R for every colour i, R = H_1 * A_1 being the
 rooted series; solved degree by degree, they give R and the centre series.  By
 the dissymmetry theorem a count is a sum of centre series plus a multiple of
 R, as a `formulas.Centres` writes it; `centred` is the one place that forms
-that sum, for any list of forms, and `count_target` reads one coefficient of
-it.  Coefficients are exact.  The solver keeps each series as total degree ->
-part, each exponent packed into one int (see `PlantedFamily`), and `centred`
-keys its series so.  The centre series at weight w (phi or mu) and stretch s
-takes one log L = log 1/(1 - H_i) for every d: its Euler derivative is solved
-in integers, and each coefficient is one exact division by its total degree,
-which raises `InconsistentResult` if it leaves a remainder.  The weighted
-variant marks a color-i vertex of degree h with r[i,h], one more coordinate of
-the exponent after x_1..x_m.  The one-sort family, every color graded by one
-x, has one term a degree: A = x + A^m, its H = A^(m-1), R = A - x and its
-centre series are lists of coefficients by degree, solved and read without the
-packed layer.  Truncation is by the total degree of the x coordinates: every
-monomial of a p-polygon cactus has total degree (m-1)p + 1, so a total-degree
-bound is a polygon bound, and a product of k planted series lies at total
-degrees = k (mod m - 1): the solver forms no other part, and keeps no empty
-one.  A count of one statistic solves inside a box instead, one cap per
-coordinate taken from the statistic: a term above a cap cannot divide the
-target, so it is dropped as soon as it is formed.
+that sum, for any list of forms, and `count`, the route's one entry point,
+reads one coefficient of it.  Coefficients are exact.  The solver keeps each
+series as total degree -> part, each exponent packed into one int (see
+`PlantedFamily`), and `centred` keys its series so.  The centre series at
+weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i) for every
+d: its Euler derivative is solved in integers, and each coefficient is one
+exact division by its total degree, which raises `InconsistentResult` if it
+leaves a remainder.  The weighted variant marks a color-i vertex of degree h
+with r[i,h], one more coordinate of the exponent after x_1..x_m.  The one-sort
+family, every color graded by one x, has one term a degree: A = x + A^m, its
+H = A^(m-1), R = A - x and its centre series are lists of coefficients by
+degree, solved and read without the packed layer.  Truncation is by the total
+degree of the x coordinates: every monomial of a p-polygon cactus has total
+degree (m-1)p + 1, so a total-degree bound is a polygon bound, and a product
+of k planted series lies at total degrees = k (mod m - 1): the solver forms no
+other part, and keeps no empty one.  A count of one statistic solves inside a
+box instead, one cap per coordinate taken from the statistic: a term above a
+cap cannot divide the target, so it is dropped as soon as it is formed.
 """
 
 from __future__ import annotations
@@ -34,8 +34,13 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
-                    ValidationError)
+from . import formulas
+from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
+                    SizeStat, Statistic, UsageError, ValidationError,
+                    color_marginal)
+
+SERIES_MULTI_BOUND = 16  # the highest order a count or `cacti series` solves
+SERIES_ONE_SORT_BOUND = 64  # the same on the one-sort lists
 
 
 Parts = dict[int, dict[int, int]]  # total degree -> non-empty packed part
@@ -332,13 +337,28 @@ def centred(family: PlantedFamily | OneSort, forms: Sequence) -> list:
     return out
 
 
-def count_target(stat: Statistic, form) -> int:
-    """The count of a statistic with p >= 1 by one `formulas.Centres`: its
-    coefficient in the form's series (`centred`).  Size level reads the
+def count(mode: str, stat: Statistic, *, color: int | None = None,
+          s: int | None = None, kind=None) -> int:
+    """The series route's count of `mode` at `stat`: the statistic's
+    coefficient in the series of the mode's `formulas.Centres`, or a
+    refusal where the mode has none, past the order bounds, and for centres
+    at degree level, which a weighted family has not.  Size level reads the
     one-sort lists at x^n.  Else the family is solved inside the statistic's
     exponent: each x_i capped at n_i and, at degree level, one slot per
-    (color, degree) pair of the rows, capped at its multiplicity.
-    """
+    (color, degree) pair of the rows, capped at its multiplicity.  No slot
+    marks degree 0, so the lone vertex is counted at its colour vector."""
+    centres = formulas.MODES[mode].centres
+    if centres is None:
+        raise UsageError(f"--path series does not support mode {mode!r}")
+    if isinstance(stat, DegreeStat) and stat.p == 0:
+        stat = color_marginal(stat)
+    form = centres(stat, color=color, s=s)
+    bound = SERIES_ONE_SORT_BOUND if isinstance(stat, SizeStat) else SERIES_MULTI_BOUND
+    if stat.n > bound:
+        raise BudgetExceeded(f"series order {stat.n} > {bound}")
+    if isinstance(stat, DegreeStat) and form.colors:
+        raise UsageError("--path series at degree level counts no centres: "
+                         "--mode rooted or labelled only")
     if isinstance(stat, SizeStat):  # one-sort: the order caps x
         target = (stat.n,)
         total = centred((stat.m, *solve_one_sort(stat.m, stat.n)), [form])[0][stat.n]

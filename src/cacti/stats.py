@@ -29,6 +29,14 @@ class ValidationError(ValueError):
     """A statistic, or an option of a count, is invalid."""
 
 
+class UsageError(ValueError):
+    """Incompatible or missing flags, or a query that a route refuses."""
+
+
+class BudgetExceeded(ValueError):
+    """Requested size is beyond a route's documented bounds."""
+
+
 class InconsistentResult(RuntimeError):
     """A computed result breaks an identity that holds by construction.
 

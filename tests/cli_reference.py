@@ -9,15 +9,15 @@ and exit with the same code for every argv.
 
 import sys
 
-from cacti import cli, oracle
-from cacti.stats import InconsistentResult, ValidationError
+from cacti import cli
+from cacti.stats import (BudgetExceeded, InconsistentResult, UsageError,
+                         ValidationError)
 
 
 def main_full_grammar(argv: list[str]) -> int:
     args = cli.build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, cli.UsageError, oracle.BudgetExceeded,
-            InconsistentResult) as exc:
+    except (ValidationError, UsageError, BudgetExceeded, InconsistentResult) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

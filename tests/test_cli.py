@@ -120,7 +120,7 @@ class TestCount:
         assert code == 0 and out.strip() == "3"
 
     def test_check_oracle_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_count_oracle", lambda mode, stat, args: -1)
+        monkeypatch.setitem(cli.ROUTES, "oracle", lambda mode, stat, **options: -1)
         code, out, err = run_cli(capsys, "count", "--m", "3", "--p", "3",
                                  "--mode", "asymmetric", "--check", "oracle")
         assert code == 1 and "MISMATCH" in err
@@ -280,9 +280,9 @@ class TestSeries:
 
 
 MULTI_GRID = [(m, order) for m in range(2, 6)
-              for order in range(1, cli.SERIES_MULTI_BOUND + 1)]
+              for order in range(1, series.SERIES_MULTI_BOUND + 1)]
 ONE_SORT_GRID = [(m, order) for m in range(2, 8)
-                 for order in (1, 2, 3, 5, 8, 16, 33, cli.SERIES_ONE_SORT_BOUND)]
+                 for order in (1, 2, 3, 5, 8, 16, 33, series.SERIES_ONE_SORT_BOUND)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,12 +290,12 @@ def _reference_targets(m: int, one_sort: bool) -> dict:
     """Each printed target at the order bound, built with the reference
     arithmetic: (target, --color or None) -> {exponent: coefficient}."""
     if one_sort:
-        order = cli.SERIES_ONE_SORT_BOUND
+        order = series.SERIES_ONE_SORT_BOUND
         a, hat = ref.one_sort(m, order)
         targets = {("planted", None): a, ("rooted", None): hat * a,
                    ("unlabelled", None): ref.one_sort_unlabelled(m, order)}
     else:
-        fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
+        fam = series.solve_planted(m, series.SERIES_MULTI_BOUND)
         targets = {("planted", c): ref.planted(fam, c or 1)
                    for c in [None] + list(range(1, m + 1))}
         targets["rooted", None] = ref.rooted(fam)

@@ -79,7 +79,7 @@ def _outcomes(capsys, monkeypatch, main) -> list[tuple]:
         with monkeypatch.context() as patch:
             patch.setattr(argparse.ArgumentParser, "__init__", counted)
             if broken_oracle:
-                patch.setattr(cli, "_count_oracle", lambda mode, stat, args: -1)
+                patch.setitem(cli.ROUTES, "oracle", lambda mode, stat, **options: -1)
             try:
                 code = main(argv)
             except SystemExit as exc:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cacti import cli, formulas, oracle, series, stats
+from cacti import formulas, oracle, series, stats
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "crosscheck.py"
 
@@ -20,7 +20,7 @@ def _crosscheck():
 
 
 def test_one_sort_sweep_passes():
-    assert _crosscheck().one_sort_sweep(cli.SERIES_ONE_SORT_BOUND) is None
+    assert _crosscheck().one_sort_sweep(series.SERIES_ONE_SORT_BOUND) is None
 
 
 def test_falsified_unlabelled_count_exits_1(capsys, monkeypatch):

@@ -84,7 +84,7 @@ def test_failed_guard_exits_2_under_optimize():
 
 
 def test_check_mismatch_names_the_route_that_ran(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_count_oracle", lambda mode, stat, args: -1)
+    monkeypatch.setitem(cli.ROUTES, "oracle", lambda mode, stat, **options: -1)
     code = cli.main(["count", "--m", "3", "--colors", "2,2,3", "--mode",
                      "rooted", "--path", "series", "--check", "oracle"])
     captured = capsys.readouterr()
@@ -92,15 +92,26 @@ def test_check_mismatch_names_the_route_that_ran(capsys, monkeypatch):
     assert captured.err == "MISMATCH: series gives 3, oracle gives -1\n"
 
 
+def test_check_oracle_can_fail_at_p_0(capsys, monkeypatch):
+    """The oracle counts the lone vertex itself, pointed at its own colour
+    only, so a wrong closed form at p = 0 is caught."""
+    monkeypatch.setattr(F, "count_pointed", lambda stat, color=None: 1)
+    code = cli.main(["count", "--m", "3", "--colors", "1,0,0", "--mode",
+                     "pointed", "--color", "2", "--check", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "MISMATCH: formula gives 1, oracle gives 0\n"
+
+
 def test_oracle_path_is_not_rechecked_by_itself(capsys, monkeypatch):
     calls = []
-    count_oracle = cli._count_oracle
+    count_oracle = cli.ROUTES["oracle"]
 
-    def counted(mode, stat, args):
+    def counted(mode, stat, **options):
         calls.append(mode)
-        return count_oracle(mode, stat, args)
+        return count_oracle(mode, stat, **options)
 
-    monkeypatch.setattr(cli, "_count_oracle", counted)
+    monkeypatch.setitem(cli.ROUTES, "oracle", counted)
     code = cli.main(["count", "--m", "3", "--p", "3", "--mode", "asymmetric",
                      "--path", "oracle", "--check", "oracle"])
     assert code == 0 and capsys.readouterr().out.strip() == "3"

@@ -15,7 +15,7 @@ from inversion_reference import CoherenceViolation, chottin_extract
 
 import cacti
 from cacti import formulas as F
-from cacti import cli, oracle, series, stats
+from cacti import oracle, series, stats
 from cacti.arith import euler_phi, moebius_mu
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
@@ -74,7 +74,7 @@ class TestCentred:
         ("one-sort", 2), ("one-sort", 3), ("one-sort", 7)])
     def test_a_batch_reads_each_form_as_alone(self, kind, m):
         if kind == "one-sort":
-            order = cli.SERIES_ONE_SORT_BOUND
+            order = series.SERIES_ONE_SORT_BOUND
             stat = stats.size_stat(m, (order - 1) // (m - 1))
             family = (m, *series.solve_one_sort(m, order))
         elif kind == "weighted":  # rooted and labelled forms: no colours
@@ -269,7 +269,7 @@ class TestPointedAgainstReference:
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_every_order(self, m):
-        top = cli.SERIES_ONE_SORT_BOUND
+        top = series.SERIES_ONE_SORT_BOUND
         full = ref.pointed_from_hat(ref.one_sort(m, top)[1], top)
         for order in range(1, top + 1):
             _, hat = series.solve_one_sort(m, order)
@@ -279,7 +279,7 @@ class TestPointedAgainstReference:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_color_at_multi_bound(self, m):
-        fam = series.solve_planted(m, cli.SERIES_MULTI_BOUND)
+        fam = series.solve_planted(m, series.SERIES_MULTI_BOUND)
         for color in range(1, m + 1):
             assert (ref.read(fam, ref.centre(color, euler_phi))
                     == ref.pointed(fam, color).coeffs)
@@ -296,9 +296,9 @@ class TestPointedAgainstReference:
                 for color in range(1, m + 1):
                     assert (ref.read(boxed, ref.centre(color, euler_phi))
                             == ref.pointed(boxed, color).coeffs)
-                    assert (series.count_target(c, F.pointed_centres(c, color))
+                    assert (series.count("pointed", c, color=color)
                             == pointed[color - 1][counts])
-                assert series.count_target(c, F.class_centres(c, euler_phi)) == (
+                assert series.count("unlabelled", c) == (
                     sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
 
     def test_non_integral_numerator_raises(self):
@@ -374,7 +374,7 @@ class TestOneSort:
         """The list centre and the packed multivariate centre share no code:
         setting every x_i to x in the colour-i centre series gives the
         one-sort one, at both weights and every stretch."""
-        order = cli.SERIES_MULTI_BOUND
+        order = series.SERIES_MULTI_BOUND
         fam = series.solve_planted(m, order)
         _, hat = series.solve_one_sort(m, order)
         for weight in (euler_phi, moebius_mu):
@@ -500,13 +500,14 @@ class TestSparseParts:
         product_part = series._product_part
         monkeypatch.setattr(series, "_product_part",
                             lambda *args: calls.append(args) or product_part(*args))
-        order = cli.SERIES_ONE_SORT_BOUND
+        order = series.SERIES_ONE_SORT_BOUND
         stat = stats.size_stat(m, (order - 1) // (m - 1))
-        forms = [F.MODES[mode].centres(stat, s=s) for mode in F.MODES
-                 if F.MODES[mode].centres for s in (2, 3)]
-        series.centred((m, *series.solve_one_sort(m, order)), forms)
-        for form in forms:
-            series.count_target(stat, form)
+        queries = [(mode, s) for mode in F.MODES if F.MODES[mode].centres
+                   for s in (2, 3)]
+        series.centred((m, *series.solve_one_sort(m, order)),
+                       [F.MODES[mode].centres(stat, s=s) for mode, s in queries])
+        for mode, s in queries:
+            series.count(mode, stat, s=s)
         assert calls == []
 
     @pytest.mark.parametrize("m", range(2, 6))
@@ -618,5 +619,5 @@ class TestPackedExponents:
                             for mode in ("rooted", "labelled")]
             for stat, mode, color in queries:
                 entry = F.MODES[mode]
-                assert (series.count_target(stat, entry.centres(stat, color=color))
+                assert (series.count(mode, stat, color=color)
                         == entry.formula(stat, color=color)), (mode, color, stat)

@@ -15,7 +15,7 @@ from test_series import weighted_family
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_color_level_at_multi_bound(m):
-    order = cli.SERIES_MULTI_BOUND
+    order = series.SERIES_MULTI_BOUND
     fam = series.solve_planted(m, order)
     rooted = ref.read(fam, ref.ROOTED)
     unlabelled = ref.read(fam, ref.unlabelled_form(m))
@@ -35,7 +35,7 @@ def test_color_level_at_multi_bound(m):
 
 
 def test_degree_level_at_multi_bound(capsys):
-    order = cli.SERIES_MULTI_BOUND
+    order = series.SERIES_MULTI_BOUND
     fam = weighted_family(2, order)
     rooted = ref.rooted(fam)
     by_colors: dict = {}
@@ -93,7 +93,7 @@ def test_every_color_vector_through_the_cli(m, p_max, capsys):
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_one_sort_planted_is_fuss_catalan(m):
-    order = cli.SERIES_ONE_SORT_BOUND
+    order = series.SERIES_ONE_SORT_BOUND
     fuss_catalan = {((m - 1) * p + 1,): math.comb(m * p, p) // ((m - 1) * p + 1)
                     for p in range((order - 1) // (m - 1) + 1)}
     a = series.solve_one_sort(m, order)[0]
@@ -142,7 +142,7 @@ def test_centre_modes_on_every_color_vector_through_the_cli(m, p_max, capsys):
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_centre_modes_at_the_one_sort_bound_through_the_cli(m, capsys):
-    p_max = (cli.SERIES_ONE_SORT_BOUND - 1) // (m - 1)
+    p_max = (series.SERIES_ONE_SORT_BOUND - 1) // (m - 1)
     for p in (p_max - 1, p_max):
         stat = stats.size_stat(m, p)
         strata = [s for s in range(2, p + 1) if p % s == 0] + [p + 1]
