@@ -12,8 +12,9 @@ every entry of its `formulas.centred_counts`, and each polygon count for
 m = 2..7 to the CLI's one-sort order bound, each read off its form's series
 from one `series.centred` call per family.  Exits
 1 on the first mismatch, or on a count that does not come out whole.  The
-exhaustive sweep covers the oracle's whole generation budget unless
---budgets narrows it.
+exhaustive sweep runs each m = 2..7 to the oracle's reach, the largest p
+whose rooted cacti fit its generation budget, unless --budgets names other
+m:p_max pairs, each within the reach of its m.
 
 Usage: python scripts/crosscheck.py [--degree 16] [--budgets "2:6,3:4,4:3"]
 """
@@ -28,7 +29,7 @@ from cacti.series import SERIES_MULTI_BOUND, SERIES_ONE_SORT_BOUND
 
 
 def parse_budgets(text: str) -> dict[int, int]:
-    """The m:p_max pairs of --budgets, each within the generation budget."""
+    """The m:p_max pairs of --budgets, each within the oracle's reach."""
     out = {}
     for pair in text.split(","):
         try:
@@ -37,7 +38,7 @@ def parse_budgets(text: str) -> dict[int, int]:
             raise argparse.ArgumentTypeError(f"bad m:p pair {pair!r}") from None
         if m < 2 or p < 1:
             raise argparse.ArgumentTypeError(f"need m >= 2 and p >= 1 in {pair!r}")
-        cap = oracle.GEN_BUDGET.get(m, 1)
+        cap = oracle.reach(m)
         if p > cap:
             raise argparse.ArgumentTypeError(
                 f"{pair!r} is past the generation budget p <= {cap} for m = {m}")
@@ -178,7 +179,7 @@ def main() -> int:
     parser.add_argument("--degree", type=parse_degree, default=SERIES_MULTI_BOUND,
                         help="series agreement bound (total degree)")
     parser.add_argument("--budgets", type=parse_budgets, default=",".join(
-                            f"{m}:{p}" for m, p in oracle.GEN_BUDGET.items()),
+                            f"{m}:{oracle.reach(m)}" for m in range(2, 8)),
                         help="m:p_max pairs for the exhaustive sweep")
     args = parser.parse_args()
     try:

@@ -395,8 +395,8 @@ MODES: dict[str, Mode] = {
     # The sum over classes of labellings / |Aut| is labellings * rooted / p;
     # the lone vertex has one labelling and is one class, with no symmetry.
     "labelled": Mode(lambda stat, **_: count_labelled(stat),
-                     lambda members, stat, **_: sum(
-                         _labellings(stat) // st.aut_order for st in members),
+                     lambda members, stat, **_: sum(  # the labellings once
+                         n // st.aut_order for n in [_labellings(stat)] for st in members),
                      centres=lambda stat, **_: Centres(
                          (), None, 1, Fraction(_labellings(stat), stat.p))
                      if stat.p else class_centres(stat, euler_phi)),

@@ -34,8 +34,10 @@ vertex degrees by colour offset from the root.  Colour and degree
 statistics are read off this recursive form, and the gonal classes are
 counted off the centroid's branches, as values: the oracle builds no graph.
 
-Everything here is brute force on purpose.  Budgets are hard caps: beyond
-them the functions raise instead of grinding for hours.
+Everything here is brute force on purpose.  Budgets cap work known before
+it is done: generation by its C(mp, p) / ((m - 1)p + 1) rooted cacti, counted
+by `math.comb` and not by `formulas`, and the free brute force by its subsets.
+Beyond them the functions raise instead of grinding for hours.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from operator import itemgetter
 
 from . import formulas
@@ -56,10 +58,9 @@ from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
                     SizeStat, Statistic, UsageError, ValidationError,
                     color_marginal, color_stat, degree_stat, size_stat)
 
-GEN_BUDGET = {2: 8, 3: 6, 4: 4, 5: 4, 6: 3, 7: 3}  # generate_rooted: max p per m
+ROOTED_BUDGET = 1430  # generate_rooted: rooted cacti, C(16, 8) / 9 at (2, 8)
 FACT_BUDGET = {2: 7, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3}  # factorizations: max p per m
-FREE_POOL_BUDGET = 16                 # free_labelled_bruteforce: candidate polygons
-FREE_P_BUDGET = 4
+SUBSET_BUDGET = 1820  # free_labelled_bruteforce: candidates and p-subsets, C(16, 4)
 VERIFY_M_BUDGET = 100  # verify: its pointed comparisons grow as m^2 at p = 1
 
 
@@ -104,7 +105,8 @@ class CactusStats:
 
     def pointed(self, color: int) -> int:
         """Orbits of colour-`color` vertices under the automorphism group."""
-        formulas.pointed_colors(self.colors, color)
+        if not 1 <= color <= self.colors.m:
+            raise ColorOutOfRange(f"color {color} not in 1..{self.colors.m}")
         fixed = int(self.centre == color)
         orbits, rest = divmod(self.colors.counts[color - 1] - fixed,
                               self.aut_order)
@@ -115,11 +117,19 @@ class CactusStats:
         return orbits + fixed
 
 
+def reach(m: int) -> int:
+    """The largest p whose C(mp, p) / ((m - 1)p + 1) rooted cacti fit in
+    `ROOTED_BUDGET`, counted up: no binomial past the first misfit is built."""
+    p = 2
+    while math.comb(m * p, p) // ((m - 1) * p + 1) <= ROOTED_BUDGET:
+        p += 1
+    return p - 1
+
+
 def _check_size(m: int, p: int, least: int = 1) -> None:
     if m < 2 or p < least:
         raise ValidationError(f"need m >= 2 and p >= {least}, got m = {m}, p = {p}")
-    budget = GEN_BUDGET.get(m, 1)
-    if p > budget:
+    if p > (budget := reach(m)):
         raise BudgetExceeded(
             f"generation capped at p <= {budget} for m = {m}, got p = {p}")
 
@@ -312,9 +322,9 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     """
     if m < 2 or p < 1:
         raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
-    if p > FACT_BUDGET.get(m, 2):
+    if p > FACT_BUDGET.get(m, 1):
         raise BudgetExceeded(
-            f"factorizations capped at p <= {FACT_BUDGET.get(m, 2)} for m = {m}")
+            f"factorizations capped at p <= {FACT_BUDGET.get(m, 1)} for m = {m}")
     if p == 1:  # the identity alone: `itemgetter` of one index gives no tuple
         return {(((1, 1),),) * m: 1}
     cycle_types = {g: _cycle_type(g) for g in permutations(range(p))}
@@ -349,15 +359,11 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
     is acyclic: no polygon, inserted by union-find, joins two vertices that
     are already connected.  Such a subset uses every vertex.
     """
-    p = colors.p
-    pool = math.prod(colors.counts)
-    if pool > FREE_POOL_BUDGET or p > FREE_P_BUDGET:
-        raise BudgetExceeded(
-            f"free brute force capped at pool <= {FREE_POOL_BUDGET}, "
-            f"p <= {FREE_P_BUDGET}; got pool = {pool}, p = {p}")
-    offsets = [0]
-    for c in colors.counts[:-1]:
-        offsets.append(offsets[-1] + c)
+    p, pool = colors.p, math.prod(colors.counts)
+    if pool > SUBSET_BUDGET or math.comb(pool, p) > SUBSET_BUDGET:
+        raise BudgetExceeded(f"free brute force capped at {SUBSET_BUDGET} candidates "
+                             f"and p-subsets; got pool = {pool}, p = {p}")
+    offsets = list(accumulate(colors.counts[:-1], initial=0))
     candidates = [tuple(offsets[i] + v[i] for i in range(colors.m))
                   for v in product(*(range(c) for c in colors.counts))]
     count = 0
@@ -460,14 +466,11 @@ class VerifyReport:
 
 
 def _all_color_vectors(m: int, p: int) -> list[ColorStat]:
-    """Every realizable color distribution for the given m and p."""
-    n = (m - 1) * p + 1
-    out = []
-    for head in product(*(range(1, p + 1) for _ in range(m - 1))):
-        last = n - sum(head)
-        if 1 <= last <= p:
-            out.append(color_stat(m, head + (last,)))
-    return out
+    """Every realizable color distribution for the given m and p, in
+    lexicographic order: the p - n_c vertices each colour c lacks sum to
+    p - 1, so they run through its compositions in reverse."""
+    return [color_stat(m, tuple(p - d for d in lacks))
+            for lacks in reversed(_compositions(p - 1, m))]
 
 
 def _partitions(p: int) -> list[tuple[tuple[int, int], ...]]:
@@ -488,11 +491,8 @@ def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
     rows_by_len: dict[int, list] = {}
     for row in _partitions(p):
         rows_by_len.setdefault(sum(k for _, k in row), []).append(row)
-    out = []
-    for counts in _all_color_vectors(m, p):
-        pools = [rows_by_len.get(c, []) for c in counts.counts]
-        for combo in product(*pools):
-            out.append(DegreeStat(m, tuple(combo)))
+    out = [DegreeStat(m, combo) for counts in _all_color_vectors(m, p)
+           for combo in product(*(rows_by_len.get(c, []) for c in counts.counts))]
     if any(sum(k for r in d.rows for _, k in r) != n for d in out):
         raise InconsistentResult(f"a degree matrix misses n = {n} vertices")
     return out
@@ -577,7 +577,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
             for level, keyed in levels.items() for stat, key in keyed
             for c in ([None] if level == "size" else range(1, m + 1))])
 
-        if p <= FACT_BUDGET.get(m, 2):
+        if p <= FACT_BUDGET.get(m, 1):
             census = factorizations(m, p)
             known = {rows for _, (rows,) in levels["degree"]}
             pairs = [(("census", rows), centred[d]["rooted", None],

@@ -291,12 +291,12 @@ def test_criterion_7_gonal_and_free():
             for p in range(1, p_max + 1):
                 assert oracle.enumerate_gonal(m, p) == F.count_gonal(
                     m, p, GonalKind.UNLABELLED), (m, p)
-        # every colour vector inside the brute force's budgets
-        free_cases = [c for m in range(2, 6)
-                      for p in range(1, oracle.FREE_P_BUDGET + 1)
+        # every colour vector of m <= 7, p <= 8 inside the brute force's budget
+        free_cases = [c for m in range(2, 8) for p in range(1, 9)
                       for c in oracle._all_color_vectors(m, p)
-                      if math.prod(c.counts) <= oracle.FREE_POOL_BUDGET]
-        assert len(free_cases) == 34
+                      if (pool := math.prod(c.counts)) <= oracle.SUBSET_BUDGET
+                      and math.comb(pool, p) <= oracle.SUBSET_BUDGET]
+        assert len(free_cases) == 59
         for c in free_cases:
             assert oracle.free_labelled_bruteforce(c) == F.count_free_labelled(c), c
 

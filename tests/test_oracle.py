@@ -116,8 +116,8 @@ def _read_stats(g):
 
 
 def test_rooted_tally_counts_every_cactus():
-    for m, top in oracle.GEN_BUDGET.items():
-        for p in range(1, top + 1):
+    for m in range(2, 8):
+        for p in range(1, oracle.reach(m) + 1):
             rooted = oracle.generate_rooted(m, p)
             expected = Counter(st for rc in rooted
                                for st in _read_stats(to_graph(rc)))

@@ -34,8 +34,7 @@ from oracle_reference import (
     to_graph,
 )
 
-SIZES = [(m, p) for m, p_max in oracle.GEN_BUDGET.items()
-         for p in range(1, p_max + 1)]
+SIZES = [(m, p) for m in range(2, 8) for p in range(1, oracle.reach(m) + 1)]
 
 
 def classes_by_canonical_key(m, p):
