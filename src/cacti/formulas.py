@@ -27,7 +27,8 @@ pass.  The narrow readers ask it for what they return: `count_classes` for
 phi and mu together at one stretch, `count_pointed` for phi at one colour.
 `centred_counts` asks for every count above at once, by the modes' own
 `Centres`, each colour's pointed count included; `oracle.verify` and
-table 1 read it.
+table 1 read it, `verify` with the forms of each level built once
+(`centred_forms`).
 `gonal_orbits` reads the uncoloured gonal counts off the coloured ones.
 `MODES` names each mode once for every route: its closed form, its count
 over isomorphism classes, the statistic level it is bound to and its
@@ -282,19 +283,30 @@ def count_aut(stat: Statistic, s: int, mode: AutMode) -> int:
     return count_classes(stat, s)[mode is AutMode.EXACTLY]
 
 
-def centred_counts(stat: Statistic) -> dict[tuple[str, int | None], int]:
-    """Every count that the dissymmetry theorem writes with centre sums,
-    from the modes' `Centres` in one pass, keyed (mode, option): rooted,
-    unlabelled and asymmetric with option None, aut-atleast and aut-exact
-    at each s | p with s >= 2, and pointed at each colour, or summed over
-    the colours with option None at size level."""
+def centred_forms(stat: Statistic) -> tuple[list[tuple[str, int | None]],
+                                             list[Centres]]:
+    """The keys of `centred_counts` and the modes' `Centres` for them, which
+    depend only on the level, m and p of `stat`: rooted, unlabelled and
+    asymmetric with option None, aut-atleast and aut-exact at each s | p
+    with s >= 2, and pointed at each colour, or summed over the colours
+    with option None at size level."""
     keys = [("rooted", None), ("unlabelled", None), ("asymmetric", None),
             *((mode, s) for s in divisors(stat.p or 1)[1:]
               for mode in ("aut-atleast", "aut-exact")),
             *(("pointed", c) for c in ([None] if isinstance(stat, SizeStat)
                                        else range(1, stat.m + 1)))]
-    return dict(zip(keys, _count_centred(stat, [
-        MODES[mode].centres(stat, color=option, s=option) for mode, option in keys])))
+    return keys, [MODES[mode].centres(stat, color=option, s=option)
+                  for mode, option in keys]
+
+
+def centred_counts(stat: Statistic, forms: tuple[list, list[Centres]] | None = None
+                   ) -> dict[tuple[str, int | None], int]:
+    """Every count that the dissymmetry theorem writes with centre sums, from
+    the modes' `Centres` in one pass, keyed (mode, option) as `centred_forms`
+    keys them.  `forms`, that function's value at a statistic of the same
+    level, m and p, spares building them again."""
+    keys, centres = forms or centred_forms(stat)
+    return dict(zip(keys, _count_centred(stat, centres)))
 
 
 def gonal_orbits(stat: SizeStat, coloured: int) -> int:

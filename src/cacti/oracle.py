@@ -34,10 +34,15 @@ vertex degrees by colour offset from the root.  Colour and degree
 statistics are read off this recursive form, and the gonal classes are
 counted off the centroid's branches, as values: the oracle builds no graph.
 
-Everything here is brute force on purpose.  Budgets cap work known before
-it is done: generation by its C(mp, p) / ((m - 1)p + 1) rooted cacti, counted
-by `math.comb` and not by `formulas`, and the free brute force by its subsets.
-Beyond them the functions raise instead of grinding for hours.
+The cacti and the free cacti are generated by brute force on purpose: they
+are the ground truth.  The census of factorizations of the full cycle, a
+fourth angle on the rooted degree-level counts, is not: `factorizations`
+reads it off the hook characters of S_p, and the tests keep the exhaustive
+census over the permutations.  Budgets cap work known before it is done:
+generation by its C(mp, p) / ((m - 1)p + 1) rooted cacti, counted by
+`math.comb` and not by `formulas`, the free brute force by its subsets and
+the census by its keys.  Beyond them the functions raise instead of
+grinding for hours.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, permutations, product
-from operator import itemgetter
+from itertools import accumulate, combinations, product
+from operator import mul
 
 from . import formulas
 from .arith import divisors
@@ -59,7 +64,8 @@ from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
                     color_marginal, color_stat, degree_stat, size_stat)
 
 ROOTED_BUDGET = 1430  # generate_rooted: rooted cacti, C(16, 8) / 9 at (2, 8)
-FACT_BUDGET = {2: 7, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3}  # factorizations: max p per m
+# factorizations: max p per m, 1 past m = 7; the census keeps up to P(p)^m keys
+FACT_BUDGET = {2: 7, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3}
 SUBSET_BUDGET = 1820  # free_labelled_bruteforce: candidates and p-subsets, C(16, 4)
 VERIFY_M_BUDGET = 100  # verify: its pointed comparisons grow as m^2 at p = 1
 
@@ -280,74 +286,60 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
 CycleType = tuple[tuple[int, int], ...]
 
 
-def _cycle_type(perm: tuple[int, ...]) -> CycleType:
-    seen = [False] * len(perm)
-    lengths: dict[int, int] = {}
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths[length] = lengths.get(length, 0) + 1
-    return tuple(sorted(lengths.items()))
-
-
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
+def _hook_characters(row: CycleType) -> list[int]:
+    """chi^(p-k, 1^k) on the class of `row`, for k = 0 .. p-1: the
+    coefficients of prod_j (1 - (-q)^part_j) / (1 + q)."""
+    poly = [1]
+    for part, mult in row:
+        sign = (-1) ** part
+        for _ in range(mult):  # times 1 - (-q)^part
+            poly = [a - sign * b for a, b in zip(poly + [0] * part, [0] * part + poly)]
+    return list(accumulate(poly[:-1], lambda quotient, c: c - quotient))  # over 1 + q
 
 
 def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     """Census of m-factorizations of the full cycle (1 2 ... p).
 
     For every (g_1, ..., g_m) with g_1 g_2 ... g_m equal to the cycle
-    (applying g_1 first), the m-tuple of cycle types gets one tick.  Cycle
-    types use the same (length, multiplicity) row format as DegreeStat, so
-    coherent keys compare directly against rooted degree-level counts.
+    (applying g_1 first), the m-tuple of cycle types gets one tick; every
+    key that gets one is kept, of every genus.  Cycle types use the same
+    (length, multiplicity) row format as DegreeStat, so coherent keys
+    compare directly against rooted degree-level counts.
 
-    The census steps through one factor at a time.  A k-factorization of r
-    is a first factor a followed by a (k - 1)-factorization of the rest,
-    a^-1 r, whose cycle type is that of r^-1 a.  Conjugation preserves
-    cycle types, so the census depends only on the cycle type of r: the
-    first factors are split once per type, by their type and the rest's,
-    and each split extends the (k - 1)-census of the rest's type.  Only the
-    cycle needs its m-factorizations.  A split composes the p! permutations
-    with one r, in place of enumerating (p!)^(m-2) tuples of factors.
+    The census is read off the characters of S_p, not counted (Goulden
+    and Jackson, Europ. J. Combin. 13, 1992).  By the Frobenius formula the
+    m-tuple of classes C_i has (prod_i |C_i| / p!) sum_chi prod_i chi(C_i)
+    chi(cycle) / chi(1)^(m-1) factorizations, and only the hooks
+    (p-k, 1^k) are non-zero on the cycle, where they are (-1)^k, of degree
+    C(p-1, k).  Scaled by L, the lcm of the C(p-1, k)^(m-1), every weight
+    is an int, and the hook values of each factor multiply into the
+    weights one factor at a time, shared by every key with that prefix.
     """
     if m < 2 or p < 1:
         raise ValidationError(f"need m >= 2 and p >= 1, got m = {m}, p = {p}")
     if p > FACT_BUDGET.get(m, 1):
         raise BudgetExceeded(
             f"factorizations capped at p <= {FACT_BUDGET.get(m, 1)} for m = {m}")
-    if p == 1:  # the identity alone: `itemgetter` of one index gives no tuple
-        return {(((1, 1),),) * m: 1}
-    cycle_types = {g: _cycle_type(g) for g in permutations(range(p))}
-    sigma = tuple((i + 1) % p for i in range(p))
-    cycle = cycle_types[sigma]
-    # one permutation of each cycle type is factored; at m = 2 the cycle alone
-    factored = {t: g for g, t in cycle_types.items()} if m > 2 else {cycle: sigma}
-    splits = {}
-    for t, r in factored.items():
-        rest = itemgetter(*_inverse(r))  # a -> r^-1 a, of the type of a^-1 r
-        splits[t] = Counter((ta, cycle_types[rest(a)])
-                            for a, ta in cycle_types.items())
-    tails = {t: {(t,): 1} for t in cycle_types.values()}
-    for k in range(2, m + 1):
-        extended = {}
-        for t in factored if k < m else [cycle]:
-            census: Counter = Counter()
-            for (ta, tr), count in splits[t].items():
-                for tail, more in tails[tr].items():
-                    census[(ta,) + tail] += count * more
-            extended[t] = census
-        tails = extended
-    return dict(tails[cycle])
+    order = math.factorial(p)
+    classes = [(row, order // math.prod(part ** k * math.factorial(k) for part, k in row),
+                _hook_characters(row)) for row in _partitions(p)]
+    degrees = [math.comb(p - 1, k) ** (m - 1) for k in range(p)]
+    scale = math.lcm(*degrees)
+    prefixes = [((), 1, [(-1) ** k * scale // f for k, f in enumerate(degrees)])]
+    for _ in range(m - 1):
+        prefixes = [(key + (row,), size * c, list(map(mul, weights, chi)))
+                    for key, size, weights in prefixes for row, c, chi in classes]
+    census = {}
+    for key, size, weights in prefixes:
+        for row, c, chi in classes:
+            if total := sum(map(mul, weights, chi)):
+                count, rest = divmod(size * c * total, scale * order)
+                if rest:
+                    raise InconsistentResult(
+                        f"non-integral census at {key + (row,)}: "
+                        f"{Fraction(size * c * total, scale * order)}")
+                census[key + (row,)] = count
+    return census
 
 
 def free_labelled_bruteforce(colors: ColorStat) -> int:
@@ -543,8 +535,11 @@ def verify(m: int, p_max: int) -> VerifyReport:
         levels = {"size": [(size, ())],
                   "color": [(c, (c.counts,)) for c in _all_color_vectors(m, p)],
                   "degree": [(d, (d.rows,)) for d in _all_degree_matrices(m, p)]}
-        centred = {stat: formulas.centred_counts(stat)
-                   for keyed in levels.values() for stat, _ in keyed}
+        centred = {}
+        for keyed in levels.values():  # one level, m and p: one set of forms
+            forms = formulas.centred_forms(keyed[0][0])
+            centred.update((stat, formulas.centred_counts(stat, forms))
+                           for stat, _ in keyed)
         tally = rooted_tally(rooted)
         tally[size] = len(rooted)
 
@@ -582,14 +577,11 @@ def verify(m: int, p_max: int) -> VerifyReport:
             known = {rows for _, (rows,) in levels["degree"]}
             pairs = [(("census", rows), centred[d]["rooted", None],
                       census.get(rows, 0)) for d, (rows,) in levels["degree"]]
-            for key in census:
+            for key in census:  # Riemann-Hurwitz: genus 0 iff (m - 1)q + 1 cycles
                 if key not in known:
-                    try:
-                        degree_stat(m, [dict(row) for row in key])
-                        coherent = True
-                    except ValidationError:
-                        coherent = False
-                    pairs.append((("incoherent", key), False, coherent))
+                    q = sum(part * k for part, k in key[0])  # the key's own size
+                    cycles = sum(k for row in key for _, k in row)
+                    pairs.append((("incoherent", key), False, cycles == (m - 1) * q + 1))
             record("factorizations", p, pairs)
 
     return VerifyReport(m, p_max, results)

@@ -18,6 +18,8 @@ rooting, where the oracle keys each class at its centroid.
 `rotation_filter_necklaces` builds the branch sequences around a centre
 vertex by enumerating every sequence and keeping each that is its own least
 rotation, where the oracle extends prenecklaces only.
+`factorizations` counts the m-factorizations of the full cycle over the
+permutations of S_p, where the oracle reads them off the hook characters.
 
 The recursive form stores no colours: component c - 1 of a rooted cactus
 hangs at colour c, and part k of a polygon sits k colours on from the
@@ -25,8 +27,9 @@ polygon's vertex in the parent.  The helpers here take each colour from
 that position.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from cacti import oracle
 from cacti.oracle import Planted, Rooted
@@ -255,3 +258,65 @@ def rotation_filter_necklaces(m, p):
             period = next((r for r, rot in enumerate(rotations, start=1)
                            if rot == seq), k)
             yield tuple(poly for _, poly in picks), k // period
+
+
+def cycle_type(perm):
+    """The cycle type of a permutation of range(p), in DegreeStat's sparse
+    (length, multiplicity) row format."""
+    seen = [False] * len(perm)
+    lengths = {}
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        lengths[length] = lengths.get(length, 0) + 1
+    return tuple(sorted(lengths.items()))
+
+
+def inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def factorizations(m, p):
+    """`oracle.factorizations` counted over the permutations: for every
+    (g_1, ..., g_m) with g_1 g_2 ... g_m equal to the cycle (1 2 ... p),
+    applying g_1 first, the m-tuple of cycle types gets one tick.
+
+    The census steps through one factor at a time.  A k-factorization of r
+    is a first factor a followed by a (k - 1)-factorization of the rest,
+    a^-1 r, whose cycle type is that of r^-1 a.  Conjugation preserves
+    cycle types, so the census depends only on the cycle type of r: the
+    first factors are split once per type, by their type and the rest's,
+    and each split extends the (k - 1)-census of the rest's type.  Only the
+    cycle needs its m-factorizations.  A split composes the p! permutations
+    with one r, in place of enumerating (p!)^(m-2) tuples of factors.
+    """
+    cycle_types = {g: cycle_type(g) for g in permutations(range(p))}
+    sigma = tuple((i + 1) % p for i in range(p))
+    cycle = cycle_types[sigma]
+    # one permutation of each cycle type is factored; at m = 2 the cycle alone
+    factored = {t: g for g, t in cycle_types.items()} if m > 2 else {cycle: sigma}
+    splits = {}
+    for t, r in factored.items():
+        rest = inverse(r)  # a -> r^-1 a, of the type of a^-1 r
+        splits[t] = Counter((ta, cycle_types[tuple(a[j] for j in rest)])
+                            for a, ta in cycle_types.items())
+    tails = {t: {(t,): 1} for t in cycle_types.values()}
+    for k in range(2, m + 1):
+        extended = {}
+        for t in factored if k < m else [cycle]:
+            census = Counter()
+            for (ta, tr), count in splits[t].items():
+                for tail, more in tails[tr].items():
+                    census[(ta,) + tail] += count * more
+            extended[t] = census
+        tails = extended
+    return dict(tails[cycle])

@@ -92,8 +92,8 @@ def test_a_bumped_entry_fails_verify_with_its_label(monkeypatch):
     target = oracle._all_degree_matrices(3, 4)[5]
     centred_counts = formulas.centred_counts
 
-    def bumped(stat):
-        counts = centred_counts(stat)
+    def bumped(stat, *forms):
+        counts = centred_counts(stat, *forms)
         if stat == target:
             counts["aut-exact", 2] += 1
         return counts

@@ -272,6 +272,11 @@ def test_factorizations_census():
         oracle.factorizations(2, 20)
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_factorizations_at_p_1_are_the_identity_alone(m):
+    assert oracle.factorizations(m, 1) == {(((1, 1),),) * m: 1}
+
+
 def test_factorizations_match_rooted_degree_counts():
     for m, p in [(2, 4), (3, 2), (3, 3)]:
         census = oracle.factorizations(m, p)
@@ -353,8 +358,8 @@ def test_verify_details_name_the_first_failure(monkeypatch):
     centred_counts, count_labelled = F.centred_counts, F.count_labelled
     factorizations = oracle.factorizations
 
-    def off_by_one(stat):
-        counts = centred_counts(stat)
+    def off_by_one(stat, *forms):
+        counts = centred_counts(stat, *forms)
         for key in bumps.get(stat, []):
             counts[key] += 1
         return counts

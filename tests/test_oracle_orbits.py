@@ -8,9 +8,10 @@ The re-rooting reference is itself checked against a grouping by
 `reference_gonal` keys every rooted cactus at every rooting.
 `_necklaces` extends prenecklaces only; `rotation_filter_necklaces` keeps
 each branch sequence that is its own least rotation.
-`factorizations` steps through one factor at a time, counting the first
-factors once per cycle type of what they factor; the reference recounts
-every tuple.
+`factorizations` reads the census of factorizations off the hook
+characters; `oracle_reference.factorizations` counts it over the
+permutations, one factor at a time and the first factors once per cycle
+type of what they factor, and a plainer recount walks every tuple.
 """
 
 from collections import Counter
@@ -107,29 +108,36 @@ def factorizations_recounted(m, p):
         acc = tuple(range(p))
         for g in gs:
             acc = compose(acc, g)
-        last = compose(oracle._inverse(acc), sigma)
-        key = tuple(oracle._cycle_type(g) for g in gs + (last,))
+        last = compose(oracle_reference.inverse(acc), sigma)
+        key = tuple(oracle_reference.cycle_type(g) for g in gs + (last,))
         census[key] = census.get(key, 0) + 1
     return census
 
 
 @pytest.mark.parametrize("m, p", [(2, 5), (3, 4), (4, 3), (3, 5), (5, 3), (2, 6)])
 def test_factorizations_match_recount(m, p):
-    assert oracle.factorizations(m, p) == factorizations_recounted(m, p)
+    assert oracle_reference.factorizations(m, p) == factorizations_recounted(m, p)
 
 
 def test_factorizations_take_each_cycle_type_once(monkeypatch):
     expected = factorizations_recounted(4, 4)
     calls = []
-    cycle_type = oracle._cycle_type
+    cycle_type = oracle_reference.cycle_type
 
     def counted(perm):
         calls.append(perm)
         return cycle_type(perm)
 
-    monkeypatch.setattr(oracle, "_cycle_type", counted)
-    assert oracle.factorizations(4, 4) == expected
+    monkeypatch.setattr(oracle_reference, "cycle_type", counted)
+    assert oracle_reference.factorizations(4, 4) == expected
     assert len(calls) == 24 == len(set(calls))
+
+
+@pytest.mark.parametrize("m, p_max", sorted(oracle.FACT_BUDGET.items()))
+def test_hook_census_is_the_permutation_census(m, p_max):
+    """Key for key, with no key of count 0 on either side."""
+    for p in range(1, p_max + 1):
+        assert oracle.factorizations(m, p) == oracle_reference.factorizations(m, p)
 
 
 def test_re_rooting_outside_the_generated_list_raises(monkeypatch):

@@ -37,6 +37,41 @@ def test_non_integral_formula_result_raises_under_optimize():
     assert result.stdout == "raised\n"
 
 
+@pytest.mark.parametrize("row", oracle._partitions(3))
+@pytest.mark.parametrize("k", range(3))
+def test_a_hook_character_off_by_one_raises(monkeypatch, row, k):
+    """Any one character of S_3 off by one leaves some census entry
+    fractional, and the census refuses it."""
+    hook_characters = oracle._hook_characters
+
+    def bumped(r):
+        chars = hook_characters(r)
+        chars[k] += r == row
+        return chars
+
+    monkeypatch.setattr(oracle, "_hook_characters", bumped)
+    with pytest.raises(InconsistentResult, match="non-integral census at "):
+        oracle.factorizations(2, 3)
+
+
+def test_a_hook_character_off_by_one_raises_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = ("from cacti import oracle, stats\n"
+            "chars = oracle._hook_characters\n"
+            "oracle._hook_characters = lambda row: [c + (row == ((3, 1),) and k == 1)\n"
+            "                                       for k, c in enumerate(chars(row))]\n"
+            "try:\n"
+            "    oracle.factorizations(2, 3)\n"
+            "except stats.InconsistentResult as exc:\n"
+            "    print(exc)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "non-integral census at (((3, 1),), ((3, 1),)): 4/3\n"
+
+
 # With the rooted count forced to 1, the labelled count 24^4 / 5 of the
 # colours (4, 4, 4, 4) is not an integer, and the exactness guards fire.
 NON_INTEGRAL = ["count", "--m", "4", "--colors", "4,4,4,4", "--mode", "labelled"]
