@@ -7,7 +7,7 @@ closed forms.  Over the same sizes it checks every entry of
 closed form of `formulas.MODES`.  Then it checks every count that the
 series route answers (rooted, labelled, pointed, unlabelled, asymmetric and
 every automorphism stratum) against the closed forms of the mode table:
-each realizable colour vector for m = 2, 3 up to a total degree, with
+each realizable colour vector for m = 2..5 up to a total degree, with
 every entry of its `formulas.centred_counts`, and each polygon count for
 m = 2..7 to the CLI's one-sort order bound, each read off its form's series
 from one `series.centred` call per family.  Exits
@@ -163,7 +163,7 @@ def one_sort_sweep(order: int) -> str | None:
         sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
         queries = list(_queries(sizes[1:]))
         printed = formulas.MODES["unlabelled"].centres(sizes[0])
-        found = _read((m, *series.solve_one_sort(m, order)),
+        found = _read(series.solve_one_sort(m, order),
                       [q[-1] for q in queries] + [printed])
         failure, _ = _sweep(queries, lambda stat, form: found[form][stat.n])
         if failure:
@@ -218,7 +218,7 @@ def cross_check(args) -> int:
             return 1
         print(f"centred counts m={m} p<={p_max}: {checked} entries ok")
 
-    for m in (2, 3):
+    for m in range(2, 6):
         vectors = [c for p in range(1, (args.degree - 1) // (m - 1) + 1)
                    for c in oracle._all_color_vectors(m, p)]
         failure, checked = centre_sweep(series.solve_planted(m, args.degree), vectors)

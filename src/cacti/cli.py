@@ -219,7 +219,7 @@ def cmd_series(args) -> int:
         # m - 1 exceeds every accepted order: each H_i is 0, each A_i is x_i
         raise BudgetExceeded(
             f"--m must be at most {series.SERIES_MULTI_BOUND + 1} without --one-sort")
-    family = ((args.m, *series.solve_one_sort(args.m, args.order)) if one_sort
+    family = (series.solve_one_sort(args.m, args.order) if one_sort
               else series.solve_planted(args.m, args.order))
     if args.target == "planted":
         out = family[1] if one_sort else series.series_planted(family, args.color or 1)

@@ -2,33 +2,34 @@
 
 This is the second, independent computation path: the planted generating
 series A_1, ..., A_m satisfy A_i = x_i / (1 - H_i), H_i = prod_{j != i} A_j,
-and unweighted A_i = x_i + R for every colour i, R = H_1 * A_1 being the
-rooted series; solved degree by degree, they give R and the centre series.  By
+and their product R = A_1 ... A_m is the rooted series, so unweighted A_i =
+x_i + R.  A family is solved degree by degree and keeps A and R alone.  By
 the dissymmetry theorem a count is a sum of centre series plus a multiple of
 R, as a `formulas.Centres` writes it; `centred` is the one place that forms
 that sum, for any list of forms, and `count`, the route's one entry point,
 reads one coefficient of it.  Coefficients are exact.  The solver keeps each
 series as total degree -> part, each exponent packed into one int (see
 `PlantedFamily`), and `centred` keys its series so.  The centre series at
-weight w (phi or mu) and stretch s takes one log L = log 1/(1 - H_i) for every
-d: its Euler derivative is solved in integers, and each coefficient is one
-exact division by its total degree, which raises `InconsistentResult` if it
-leaves a remainder.  The weighted variant marks a color-i vertex of degree h
-with r[i,h], one more coordinate of the exponent after x_1..x_m.  The one-sort
-family, every color graded by one x, has one term a degree: A = x + A^m, its
-H = A^(m-1), R = A - x and its centre series are lists of coefficients by
-degree, solved and read without the packed layer.  Truncation is by the total
-degree of the x coordinates: every monomial of a p-polygon cactus has total
-degree (m-1)p + 1, so a total-degree bound is a polygon bound, and a product
-of k planted series lies at total degrees = k (mod m - 1): the solver forms no
-other part, and keeps no empty one.  A count of one statistic solves inside a
-box instead, one cap per coordinate taken from the statistic: a term above a
-cap cannot divide the target, so it is dropped as soon as it is formed.
+weight w (phi or mu) and stretch s takes one log L = log(A_i/x_i) = log(1 +
+R/x_i) for every d: its Euler derivative is solved in integers, and each
+coefficient is one exact division by its total degree, which raises
+`InconsistentResult` if it leaves a remainder.  The weighted variant marks a
+color-i vertex of degree h with r[i,h], one more coordinate of the exponent
+after x_1..x_m.  The one-sort family, every color graded by one x, is the
+list of A = x + A^m by degree, one term a degree; R = A - x and the centre
+series are lists too, read without the packed layer.  Truncation is by the
+total degree of the x coordinates: every monomial of a p-polygon cactus has
+total degree (m-1)p + 1, so a total-degree bound is a polygon bound, and a
+product of k planted series lies at total degrees = k (mod m - 1): the
+solver forms no other part, and keeps no empty one.  A count of one
+statistic solves inside a box instead, one cap per coordinate taken from the
+statistic: a term above a cap cannot divide the target, so it is dropped as
+soon as it is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -45,7 +46,7 @@ SERIES_ONE_SORT_BOUND = 64  # the same on the one-sort lists
 
 Parts = dict[int, dict[int, int]]  # total degree -> non-empty packed part
 Inside = tuple[int, int]  # (bias, guard): e is in the box iff not (e + bias) & guard
-OneSort = tuple[int, list[int], list[int]]  # m, then A and H of `solve_one_sort`
+OneSort = tuple[int, list[int]]  # m and A, as `solve_one_sort` returns them
 
 
 def _product_part(a: Mapping[int, dict], b: Mapping[int, dict], d: int,
@@ -81,17 +82,17 @@ def _keep(parts: Parts, d: int, part: dict) -> None:
 
 @dataclass(frozen=True)
 class PlantedFamily:
-    """The m planted series (one per root color), solved to a common bound
-    and kept as the degree -> part maps the solver built.
+    """The m planted series (one per root color) and their product R, the
+    rooted series, solved to a common bound as the solver's degree -> parts.
 
-    `planted[i - 1]` holds A_i to total degree `order`, and `hats[i - 1]`
-    holds H_i = prod_{j != i} A_j to order - 1, all that is read of it.  In
-    an unweighted family A_i = x_i + R, so past degree 1 every A_i keeps the
-    same parts, R's.  Only the non-empty parts are kept: those of A_i lie at
-    total degrees = 1 and those of H_i at degrees = 0 (mod m - 1).  An
-    exponent has the m graded coordinates x_1..x_m and, in a weighted
-    family, one marker coordinate per (color, degree) pair of `slots`, in
-    that order.  `box` caps each coordinate, or is None.
+    `planted[i - 1]` holds A_i and `rooted` R = A_1 ... A_m, both to total
+    degree `order`, and only their non-empty parts, all at total degrees = 1
+    (mod m - 1).  Unweighted, A_i = x_i + R: past degree 1 every A_i keeps
+    R's parts.  Every term of R holds each x_i, so no field borrows when x_i
+    is taken from R's exponents.  An exponent has the m graded coordinates
+    x_1..x_m and, in a weighted family, one marker coordinate per (color,
+    degree) pair of `slots`, in that order.  `box` caps each coordinate, or
+    is None.
 
     A part keys each exponent by one int, `pack`ed with coordinate k in bits
     k * width .. k * width + width - 1.  A vertex adds one to an x and to at
@@ -108,7 +109,7 @@ class PlantedFamily:
     slots: tuple[tuple[int, int], ...] = ()
     box: Optional[tuple[int, ...]] = None
     planted: tuple[Parts, ...] = ()
-    hats: tuple[Parts, ...] = ()
+    rooted: Parts = field(default_factory=dict)
 
     @cached_property
     def width(self) -> int:
@@ -130,17 +131,18 @@ class PlantedFamily:
 
 def solve_planted(m: int, order: int, slots: tuple = (),
                   box: Optional[tuple[int, ...]] = None) -> PlantedFamily:
-    """The m planted series A_i = x_i / (1 - H_i), one x_i per color, exact
-    to the truncation order, by increasing total degree.
+    """The m planted series A_i = x_i / (1 - H_i), one x_i per color, and
+    their product R, exact to the truncation order, by increasing degree.
 
     H_i = prod_{j != i} A_j starts at degree m - 1, so the degree-d part of
-    A_i needs only lower parts.  Unweighted, H_i * A_i = R, the product of
-    all m series, so A_i = x_i + R: R = H_1 * A_1 is formed once a degree,
-    as every A_i's part.  Weighted, A_i = x_i * sum_{h>=1} r[i,h] *
-    H_i^(h-1); the marker r[i,h] adds one to coordinate m + k for (i, h) =
-    slots[k], and a power of H_i that no slot marks, and a term above the
-    box, is dropped as soon as its part is formed.  Nothing is multiplied
-    by the constant 1: H_1 is right[1], H_m is left[m - 1], H_i^1 is H_i.
+    A_i needs only lower parts.  R is formed once a degree, the last prefix
+    product times A_m.  Unweighted, H_i * A_i = R, so every A_i = x_i + R
+    keeps R's part.  Weighted, A_i = x_i * sum_{h>=1} r[i,h] * H_i^(h-1), so
+    only this branch forms the suffix products and the H_i; the marker
+    r[i,h] adds one to coordinate m + k for (i, h) = slots[k], and a power
+    of H_i that no slot marks, and a term above the box, is dropped as soon
+    as its part is formed.  Nothing is multiplied by the constant 1: H_1 is
+    right[1], H_m is left[m - 1], H_i^1 is H_i.
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
@@ -152,6 +154,7 @@ def solve_planted(m: int, order: int, slots: tuple = (),
     top = [max((h - 1 for c, h in marker if c == i + 1), default=0)
            for i in range(m)]
     a: list[Parts] = [{} for _ in range(m)]
+    rooted: Parts = {}
     for i in range(m):  # x_i, and r[i,1] with it when weighted
         stem = _lift({0: 1}, marker.get((i + 1, 1)), inside) if slots else {0: 1}
         _keep(a[i], 1, _lift(stem, unit[i], inside))
@@ -166,19 +169,20 @@ def solve_planted(m: int, order: int, slots: tuple = (),
         for k in range(2, m):
             if (d - k) % q == 0:
                 _keep(left[k], d, _product_part(left[k - 1], a[k - 1], d, inside))
-        for k in range(m - 2, 0, -1):
+        for k in range(m - 2, 0, -1) if slots else ():
             if (d - (m - k)) % q == 0:
                 _keep(right[k], d, _product_part(a[k], right[k + 1], d, inside))
         if d % q:
             continue
+        part = _product_part(left[-1], a[-1], d + 1, inside)  # R's degree d + 1
+        for parts in [rooted] if slots else [rooted, *a]:  # unweighted, every A_i's
+            _keep(parts, d + 1, part)
+        if not slots:
+            continue
         for i in range(1, m - 1):
             _keep(hats[i], d, _product_part(left[i], right[i + 1], d, inside))
-        if not slots:  # R's degree-(d + 1) part, every A_i's
-            rooted = _product_part(hats[0], a[0], d + 1, inside)
-            for parts in a:
-                _keep(parts, d + 1, rooted)
-        for i, hat in enumerate(hats if slots else ()):  # weighted, by powers
-            part: dict[int, int] = {}
+        for i, hat in enumerate(hats):  # weighted, by powers
+            part = {}
             for k in range(1, min(d // q, top[i]) + 1):  # H_i^k at powers[i][k - 1]
                 if k > 1:
                     _keep(powers[i][k - 1], d,
@@ -187,19 +191,17 @@ def solve_planted(m: int, order: int, slots: tuple = (),
                 for e, c in _lift(power, marker.get((i + 1, k + 1)), inside).items():
                     part[e] = part.get(e, 0) + c
             _keep(a[i], d + 1, _lift(part, unit[i], inside))
-    # for m = 2 the hats are A_2 and A_1, which reach the order
-    return PlantedFamily(m, order, slots, box, tuple(a), tuple(
-        {d: part for d, part in hat.items() if d < order} for hat in hats))
+    return PlantedFamily(m, order, slots, box, tuple(a), rooted)
 
 
-def solve_one_sort(m: int, order: int) -> tuple[list[int], list[int]]:
+def solve_one_sort(m: int, order: int) -> OneSort:
     """The one-sort family, every color sharing A = x + A * A^(m-1), as
-    coefficient lists by degree: A to the order and H = A^(m-1) below it.
+    (m, A), A a coefficient list by degree to the order.
 
     A^j lies at degrees = j (mod q), q = m - 1, so one j in 2..m has a term
     at each degree d, and it is one dot product of two strided slices, A
     times A^(j-1), the shorter first.  Only the powers below the order are
-    kept: at q >= order, H = A^q is 0 within it.
+    formed: at q >= order, A^m is 0 within it.
     """
     if m < 2 or order < 1:
         raise ValidationError(f"need m >= 2, order >= 1: m = {m}, order = {order}")
@@ -208,26 +210,27 @@ def solve_one_sort(m: int, order: int) -> tuple[list[int], list[int]]:
     powers = [a] + [[0] * order for _ in range(2, min(m, order))]  # A^j at j - 1
     for d in range(2, order + 1):
         j = (d - 2) % q + 2
-        if j <= d and (j == m or d < order):  # A^m = A - x; H is read below the order
+        if j <= d and (j == m or d < order):  # A^m = A - x; A^(m-1) only below it
             (a if j == m else powers[j - 1])[d] = sum(
                 map(mul, a[1:d:q], powers[j - 2][d - 1::-q]))
-    return a, powers[q - 1][:order] if q < order else [0] * order
+    return m, a
 
 
-def one_sort_centre(m: int, hat: Sequence[int], weight: Callable[[int], int],
+def one_sort_centre(m: int, a: list[int], weight: Callable[[int], int],
                     s: int = 1) -> list[int]:
-    """`_centre` with every x_i set to x, as a list by degree to the
-    order len(hat), from H = `hat`.  T = E(L), L = log 1/(1 - H), lies at
-    multiples g of q = m - 1, and T[g] = g * H[g] + sum_a H[a] * T[g - a] is
-    one dot product of strided slices; T[g] adds s * w(d) * T[g] at n =
-    s*d*g, and each n is divided once, exactly.  At q >= order no loop runs.
+    """`_centre` with every x_i set to x, as a list by degree to the order
+    of A = `a`.  T = E(L) = E(Q) - Q * T, Q = R/x, lies at multiples g of q
+    = m - 1, and T[g] = g * Q[g] - sum_a Q[a] * T[g - a] is one dot product
+    of strided slices; T[g] adds s * w(d) * T[g] at n = s*d*g, and each n
+    is divided once, exactly.  At q >= order no loop runs.
     """
-    order, q = len(hat), m - 1
+    order, q = len(a) - 1, m - 1
+    quotient = [0] + a[2:]  # Q = R/x
     top = (order - 1) // s  # every term of T that some d stretches below the order
     w = [0] + [weight(d) for d in range(1, (order - 1) // (s * q) + 1)]
     t, sums = [0] * (top + 1), [0] * order
     for g in range(q, top + 1, q):
-        t[g] = g * hat[g] + sum(map(mul, hat[q:g:q], t[g - q:0:-q]))
+        t[g] = g * quotient[g] - sum(map(mul, quotient[q:g:q], t[g - q:0:-q]))
         for d in range(1, (order - 1) // (s * g) + 1):
             sums[s * d * g] += s * w[d] * t[g]
     centre = [0, int(s == 1)] + [0] * (order - 1)  # x * [s = 1]
@@ -249,28 +252,30 @@ def _centre(family: PlantedFamily, color: int,
             weight: Callable[[int], int], s: int) -> dict[int, int]:
     """The centre series of color i = `color` at weight w and stretch s,
 
-        x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log 1/(1 - H_i),
+        x_i * ([s = 1] + sum_{d >= 1} (w(d)/d) * L(x^(s*d))),  L = log(1 + R/x_i),
 
-    keyed by packed exponents.  With w = phi and s = 1 it counts the cacti
-    pointed at a color-i vertex.  The term T[e] of T = E(L), e of degree g,
-    adds s * w(d) * T[e] / (s*d*g) at s*d*e, whose degree is s*d*g: each
-    exponent inside the box (only those get all their d) sums its numerators
-    and divides once, exactly.
+    keyed by packed exponents; 1 + R/x_i = A_i/x_i = 1/(1 - H_i).  With w =
+    phi and s = 1 it counts the cacti pointed at a color-i vertex.  The term
+    T[e] of T = E(L) = E(Q) - Q * T, Q = R/x_i, e of degree g, adds s * w(d)
+    * T[e] / (s*d*g) at s*d*e, whose degree is s*d*g: each exponent inside
+    the box once lifted by x_i (only those get all their d, and read no
+    term of R above the box) sums its numerators and divides once, exactly.
     """
     if family.slots:
         raise ValidationError("a centre series needs an unweighted family")
-    order, inside, q = family.order, family.inside, family.m - 1
-    bias, guard = inside
-    # every term of H_i, and so of T, has a degree g that is a multiple of q
+    order, q, unit = family.order, family.m - 1, 1 << (color - 1) * family.width
+    bias, guard = inside = family.inside[0] + unit, family.inside[1]
+    top = (order - 1) // s  # every term of T that some d stretches below the order
+    minus = {d - 1: {e - unit: -c for e, c in part.items()}
+             for d, part in family.rooted.items() if d <= top + 1}
     w = [0] + [weight(d) for d in range(1, (order - 1) // (s * q) + 1)]
-    hat, t_parts = family.hats[color - 1], {}
-    sums: dict[int, int] = {}
-    degrees: dict[int, int] = {}
-    for g in range(q, (order - 1) // s + 1, q):
-        # E scales a monomial by its degree, and T = E(H_i) + H_i * T
-        part = _product_part(hat, t_parts, g, inside) if t_parts else {}
-        for e, c in hat.get(g, {}).items():
-            part[e] = part.get(e, 0) + g * c
+    t_parts: Parts = {}
+    sums, degrees = {}, {}  # at s*d*e: the summed numerators, and their degree
+    for g in range(q, top + 1, q):  # -Q lies at these degrees, as T does
+        # E scales a monomial by its degree, and T = E(Q) - Q * T
+        part = _product_part(minus, t_parts, g, inside) if t_parts else {}
+        for e, c in minus.get(g, {}).items():
+            part[e] = part.get(e, 0) - g * c
         _keep(t_parts, g, part)
         for e, c in part.items():
             for d in range(1, (order - 1) // (s * g) + 1):
@@ -287,20 +292,14 @@ def _centre(family: PlantedFamily, color: int,
                                      f"at {family.unpack(e)} is not an integer")
         if quotient:
             inner[e] = quotient
-    return _lift(inner, 1 << (color - 1) * family.width, inside)
+    return _lift(inner, unit, family.inside)
 
 
 def _rooted(family: PlantedFamily | OneSort) -> dict[int, int] | list[int]:
-    """The rooted series R = H_1 * A_1 in the family's layout.  The planted
-    equation makes it A_1 less x_1, its part of degree 1, on lists and in an
-    unweighted family; a weighted one forms the product inside the box."""
+    """The rooted series R in the family's layout: its parts, or A - x."""
     if not isinstance(family, PlantedFamily):
         return [0, 0] + family[1][2:]
-    m, hats, planted = family.m, family.hats, family.planted
-    parts = ([_product_part(hats[0], planted[0], d, family.inside)
-              for d in range(m, family.order + 1, m - 1)] if family.slots
-             else [part for d, part in planted[0].items() if d > 1])
-    return {e: c for part in parts for e, c in part.items()}
+    return {e: c for part in family.rooted.values() for e, c in part.items()}
 
 
 def centred(family: PlantedFamily | OneSort, forms: Sequence) -> list:
@@ -309,9 +308,9 @@ def centred(family: PlantedFamily | OneSort, forms: Sequence) -> list:
     in the family's layout.  A `PlantedFamily` gives {packed exponent:
     coefficient} maps, each colour its own centre, so the lone vertex x_i
     counts once per colour of the form; a weighted family has no centre
-    series.  The one-sort lists (m, A, H) give lists by degree, where the
+    series.  The one-sort lists (m, A) give lists by degree, where the
     colours share one centre, len(colors) times, and x counts once.  Each
-    centre is solved once per call, and R once.
+    centre is solved once per call, from R alone.
     """
     packed = isinstance(family, PlantedFamily)
     rooted, centres, out = _rooted(family), {}, []
@@ -319,7 +318,7 @@ def centred(family: PlantedFamily | OneSort, forms: Sequence) -> list:
         keys = [(c, w, s) for c in colors] if packed else [(w, s)] * bool(colors)
         for key in [key for key in keys if key not in centres]:
             centres[key] = (_centre(family, *key) if packed
-                            else one_sort_centre(family[0], family[2], *key))
+                            else one_sort_centre(*family, *key))
         if packed:
             total = {}
             terms = ([(1, centres[key]) for key in keys]
@@ -361,7 +360,7 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
                          "--mode rooted or labelled only")
     if isinstance(stat, SizeStat):  # one-sort: the order caps x
         target = (stat.n,)
-        total = centred((stat.m, *solve_one_sort(stat.m, stat.n)), [form])[0][stat.n]
+        total = centred(solve_one_sort(stat.m, stat.n), [form])[0][stat.n]
     else:
         if isinstance(stat, ColorStat):
             slots, target = (), stat.counts

@@ -4,9 +4,10 @@ The solver in `cacti.series` keeps each series as total degree -> part, or
 as a coefficient list in the one-sort family, and `series.centred` returns
 each form's series in that layout; `read` gives it as a plain {exponent:
 coefficient} map.  This module builds the same targets the long way, as
-`Series` objects with whole-series arithmetic: the full product H_1 * A_1
-for the rooted series, weighted families included, and one logarithm per d,
-in Fractions, for the pointed series.  The tests check the solver against it.
+`Series` objects with whole-series arithmetic, from the solver's planted
+series alone: each H_i and the rooted series as full products of them,
+weighted families included, and one logarithm of 1/(1 - H_i) per d, in
+Fractions, for the pointed series.  The tests check the solver against it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import add, gt
+from operator import add, gt, mul
 from typing import Optional, Sequence
 
 from cacti import arith, formulas, series, stats
@@ -135,12 +136,18 @@ def planted(fam: series.PlantedFamily, color: int) -> Series:
 
 
 def hat(fam: series.PlantedFamily, color: int) -> Series:
-    return whole(fam, fam.hats[color - 1])
+    """H_i = prod_{j != i} A_j, the full product of the planted series."""
+    return reduce(mul, (planted(fam, j) for j in range(1, fam.m + 1) if j != color))
 
 
 def rooted(fam: series.PlantedFamily) -> Series:
-    """The full product H_1 * A_1, weighted or not."""
-    return hat(fam, 1) * planted(fam, 1)
+    """The full product A_1 ... A_m, weighted or not."""
+    return reduce(mul, (planted(fam, j) for j in range(1, fam.m + 1)))
+
+
+def power(s: Series, k: int) -> Series:
+    """s^k for k >= 1."""
+    return reduce(mul, [s] * k)
 
 
 def geometric(s: Series) -> Series:
@@ -167,10 +174,10 @@ def log_geometric(s: Series) -> Series:
     return out
 
 
-def one_sort(m: int, order: int) -> tuple[Series, Series]:
-    """A and H = A^(m-1) of the one-sort family, from the solver's lists."""
-    return tuple(Series(1, order, {(n,): c for n, c in enumerate(coeffs)})
-                 for coeffs in series.solve_one_sort(m, order))
+def one_sort(m: int, order: int) -> Series:
+    """A of the one-sort family, from the solver's list."""
+    _, a = series.solve_one_sort(m, order)
+    return Series(1, order, {(n,): c for n, c in enumerate(a)})
 
 
 def pointed(fam: series.PlantedFamily, color: int) -> Series:
@@ -200,6 +207,6 @@ def unlabelled(fam: series.PlantedFamily) -> Series:
 def one_sort_unlabelled(m: int, order: int) -> Series:
     """m * pointed - (m-1) * (x + rooted): the one-sort family counts the
     single-vertex cactus once, not once per color."""
-    a, h = one_sort(m, order)
-    return (pointed_from_hat(h, order).scale(m)
-            - (variable(1, order, 0) + h * a).scale(m - 1))
+    a = one_sort(m, order)
+    return (pointed_from_hat(power(a, m - 1), order).scale(m)
+            - (variable(1, order, 0) + power(a, m)).scale(m - 1))

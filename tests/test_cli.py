@@ -291,8 +291,8 @@ def _reference_targets(m: int, one_sort: bool) -> dict:
     arithmetic: (target, --color or None) -> {exponent: coefficient}."""
     if one_sort:
         order = series.SERIES_ONE_SORT_BOUND
-        a, hat = ref.one_sort(m, order)
-        targets = {("planted", None): a, ("rooted", None): hat * a,
+        a = ref.one_sort(m, order)
+        targets = {("planted", None): a, ("rooted", None): ref.power(a, m),
                    ("unlabelled", None): ref.one_sort_unlabelled(m, order)}
     else:
         fam = series.solve_planted(m, series.SERIES_MULTI_BOUND)

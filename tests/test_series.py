@@ -1,5 +1,3 @@
-import functools
-import operator
 import os
 import random
 import subprocess
@@ -32,11 +30,11 @@ def weighted_family(m: int, order: int) -> series.PlantedFamily:
 
 def _solved(kind: str, m: int, order: int) -> tuple[list, list]:
     """A_i and H_i of every color as reference series, for a family of one
-    `kind`: "one-sort", whose colors share the solver's lists A and H;
-    "planted", one x per color; or "weighted"."""
+    `kind`: "one-sort", whose colors share the solver's list A; "planted",
+    one x per color; or "weighted".  H_i is the reference product."""
     if kind == "one-sort":
-        a, hat = ref.one_sort(m, order)
-        return [a] * m, [hat] * m
+        a = ref.one_sort(m, order)
+        return [a] * m, [ref.power(a, m - 1)] * m
     fam = (weighted_family if kind == "weighted" else series.solve_planted)(m, order)
     return ([ref.planted(fam, i) for i in range(1, m + 1)],
             [ref.hat(fam, i) for i in range(1, m + 1)])
@@ -76,7 +74,7 @@ class TestCentred:
         if kind == "one-sort":
             order = series.SERIES_ONE_SORT_BOUND
             stat = stats.size_stat(m, (order - 1) // (m - 1))
-            family = (m, *series.solve_one_sort(m, order))
+            family = series.solve_one_sort(m, order)
         elif kind == "weighted":  # rooted and labelled forms: no colours
             stat = stats.parse_degree_spec("1^2 2^1; 1^1 3^1")
             family = weighted_family(m, 7)
@@ -97,7 +95,7 @@ class TestCentred:
         colours and 0 in R: once on lists, whose colours share one centre,
         and once per colour x_i of the form in a packed family."""
         forms = _forms(stats.size_stat(m, 1))
-        lists = series.centred((m, *series.solve_one_sort(m, 2 * m - 1)), forms)
+        lists = series.centred(series.solve_one_sort(m, 2 * m - 1), forms)
         for form, coeffs in zip(forms, lists):
             assert coeffs[1] == (form.s == 1 and bool(form.colors)), form
         fam = series.solve_planted(m, m)
@@ -110,7 +108,7 @@ class TestCentred:
     @pytest.mark.parametrize("kind", ["planted", "one-sort"])
     def test_each_centre_is_solved_once_per_call(self, monkeypatch, kind):
         """A key is (colour, weight, s) packed, and (weight, s) on lists,
-        the arguments after the family, or after m and H."""
+        the arguments after the family, or after m and A."""
         calls = []
         name, skip = ("_centre", 1) if kind == "planted" else ("one_sort_centre", 2)
         solve = getattr(series, name)
@@ -120,7 +118,7 @@ class TestCentred:
             stat, family = stats.color_stat(3, (2, 2, 3)), series.solve_planted(3, 7)
             keys = {(c, f.weight, f.s) for f in _forms(stat) for c in f.colors}
         else:
-            stat, family = stats.size_stat(3, 4), (3, *series.solve_one_sort(3, 9))
+            stat, family = stats.size_stat(3, 4), series.solve_one_sort(3, 9)
             keys = {(f.weight, f.s) for f in _forms(stat) if f.colors}
         series.centred(family, _forms(stat) * 2)
         assert len(calls) == len(set(calls)) == len(keys) > 2
@@ -141,16 +139,22 @@ class TestPlanted:
                 assert expected.coeffs == series.series_planted(fam, i)
 
     @pytest.mark.parametrize("m, order, kind", [
-        (2, 9, "planted"), (3, 10, "planted"), (4, 13, "planted"),
-        (3, 20, "one-sort"), (3, 7, "weighted")])
-    def test_kept_hats_are_the_products_below_the_order(self, m, order, kind):
-        planted, hats = _solved(kind, m, order)
-        for i in range(1, m + 1):
-            product = functools.reduce(operator.mul, (
-                planted[j - 1] for j in range(1, m + 1) if j != i))
-            # the first m coordinates are graded; a one-sort exponent has one
-            assert hats[i - 1].coeffs == {e: c for e, c in product.coeffs.items()
-                                          if sum(e[:m]) < order}
+        (2, 9, "planted"), (3, 10, "planted"), (4, 13, "planted"), (3, 9, "boxed"),
+        (2, 20, "one-sort"), (3, 20, "one-sort"), (2, 7, "weighted"),
+        (3, 7, "weighted")])
+    def test_kept_rooted_is_the_product_of_all_planted_series(self, m, order, kind):
+        """The kept R, or A - x on lists, is A_1 ... A_m to the order, and
+        in a boxed family to the box."""
+        if kind == "one-sort":
+            kept = series._rooted(series.solve_one_sort(m, order))
+            assert ({(n,): c for n, c in enumerate(kept) if c}
+                    == ref.power(ref.one_sort(m, order), m).coeffs)
+            return
+        fam = (weighted_family(m, order) if kind == "weighted"
+               else series.solve_planted(m, order, (), (3, 3, 3) if kind == "boxed"
+                                         else None))
+        product = ref.rooted(fam)  # the reference's A_1 ... A_m
+        assert product.coeffs and ref.whole(fam, fam.rooted) == product
 
     def test_weighted_residual_and_single_polygon(self):
         m, order = 3, 7
@@ -201,13 +205,13 @@ class TestRootedSeries:
         (2, 30, "one-sort"), (5, 41, "one-sort")])
     def test_planted_equation_gives_the_full_product(self, m, order, kind):
         planted, hats = _solved(kind, m, order)
-        fam = ((m, *series.solve_one_sort(m, order)) if kind == "one-sort"
+        fam = (series.solve_one_sort(m, order) if kind == "one-sort"
                else series.solve_planted(m, order))
         assert ref.read(fam, ref.ROOTED) == (hats[0] * planted[0]).coeffs
 
     def test_weighted_family_reads_the_product(self):
         """A weighted family has no planted shortcut: A_1 - x_1 r[1,1] is not
-        H_1 * A_1, so R is the product, formed inside the box."""
+        H_1 * A_1, and R is the kept product, formed inside the box."""
         fam = weighted_family(2, 4)
         assert ref.read(fam, ref.ROOTED) == ref.rooted(fam).coeffs
         stem = fam.pack((1, 0) + (0,) * len(fam.slots)) + fam.pack(
@@ -270,10 +274,10 @@ class TestPointedAgainstReference:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_one_sort_every_order(self, m):
         top = series.SERIES_ONE_SORT_BOUND
-        full = ref.pointed_from_hat(ref.one_sort(m, top)[1], top)
+        full = ref.pointed_from_hat(ref.power(ref.one_sort(m, top), m - 1), top)
         for order in range(1, top + 1):
-            _, hat = series.solve_one_sort(m, order)
-            got = series.one_sort_centre(m, hat, euler_phi)
+            _, a = series.solve_one_sort(m, order)
+            got = series.one_sort_centre(m, a, euler_phi)
             assert got == [full[(n,)] for n in range(order + 1)]
             assert all(type(c) is int for c in got)
 
@@ -301,6 +305,28 @@ class TestPointedAgainstReference:
                 assert series.count("unlabelled", c) == (
                     sum(s[counts] for s in pointed) - (m - 1) * rooted[counts])
 
+    @pytest.mark.parametrize("m, p", [(2, 6), (3, 4)])
+    def test_boxed_centre_forms_no_term_that_its_lift_leaves(self, monkeypatch, m, p):
+        """A term of T with x_i at its cap would read terms of R above the
+        box, and its lift by x_i leaves the box: no product of the colour-i
+        centre forms one."""
+        formed = []
+        product_part = series._product_part
+
+        def recorded(*args):
+            formed.append(product_part(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(series, "_product_part", recorded)
+        for c in oracle._all_color_vectors(m, p):
+            fam = series.solve_planted(m, c.n, (), c.counts)
+            for color in range(1, m + 1):
+                formed.clear()
+                series.centred(fam, [ref.centre(color, euler_phi, s) for s in (1, 2)])
+                assert formed, (c.counts, color)
+                assert all(fam.unpack(e)[color - 1] < c.counts[color - 1]
+                           for part in formed for e in part), (c.counts, color)
+
     def test_non_integral_numerator_raises(self):
         """The message names the exponent as a tuple, not as its packed int."""
         with pytest.raises(stats.InconsistentResult, match=(
@@ -308,7 +334,7 @@ class TestPointedAgainstReference:
             series.centred(series.solve_planted(2, 6), [ref.centre(1, lambda d: 1)])
         with pytest.raises(stats.InconsistentResult, match=(
                 r"^centre coefficient \d+/\d+ at \(\d+,\) is not an integer$")):
-            series.centred((2, *series.solve_one_sort(2, 4)),
+            series.centred(series.solve_one_sort(2, 4),
                            [F.Centres(range(1, 3), lambda d: 1, 1, -1)])
 
 
@@ -320,31 +346,31 @@ class TestUnlabelledSeries:
 
     def test_one_sort(self):
         for m, order, n, count in [(3, 9, 9, 19), (2, 7, 7, 28), (4, 4, 1, 1)]:
-            one_sort = (m, *series.solve_one_sort(m, order))
+            one_sort = series.solve_one_sort(m, order)
             assert ref.read(one_sort, ref.unlabelled_form(m))[(n,)] == count
 
     def test_one_sort_matches_formula_column(self):
-        s = ref.read((2, *series.solve_one_sort(2, 13)), ref.unlabelled_form(2))
+        s = ref.read(series.solve_one_sort(2, 13), ref.unlabelled_form(2))
         for p in range(0, 13):
             assert s.get((p + 1,), 0) == F.count_unlabelled(stats.size_stat(2, p))
 
 
 class TestOneSort:
     def test_planted_coefficients(self):
-        assert ref.read((2, *series.solve_one_sort(2, 8)), ref.ROOTED)[(7,)] == 132
-        assert series.solve_one_sort(2, 8)[0][1] == 1
-        assert ref.read((3, *series.solve_one_sort(3, 9)), ref.ROOTED)[(9,)] == 55
+        assert ref.read(series.solve_one_sort(2, 8), ref.ROOTED)[(7,)] == 132
+        assert series.solve_one_sort(2, 8)[1][1] == 1
+        assert ref.read(series.solve_one_sort(3, 9), ref.ROOTED)[(9,)] == 55
         assert len(oracle.generate_rooted(3, 4)) == 55
 
     def test_support_grading(self):
-        a = series.solve_one_sort(4, 10)[0]
+        _, a = series.solve_one_sort(4, 10)
         for n, c in enumerate(a):
             assert (n % 3 == 1) == (c > 0)
 
     def test_cost_does_not_grow_with_m(self):
-        """At m - 1 >= order, H = A^(m-1) is 0 within the order, so A = x,
+        """At m - 1 >= order, A^(m-1) is 0 within the order, so A = x,
         the centre series is x, and the reader counts x once in the
-        unlabelled series: the solver keeps no power past the order, no loop
+        unlabelled series: the solver forms no power past the order, no loop
         of the centre runs, the reader takes the m colours of the form as
         one list centre, and nothing is allocated in proportion to m."""
         m = 10 ** 5
@@ -352,12 +378,12 @@ class TestOneSort:
             stats.size_stat(m, 1)), ref.ROOTED]
         tracemalloc.start()
         try:
-            a, hat = series.solve_one_sort(m, 64)
-            unlabelled, asymmetric, rooted = series.centred((m, a, hat), forms)
+            family = series.solve_one_sort(m, 64)
+            unlabelled, asymmetric, rooted = series.centred(family, forms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert a == [0, 1] + [0] * 63 and hat == [0] * 64
+        assert family == (m, [0, 1] + [0] * 63)
         assert unlabelled == asymmetric == [0, 1] + [0] * 63
         assert rooted == [0] * 65
         assert peak < 2 ** 16
@@ -366,7 +392,7 @@ class TestOneSort:
         for m, order in [(2, 8), (3, 9)]:
             fam = series.solve_planted(m, order)
             collapsed = collapse_to_one_sort(ref.read(fam, ref.ROOTED))
-            a = ref.one_sort(m, order)[0]
+            a = ref.one_sort(m, order)
             assert collapsed == (a - ref.variable(1, order, 0)).coeffs
 
     @pytest.mark.parametrize("m", range(2, 6))
@@ -376,10 +402,10 @@ class TestOneSort:
         one-sort one, at both weights and every stretch."""
         order = series.SERIES_MULTI_BOUND
         fam = series.solve_planted(m, order)
-        _, hat = series.solve_one_sort(m, order)
+        _, a = series.solve_one_sort(m, order)
         for weight in (euler_phi, moebius_mu):
             for s in range(1, 5):
-                centre = series.one_sort_centre(m, hat, weight, s)
+                centre = series.one_sort_centre(m, a, weight, s)
                 expected = {(n,): c for n, c in enumerate(centre) if c}
                 for color in range(1, m + 1):
                     assert collapse_to_one_sort(ref.read(
@@ -462,18 +488,17 @@ class TestSparseParts:
     @pytest.mark.parametrize("m", range(2, 6))
     def test_kept_parts_are_non_empty_and_in_their_residue(self, m):
         for kind, fam in _families(m).items():
-            for parts, residue in [(p, 1) for p in fam.planted] + [
-                    (h, 0) for h in fam.hats]:
+            assert fam.rooted, kind
+            for parts in fam.planted + (fam.rooted,):  # A_i and R, at residue 1
                 assert all(parts.values()), kind
-                assert all(d % (m - 1) == residue % (m - 1) for d in parts), kind
+                assert all(d % (m - 1) == 1 % (m - 1) for d in parts), kind
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_one_sort_lists_are_non_zero_exactly_in_their_residue(self, m):
         order, q = 4 * (m - 1) + 1, m - 1
-        a, hat = series.solve_one_sort(m, order)
-        assert len(a) == order + 1 and len(hat) == order
+        _, a = series.solve_one_sort(m, order)
+        assert len(a) == order + 1
         assert all((c > 0) == (n > 0 and n % q == 1 % q) for n, c in enumerate(a))
-        assert all((c > 0) == (n > 0 and n % q == 0) for n, c in enumerate(hat))
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_no_product_part_is_empty(self, monkeypatch, m):
@@ -504,7 +529,7 @@ class TestSparseParts:
         stat = stats.size_stat(m, (order - 1) // (m - 1))
         queries = [(mode, s) for mode in F.MODES if F.MODES[mode].centres
                    for s in (2, 3)]
-        series.centred((m, *series.solve_one_sort(m, order)),
+        series.centred(series.solve_one_sort(m, order),
                        [F.MODES[mode].centres(stat, s=s) for mode, s in queries])
         for mode, s in queries:
             series.count(mode, stat, s=s)
@@ -512,8 +537,9 @@ class TestSparseParts:
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_no_product_by_the_constant_one(self, monkeypatch, m):
-        """H_1 is right[1] and H_m is left[m - 1], not products with the
-        constant series 1, and no planted series is formed by one."""
+        """R is left[m - 1] * A_m, and in a weighted family H_1 is right[1]
+        and H_m is left[m - 1]: no product with the constant series 1, and
+        no planted series or centre is formed by one."""
         one = {0: {0: 1}}  # the constant 1 as degree -> packed part
         factors = []
         product_part = series._product_part
@@ -532,8 +558,8 @@ class TestSparseParts:
 
 class TestOneRootedPart:
     """Unweighted, H_i * A_i is the product R of all m planted series, so
-    A_i = x_i + R for every colour: the solver forms R's part once a degree
-    and keeps it as every A_i's."""
+    A_i = x_i + R for every colour: the solver forms R's part once a degree,
+    from the prefix products, and keeps it as every A_i's."""
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_one_product_a_degree_for_all_planted_series(self, monkeypatch, m):
@@ -549,10 +575,22 @@ class TestOneRootedPart:
         for order in range(1, 17):
             degrees.clear()
             series.solve_planted(m, order)
-            # a prefix, a suffix or an H_i lies at a degree != 1 (mod q) for m > 2
+            # a prefix product lies at a degree != 1 (mod q) for m > 2
             assert sum(d % q == 1 % q for d in degrees) == (order - 1) // q, order
-            if m == 2:  # H_1 = A_2 and H_2 = A_1: R is the only product
+            if m == 2:  # R = A_1 * A_2 is the only product
                 assert len(degrees) == order - 1
+
+    @pytest.mark.parametrize("m, products", [(2, 15), (3, 14), (4, 15), (5, 14)])
+    def test_unweighted_solve_forms_prefixes_and_rooted_only(self, monkeypatch,
+                                                            m, products):
+        """No suffix product, H_i or power: at order 16, the prefix
+        products A_1 ... A_k, k = 2..m - 1, and R, each at its degrees."""
+        calls = []
+        product_part = series._product_part
+        monkeypatch.setattr(series, "_product_part",
+                            lambda *args: calls.append(args) or product_part(*args))
+        series.solve_planted(m, series.SERIES_MULTI_BOUND)
+        assert len(calls) == products
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_every_planted_series_keeps_one_rooted_map(self, m):

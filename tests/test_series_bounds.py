@@ -96,7 +96,7 @@ def test_one_sort_planted_is_fuss_catalan(m):
     order = series.SERIES_ONE_SORT_BOUND
     fuss_catalan = {((m - 1) * p + 1,): math.comb(m * p, p) // ((m - 1) * p + 1)
                     for p in range((order - 1) // (m - 1) + 1)}
-    a = series.solve_one_sort(m, order)[0]
+    _, a = series.solve_one_sort(m, order)
     assert {(n,): c for n, c in enumerate(a) if c} == fuss_catalan
 
 
