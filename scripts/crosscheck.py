@@ -107,7 +107,8 @@ def centred_sweep(m: int, p_max: int) -> tuple[str | None, int]:
         for stat in [stats.size_stat(m, p), *oracle._all_color_vectors(m, p),
                      *oracle._all_degree_matrices(m, p)]:
             size = isinstance(stat, stats.SizeStat)
-            where = f"p={p}" if size else getattr(stat, "counts", None) or stat.rows
+            where = (f"p={p}" if size else stat.rows if isinstance(stat, stats.DegreeStat)
+                     else stat.counts)
             counts = formulas.centred_counts(stat)
             colors = [None] if size else range(1, m + 1)
             keys = ([(mode, None) for mode in ("rooted", "unlabelled", "asymmetric")]

@@ -105,19 +105,17 @@ def count_rooted(stat: Statistic) -> int:
     if isinstance(stat, ColorStat):
         prod = math.prod(binomial(p, c) for c in stat.counts)
         return _exact(prod, "rooted color count", p)
-    counts = stat.color_counts
     prod = math.prod(multinomial(c, [k for _, k in row])
-                     for c, row in zip(counts, stat.rows))
+                     for c, row in zip(stat.counts, stat.rows))
     return _exact(p ** (stat.m - 1) * prod, "rooted degree count",
-                  math.prod(counts))
+                  math.prod(stat.counts))
 
 
 def _labellings(stat: Statistic) -> int:
     """n! at size level, else the product of n_c! over the colors."""
     if isinstance(stat, SizeStat):
         return math.factorial(stat.n)
-    counts = stat.counts if isinstance(stat, ColorStat) else stat.color_counts
-    return math.prod(map(math.factorial, counts))
+    return math.prod(map(math.factorial, stat.counts))
 
 
 def count_labelled(stat: Statistic) -> int:
@@ -189,9 +187,9 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
     colour only; a size-level form sums all colours or none."""
     p, m = stat.p, stat.m
     size = isinstance(stat, SizeStat)
+    vertices = None if size else stat.counts
     if p == 0:
-        lone = 1 if size else (stat.counts if isinstance(stat, ColorStat)
-                               else stat.color_counts).index(1) + 1
+        lone = 1 if size else vertices.index(1) + 1
         return [int(form.s == 1 and lone in form.colors) for form in forms]
     specs = [(k, form.colors, form.s, form.weight)
              for k, form in enumerate(forms) if form.colors]
@@ -211,7 +209,6 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
         add(1, 1, [p], lambda d: binomial(m * p // d - 1, p // d - 1))
         den = p
     elif isinstance(stat, ColorStat):
-        vertices = stat.counts
         for i in centres:
             if math.gcd(p, vertices[i - 1] - 1) == 1:
                 continue
@@ -221,7 +218,6 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
                 lambda d: math.prod(binomial(p // d, c // d) for c in lowered))
         den = p * p
     else:
-        vertices = stat.color_counts
         for i in centres:
             for h, _ in stat.rows[i - 1]:
                 if math.gcd(h, p) == 1:
@@ -342,15 +338,16 @@ def count_gonal(m: int, p: int, kind: GonalKind) -> int:
 
 
 def count_free_labelled(colors: ColorStat) -> int:
-    """Labelled cacti without the plane embedding (polygon sets, not cycles)."""
+    """Labelled cacti without the plane embedding (polygon sets, not cycles):
+    p^(m-2) prod_c (c-1)! c^(p-c) over prod_c (p-c)!, c the colour counts."""
     p = colors.p
     if p == 0:
         return 1
-    value = Fraction(p ** colors.m, p * p)
-    for c in colors.counts:
-        value *= Fraction(math.factorial(c - 1) * c ** (p - c),
-                          math.factorial(p - c))
-    return _exact(value, "free labelled count")
+    counts = colors.counts
+    num = p ** (colors.m - 2) * math.prod(math.factorial(c - 1) * c ** (p - c)
+                                          for c in counts)
+    return _exact(num, "free labelled count",
+                  math.prod(math.factorial(p - c) for c in counts))
 
 
 def count_constellation_rooted(m: int, p: int) -> int:
@@ -359,9 +356,8 @@ def count_constellation_rooted(m: int, p: int) -> int:
         raise ValidationError(f"gon size m = {m}, need m >= 2")
     if p < 1:
         raise NonPositiveP(f"constellations need p >= 1, got {p}")
-    value = Fraction((m + 1) * m ** (p - 1),
-                     ((m - 1) * p + 2) * ((m - 1) * p + 1))
-    return _exact(value * binomial(m * p, p), "rooted constellation count")
+    return _exact((m + 1) * m ** (p - 1) * binomial(m * p, p),
+                  "rooted constellation count", ((m - 1) * p + 2) * ((m - 1) * p + 1))
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,7 @@ class Planted:
         return tuple(sorted(tally.items()))
 
 
-@dataclass(frozen=True)
-class Rooted:
-    """Rooted cactus: component c - 1 hangs at colour c of the root polygon."""
-
-    components: tuple[Planted, ...]
+Rooted = tuple[Planted, ...]  # planted part c - 1 hangs at colour c of the root polygon
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ def _polygons_at(m: int, w: int) -> list[tuple[Planted, ...]]:
 
 def _rooted(m: int, p: int, cap: int) -> list[Rooted]:
     """Rooted cacti with p polygons and at most `cap` in each planted part."""
-    return [Rooted(combo) for split in _compositions(p - 1, m)
+    return [combo for split in _compositions(p - 1, m)
             if max(split) <= cap
             for combo in product(*(_planted_all(m, q) for q in split))]
 
@@ -190,9 +186,9 @@ def generate_rooted(m: int, p: int) -> list[Rooted]:
 
 
 def _merged_rows(readings: tuple[DegreeReading, ...]) -> DegreeRows:
-    """The degree rows of a rooted cactus whose m components have these
-    `Planted.degrees` readings: the root polygon is each component's stem,
-    and component i, at colour i + 1, shifts its offsets by i."""
+    """The degree rows of a rooted cactus whose m planted parts have these
+    `Planted.degrees` readings: the root polygon is each part's stem, and
+    part i, at colour i + 1, shifts its offsets by i."""
     m = len(readings)
     rows: list[dict[int, int]] = [{} for _ in readings]
     for i, reading in enumerate(readings):
@@ -204,9 +200,9 @@ def _merged_rows(readings: tuple[DegreeReading, ...]) -> DegreeRows:
 
 def rooted_tally(rooted: list[Rooted]) -> Counter:
     """How many of the rooted cacti have each color and degree statistic:
-    each is read off its components, and the statistics are validated once
+    each is read off its planted parts, and the statistics are validated once
     per distinct degree matrix."""
-    readings = Counter(tuple(pc.degrees for pc in rc.components) for rc in rooted)
+    readings = Counter(tuple(pc.degrees for pc in rc) for rc in rooted)
     matrices: Counter = Counter()
     for key, k in readings.items():
         matrices[_merged_rows(key)] += k
@@ -268,8 +264,7 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
             pair = by_rows[rows] = (color_marginal(degrees), degrees)
         return CactusStats(*pair, aut, centre)
 
-    out = [(rc, statistics(_merged_rows(tuple(pc.degrees for pc in rc.components)),
-                           1, None))
+    out = [(rc, statistics(_merged_rows(tuple(pc.degrees for pc in rc)), 1, None))
            for rc in _rooted(m, p, (p - 1) // 2)]
     # Around a colour-1 centre: the centre, then the first polygon's parts
     arounds = [((Planted(b[1:]),) + b[0], aut) for b, aut in _necklaces(m, p)]
@@ -277,7 +272,7 @@ def enumerate_unlabelled(m: int, p: int) -> list[tuple[Rooted, CactusStats]]:
                  for around, aut in arounds]
     for color in range(1, m + 1):
         shift = m + 1 - color  # a colour-`color` centre leads at that colour
-        out += [(Rooted(around[shift:] + around[:shift]),
+        out += [(around[shift:] + around[:shift],
                  statistics(rows[shift:] + rows[:shift], aut, color))
                 for around, rows, aut in necklaces]
     return out
@@ -358,26 +353,27 @@ def free_labelled_bruteforce(colors: ColorStat) -> int:
     offsets = list(accumulate(colors.counts[:-1], initial=0))
     candidates = [tuple(offsets[i] + v[i] for i in range(colors.m))
                   for v in product(*(range(c) for c in colors.counts))]
+    parent: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def joins(poly: tuple[int, ...]) -> bool:
+        """Merge the polygon's vertices; False if it closes a cycle."""
+        anchor = find(poly[0])
+        for v in poly[1:]:
+            r = find(v)
+            if r == anchor:
+                return False
+            parent[r] = anchor
+        return True
+
     count = 0
     for subset in combinations(candidates, p):
-        parent = list(range(colors.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def joins(poly: tuple[int, ...]) -> bool:
-            """Merge the polygon's vertices; False if it closes a cycle."""
-            anchor = find(poly[0])
-            for v in poly[1:]:
-                r = find(v)
-                if r == anchor:
-                    return False
-                parent[r] = anchor
-            return True
-
+        parent[:] = range(colors.n)
         count += all(map(joins, subset))
     return count
 
@@ -398,7 +394,7 @@ def enumerate_gonal(m: int, p: int) -> int:
     _check_size(m, p, 0)
     keys = set()
     for rc in _rooted(m, p, (p - 1) // 2):
-        doubled = rc.components * 2
+        doubled = rc * 2
         keys.add(min(doubled[r:r + m] for r in range(m)))
     return len(keys) + len(_necklaces(m, p))
 
@@ -423,10 +419,9 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
         rooted = generate_rooted(m, p)
         return len(rooted) if isinstance(stat, SizeStat) else rooted_tally(rooted)[stat]
     if p == 0:
-        lone = (color_stat(m, (1,) + (0,) * (m - 1)) if isinstance(stat, SizeStat)
-                else color_marginal(stat) if isinstance(stat, DegreeStat) else stat)
-        members = [CactusStats(lone, degree_stat(m, [{0: k} for k in lone.counts]),
-                               1, lone.counts.index(1) + 1)]
+        lone = (1,) + (0,) * (m - 1) if isinstance(stat, SizeStat) else stat.counts
+        members = [CactusStats(color_stat(m, lone), degree_stat(m, [{0: k} for k in lone]),
+                               1, lone.index(1) + 1)]
     else:
         members = [st for _, st in enumerate_unlabelled(m, p)
                    if isinstance(stat, SizeStat) or stat in (st.colors, st.degrees)]

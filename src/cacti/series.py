@@ -36,9 +36,8 @@ from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import formulas
-from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
-                    SizeStat, Statistic, UsageError, ValidationError,
-                    color_marginal)
+from .stats import (BudgetExceeded, DegreeStat, InconsistentResult, SizeStat,
+                    Statistic, UsageError, ValidationError, color_marginal)
 
 SERIES_MULTI_BOUND = 16  # the highest order a count or `cacti series` solves
 SERIES_ONE_SORT_BOUND = 64  # the same on the one-sort lists
@@ -362,12 +361,9 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
         target = (stat.n,)
         total = centred(solve_one_sort(stat.m, stat.n), [form])[0][stat.n]
     else:
-        if isinstance(stat, ColorStat):
-            slots, target = (), stat.counts
-        else:
-            slots = tuple((i, h) for i, row in enumerate(stat.rows, start=1)
-                          for h, _ in row)
-            target = stat.color_counts + tuple(k for row in stat.rows for _, k in row)
+        rows = stat.rows if isinstance(stat, DegreeStat) else ()
+        slots = tuple((i, h) for i, row in enumerate(rows, start=1) for h, _ in row)
+        target = stat.counts + tuple(k for row in rows for _, k in row)
         family = solve_planted(stat.m, stat.n, slots, target)
         total = centred(family, [form])[0].get(family.pack(target), 0)
     if Fraction(total).denominator != 1:

@@ -118,9 +118,10 @@ class ColorStat:
 
 @dataclass(frozen=True)
 class DegreeStat:
-    """`p`, `n` and `color_counts`, the vertices per color, are computed
-    once by validation, as plain attributes and not fields, so equality,
-    hashing and repr ignore them."""
+    """`p`, `n` and `counts`, the vertices per color as in `ColorStat`, are
+    computed once by validation, as plain attributes and not fields, so
+    equality, hashing and repr ignore them.  Degree 0 and empty rows
+    validate only as the lone vertex, (((0, 1),), (), ...) rotated."""
 
     # rows[i] lists (degree, multiplicity) pairs for color i+1, sorted by
     # distinct degree, multiplicities >= 1; degrees are unbounded so rows
@@ -133,7 +134,7 @@ class DegreeStat:
         _check_m(m)
         if len(rows) != m:
             raise ValidationError(f"{len(rows)} rows for m = {m} colors")
-        sums, color_counts = [], []
+        sums, counts = [], []
         for row in rows:
             last, total, count = -1, 0, 0
             for j, k in row:
@@ -143,8 +144,8 @@ class DegreeStat:
                     raise ValidationError(f"row {row} not sorted by distinct degree")
                 last, total, count = j, total + j * k, count + k
             sums.append(total)
-            color_counts.append(count)
-        n = sum(color_counts)
+            counts.append(count)
+        n = sum(counts)
         if len(set(sums)) > 1:
             raise RowSumMismatch(f"rows imply different polygon counts: {sums}")
         p = sums[0]
@@ -155,7 +156,7 @@ class DegreeStat:
                 raise IsolatedDegreeZero(f"color {i} has a degree-0 vertex")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "color_counts", tuple(color_counts))
+        object.__setattr__(self, "counts", tuple(counts))
 
 
 Statistic = Union[SizeStat, ColorStat, DegreeStat]
@@ -179,7 +180,7 @@ def degree_stat(m: int, rows: Sequence[Mapping[int, int]]) -> DegreeStat:
 
 def color_marginal(stat: DegreeStat) -> ColorStat:
     """Collapse a degree matrix to its per-color vertex counts."""
-    return color_stat(stat.m, stat.color_counts)
+    return color_stat(stat.m, stat.counts)
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
@@ -189,22 +190,20 @@ def parse_degree_spec(text: str) -> DegreeStat:
     """Parse "1^2 2^2 4; 1^2 2^4" style text into a validated DegreeStat.
 
     Rows are ';'-separated, one per color; each row lists terms ``j^k``
-    (k vertices of degree j) or bare ``j`` (meaning j^1), with j, k >= 1.
+    (k >= 1 vertices of degree j) or bare ``j`` (meaning j^1), no degree
+    twice; `DegreeStat` alone decides which rows are coherent.
     """
     rows = []
     for row_text in text.split(";"):
-        terms = row_text.split()
-        if not terms:
-            raise DegreeSpecError(f"empty row in {text!r}")
         row: dict[int, int] = {}
-        for term in terms:
+        for term in row_text.split():
             match = _TERM_RE.match(term)
             if not match:
                 raise DegreeSpecError(f"bad term {term!r}")
             j = int(match.group(1))
             k = int(match.group(2)) if match.group(2) else 1
-            if j < 1 or k < 1:
-                raise DegreeSpecError(f"term {term!r}: degree and count must be >= 1")
+            if k < 1:
+                raise DegreeSpecError(f"term {term!r}: count must be >= 1")
             if j in row:
                 raise DuplicateDegree(f"degree {j} repeated in row {row_text.strip()!r}")
             row[j] = k

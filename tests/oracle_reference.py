@@ -53,10 +53,10 @@ def to_graph(rc: Rooted) -> CactusGraph:
     Polygon 0 is the root polygon; the cyclic order at each vertex starts
     with the polygon through which the vertex was first reached.
     """
-    m = len(rc.components)
+    m = len(rc)
     g = CactusGraph(m, [], [], [])
     g.polygons.append([-1] * m)
-    for color, pc in enumerate(rc.components, start=1):
+    for color, pc in enumerate(rc, start=1):
         v = _new_vertex(g, color, 0)
         g.polygons[0][color - 1] = v
         _attach(g, v, pc)
@@ -103,8 +103,7 @@ def _polygon_from(g: CactusGraph, v: int, q: int) -> tuple[Planted, ...]:
 
 def re_root(g: CactusGraph, pid: int) -> Rooted:
     """Rebuild the rooted form with polygon `pid` as the root."""
-    comps = tuple(_planted_from(g, g.polygons[pid][c], pid) for c in range(g.m))
-    return Rooted(comps)
+    return tuple(_planted_from(g, g.polygons[pid][c], pid) for c in range(g.m))
 
 
 def _colour_at(color, k, m):
@@ -125,9 +124,9 @@ def encode_planted(pc, color, m):
 
 
 def encode_rooted(rc):
-    m = len(rc.components)
+    m = len(rc)
     return "{" + ",".join(encode_planted(c, color, m)
-                          for color, c in enumerate(rc.components, start=1)) + "}"
+                          for color, c in enumerate(rc, start=1)) + "}"
 
 
 def _degree_rows(g):
@@ -226,7 +225,7 @@ def reference_gonal(m, p):
         g = to_graph(rc)
         best = None
         for pid in range(len(g.polygons)):
-            comps = [_colourless(c) for c in re_root(g, pid).components]
+            comps = [_colourless(c) for c in re_root(g, pid)]
             for r in range(m):
                 key = "{" + ",".join(comps[r:] + comps[:r]) + "}"
                 if best is None or key < best:

@@ -279,7 +279,7 @@ def test_criterion_6_identity_suite():
                 # degree marginalization down to color level
                 by_marginal = {}
                 for d in matrices:
-                    by_marginal.setdefault(d.color_counts, []).append(d)
+                    by_marginal.setdefault(d.counts, []).append(d)
                 for c in vectors:
                     group = by_marginal.get(c.counts, [])
                     assert sum(F.count_rooted(d) for d in group) == F.count_rooted(c)

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 
 import cacti
 import series_reference as ref
-from cacti import cli, series
+from cacti import cli, formulas, series
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -113,6 +114,35 @@ class TestCount:
                                      "--path", "series")
             assert code == 2 and out == ""
             assert err == f"error: UsageError: {message}\n"
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_degree_lone_vertex_prints_as_its_colour_vector(self, capsys, m):
+        """`0^1` in row c and empty rows elsewhere is the lone vertex of colour
+        c: each route, and the oracle check, prints what `--colors` with a 1
+        at c prints, at every mode it answers; JSON echoes the spec."""
+        modes = [(mode, options) for mode, entry in formulas.MODES.items()
+                 if entry.level is None
+                 for options in ([["--color", str(k)] for k in range(1, m + 1)]
+                                 if mode == "pointed" else
+                                 [["--s", "2"]] if mode.startswith("aut-") else [[]])]
+        for c in range(1, m + 1):
+            degrees = "; ".join("0^1" if i == c else "" for i in range(1, m + 1))
+            colors = ",".join(str(int(i == c)) for i in range(1, m + 1))
+            for (mode, options), route, fmt in itertools.product(
+                    modes, [["--path", "formula"], ["--path", "series"],
+                            ["--path", "oracle"], ["--check", "oracle"]],
+                    [[], ["--format", "json"]]):
+                flags = ["--m", str(m), "--mode", mode, *options, *route, *fmt]
+                by_degrees = run_cli(capsys, "count", "--degrees", degrees, *flags)
+                by_colors = run_cli(capsys, "count", "--colors", colors, *flags)
+                assert by_degrees[0] == 0 and by_degrees[2] == "", (degrees, flags)
+                if fmt:
+                    echo, plain = json.loads(by_degrees[1]), json.loads(by_colors[1])
+                    assert echo["query"].pop("degrees") == degrees
+                    plain["query"].pop("colors")
+                    assert echo == plain, (degrees, flags)
+                else:
+                    assert by_degrees == by_colors, (degrees, flags)
 
     def test_check_oracle_passes(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--m", "3", "--p", "3",

@@ -286,7 +286,7 @@ class TestIdentities:
     @pytest.mark.parametrize("m,p", [(2, 5), (3, 3)])
     def test_labelled_rooted_bridge_degree_level(self, m, p):
         for d in oracle._all_degree_matrices(m, p):
-            labellings = math.prod(math.factorial(x) for x in d.color_counts)
+            labellings = math.prod(math.factorial(x) for x in d.counts)
             assert p * F.count_labelled(d) == labellings * F.count_rooted(d)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=30))

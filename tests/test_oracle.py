@@ -66,7 +66,7 @@ def parse_rooted(text: str) -> Rooted:
         raise ValueError(f"trailing junk in {text!r}")
     if len(comps) != m:
         raise ValueError(f"{len(comps)} components, expected {m} in {text!r}")
-    return Rooted(tuple(comps))
+    return tuple(comps)
 
 
 def test_generate_rooted_counts():
@@ -104,7 +104,7 @@ def two_triangles_shared_color1() -> Rooted:
     # two triangles glued at their color-1 vertex; rooted at one of them
     leaf = Planted(())
     hub = Planted(((leaf, leaf),))
-    return Rooted((hub, leaf, leaf))
+    return (hub, leaf, leaf)
 
 
 def _read_stats(g):
@@ -160,7 +160,7 @@ def test_unlabelled_classes_read_each_necklace_once(monkeypatch):
 
 
 def test_to_graph_shapes():
-    single = Rooted((Planted(()),) * 3)
+    single = (Planted(()),) * 3
     g = to_graph(single)
     assert len(g.colors) == 3 and len(g.polygons) == 1
 
@@ -238,7 +238,7 @@ def test_count_pointed_orbits():
     g = to_graph(two_triangles_shared_color1())
     assert count_pointed_orbits(g, 1) == 1
     assert count_pointed_orbits(g, 2) == 1
-    single = Rooted((Planted(()),) * 3)
+    single = (Planted(()),) * 3
     gs = to_graph(single)
     assert all(count_pointed_orbits(gs, c) == 1 for c in (1, 2, 3))
     # By Burnside: the centre of colour 1 is fixed, the two colour-2

@@ -21,7 +21,7 @@ import pytest
 
 from cacti import formulas, oracle
 from cacti.formulas import GonalKind
-from cacti.oracle import Planted, Rooted
+from cacti.oracle import Planted
 from cacti.stats import InconsistentResult
 import oracle_reference
 from oracle_reference import (
@@ -141,7 +141,7 @@ def test_hook_census_is_the_permutation_census(m, p_max):
 
 
 def test_re_rooting_outside_the_generated_list_raises(monkeypatch):
-    stray = Rooted((Planted(()), Planted(((Planted(()),),) * 9)))
+    stray = (Planted(()), Planted(((Planted(()),),) * 9))
     monkeypatch.setattr(oracle_reference, "re_root", lambda g, pid: stray)
     with pytest.raises(InconsistentResult, match="not generated"):
         reference_classes(2, 3)

@@ -44,7 +44,7 @@ def _exponent(fam: series.PlantedFamily, d: stats.DegreeStat) -> tuple:
     """A degree statistic's exponent in a weighted family: color counts, then
     the multiplicity of each marker slot (color, degree)."""
     rows = [dict(row) for row in d.rows]
-    return d.color_counts + tuple(rows[i - 1].get(h, 0) for i, h in fam.slots)
+    return d.counts + tuple(rows[i - 1].get(h, 0) for i, h in fam.slots)
 
 
 def collapse_to_one_sort(coeffs: dict) -> dict:

@@ -33,7 +33,7 @@ def test_size_validation():
 
 def test_degree_validation():
     d = stats.parse_degree_spec("1^2 2^2 4^1; 1^2 2^4")
-    assert d.p == 10 and d.n == 11 and d.color_counts == (5, 6)
+    assert d.p == 10 and d.n == 11 and d.counts == (5, 6)
     with pytest.raises(stats.RowSumMismatch):
         stats.parse_degree_spec("1^5 3^2; 2^7")
     # a degree-0 vertex is rejected once p >= 1
@@ -55,10 +55,19 @@ def test_degree_spec_grammar():
         stats.parse_degree_spec("1^2 1^3; 2^7")
     with pytest.raises(stats.DegreeSpecError):
         stats.parse_degree_spec("1^2 x; 2^7")
-    with pytest.raises(stats.DegreeSpecError):
+    # The parser only parses: degree 0 and empty rows reach validation,
+    # which refuses them at p >= 1 and keeps the lone vertex at p = 0.
+    with pytest.raises(stats.RowSumMismatch):
         stats.parse_degree_spec("0^2; 2^7")
-    with pytest.raises(stats.DegreeSpecError):
+    with pytest.raises(stats.RowSumMismatch):
         stats.parse_degree_spec("1^2;; 1^2")
+    with pytest.raises(stats.IsolatedDegreeZero):
+        stats.parse_degree_spec("0^1 2^1; 2^1")
+    lone = stats.parse_degree_spec("0^1; ;")
+    assert (lone.p, lone.n, lone.counts) == (0, 1, (1, 0, 0))
+    # a zero multiplicity would be dropped silently by `degree_stat`
+    with pytest.raises(stats.DegreeSpecError):
+        stats.parse_degree_spec("2^0; 1")
 
 
 def test_color_marginal():
@@ -79,7 +88,7 @@ def test_shift():
     assert shift(shift(c, 1), 2) == c
     d = stats.parse_degree_spec("1^2 2^2 4^1; 1^2 2^4")
     assert shift(d, 2) == d
-    assert shift(d, 1).color_counts == (6, 5)
+    assert shift(d, 1).counts == (6, 5)
     assert shift(d, 1).p == d.p
     with pytest.raises(TypeError):
         shift(stats.size_stat(2, 3), 1)
@@ -204,17 +213,18 @@ def test_direct_degree_rows_must_be_in_normal_form():
      "DegreeStat(m=2, rows=(((1, 2), (2, 2), (4, 1)), ((1, 2), (2, 4))))"),
 ], ids=["color", "degree"])
 def test_cached_sizes_leave_equality_hash_and_repr_alone(stat, fields, sizes, text):
-    """`p`, `n` and `color_counts` are stored on the object by validation,
-    not as fields: the oracle's tallies key by statistics, so they must not
-    change a statistic's fields, nor how it compares, hashes or prints."""
+    """`p`, `n` and a degree matrix's `counts` are stored on the object by
+    validation, not as fields: the oracle's tallies key by statistics, so they
+    must not change a statistic's fields, nor how it compares, hashes or
+    prints."""
     fresh = type(stat)(*fields)
     assert tuple(getattr(fresh, f.name) for f in dataclasses.fields(fresh)) == fields
     stored = vars(fresh)  # set at construction, before any read
     assert (stored["p"], stored["n"]) == sizes
-    assert all(name not in vars(type(fresh)) for name in ("p", "n", "color_counts"))
+    assert all(name not in vars(type(fresh)) for name in ("p", "n", "counts"))
     assert (stat.p, stat.n) == sizes
     if isinstance(stat, stats.DegreeStat):
-        assert stat.color_counts == (5, 6)
+        assert stat.counts == (5, 6)
     assert stat == fresh and hash(stat) == hash(fresh) == hash(fields)
     assert repr(stat) == repr(fresh) == text
     assert {fresh: 1}[stat] == 1
