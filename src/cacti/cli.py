@@ -265,10 +265,10 @@ def _count_options(count: argparse.ArgumentParser) -> None:
     count.add_argument("--s", type=int, help="automorphism order for aut-* modes")
     count.add_argument("--kind", choices=[k.value for k in GonalKind],
                        default="unlabelled", help="gonal count kind")
-    count.add_argument("--path", choices=["formula", "series", "oracle"],
-                       default="formula", help="computation path")
-    count.add_argument("--check", choices=["oracle"],
-                       help="recompute via the oracle and fail on mismatch")
+    count.add_argument("--path", choices=ROUTES, default="formula",
+                       help="computation path")
+    count.add_argument("--check", choices=ROUTES,
+                       help="recompute on this route; exit 1 on a mismatch")
     count.add_argument("--format", choices=["text", "json"], default="text")
     count.set_defaults(func=cmd_count)
 

@@ -8,9 +8,8 @@ import pytest
 
 from cacti import formulas, oracle, stats
 
-# The statistics and sizes of the oracle cross-check in the acceptance suite.
-VERIFY_SIZES = [(2, p) for p in range(1, 7)] + [(3, p) for p in range(1, 5)] + [
-    (4, p) for p in range(1, 4)]
+# Every size that `verify` reaches for m = 2..7, p up to `oracle.reach(m)`.
+VERIFY_SIZES = [(m, p) for m in range(2, 8) for p in range(1, oracle.reach(m) + 1)]
 
 
 def _statistics(m: int, p: int) -> list:

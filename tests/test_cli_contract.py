@@ -100,9 +100,8 @@ def count_argv_with_junk(draw) -> list[str]:
             + draw(st.sampled_from([[], ["extra"]])))
 
 
-ROUTE = st.sampled_from([[], ["--path", "formula"], ["--path", "series"],
-                         ["--path", "oracle"]])
-CHECK = st.sampled_from([[], ["--check", "oracle"]])
+ROUTE = st.sampled_from([[]] + [["--path", route] for route in cli.ROUTES])
+CHECK = st.sampled_from([[]] + [["--check", route] for route in cli.ROUTES])
 
 SERIES_ARGV = st.builds(
     lambda m, order, target, one_sort, color, fmt:

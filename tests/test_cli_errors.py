@@ -106,7 +106,8 @@ MODE_FLAGS = [[mode, *flags] for mode in F.MODES
               for flags in ([("--kind", k.value) for k in F.GonalKind]
                             if mode == "gonal" else
                             [("--s", "2")] if mode.startswith("aut-") else [()])]
-ROUTES = [["--path", "oracle"], ["--path", "series"], ["--check", "oracle"]]
+ROUTES = [["--path", "oracle"], ["--path", "series"], ["--check", "oracle"],
+          ["--check", "series"]]
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=" ".join)

@@ -1,6 +1,7 @@
 """Result checks that hold under ``python -O`` and exit 2 when they fail, and
-``count --check oracle``."""
+``count --check`` on every route."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import cacti
 from cacti import cli, oracle, series
 from cacti import formulas as F
 from cacti.stats import InconsistentResult
+from test_series_bounds import _degree_spec
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
@@ -151,3 +153,56 @@ def test_oracle_path_is_not_rechecked_by_itself(capsys, monkeypatch):
                      "--path", "oracle", "--check", "oracle"])
     assert code == 0 and capsys.readouterr().out.strip() == "3"
     assert calls == ["asymmetric"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_check_on_any_route_prints_what_the_path_alone_prints(capsys, m):
+    """At one size, one colour vector and one degree matrix, every mode that
+    two routes both answer passes `--path X --check Y`, printing what
+    `--path X` prints."""
+    levels = [["--p", "3"],
+              ["--colors", ",".join(map(str, oracle._all_color_vectors(m, 3)[1].counts))],
+              ["--degrees", _degree_spec(oracle._all_degree_matrices(m, 3)[1])]]
+    modes = [[mode, *flags] for mode in F.MODES
+             for flags in ([["--color", str(c)] for c in range(1, m + 1)]
+                           if mode == "pointed" else
+                           [["--s", "3"]] if mode.startswith("aut-") else [[]])]
+    checked = 0
+    for level, mode_flags in itertools.product(levels, modes):
+        argv = ["count", "--m", str(m), *level, "--mode", *mode_flags]
+        alone = {}
+        for route in cli.ROUTES:
+            code = cli.main(argv + ["--path", route])
+            alone[route] = code, capsys.readouterr()
+        for path, check in itertools.permutations(cli.ROUTES, 2):
+            if alone[path][0] == alone[check][0] == 0:
+                code = cli.main(argv + ["--path", path, "--check", check])
+                assert (code, capsys.readouterr()) == alone[path], (argv, path, check)
+                checked += 1
+    assert checked > 100
+
+
+def test_check_series_mismatch_exits_1(capsys, monkeypatch):
+    count = series.count
+    monkeypatch.setitem(cli.ROUTES, "series",
+                        lambda mode, stat, **options: count(mode, stat, **options) + 1)
+    code = cli.main(["count", "--m", "3", "--colors", "2,2,3", "--mode",
+                     "unlabelled", "--check", "series"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "MISMATCH: formula gives 1, series gives 2\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "3", "--mode", "constellation", "--check", "series"],
+     "--path series does not support mode 'constellation'"),
+    (["--p", "3", "--mode", "gonal", "--kind", "rooted", "--check", "oracle"],
+     "--path oracle supports only unlabelled gonal counts"),
+    (["--degrees", "3^1; 1^3; 1^3", "--mode", "unlabelled", "--check", "series"],
+     "--path series at degree level counts no centres: --mode rooted or labelled only"),
+], ids=["constellation-series", "gonal-rooted-oracle", "degree-centres-series"])
+def test_a_check_route_that_refuses_exits_2(capsys, flags, message):
+    """The formula route answers each of these; the check route's refusal
+    exits 2, never 1."""
+    assert cli.main(["count", "--m", "3", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: UsageError: {message}\n")

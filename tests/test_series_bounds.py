@@ -1,6 +1,6 @@
-"""Series against closed forms at the CLI's series order bounds."""
+"""Series against closed forms at the CLI's series order bounds, and the
+multivariate series at twice its bound."""
 
-import itertools
 import math
 
 import pytest
@@ -8,30 +8,78 @@ import pytest
 from cacti import cli
 from cacti import formulas as F
 from cacti import oracle, series, stats
-from cacti.arith import euler_phi
 import series_reference as ref
 from test_series import weighted_family
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_color_level_at_multi_bound(m):
-    order = series.SERIES_MULTI_BOUND
+def _series_queries(stat) -> list[tuple[str, dict, F.Centres]]:
+    """(mode, options, form) of every count that `count --path series`
+    answers at the level of `stat`, form being the mode's `Centres`: pointed
+    at each colour below size level, the automorphism strata at s = 2..p."""
+    out = []
+    for mode, entry in F.MODES.items():
+        if entry.centres is None:
+            continue
+        if mode.startswith("aut-"):
+            choices = [{"s": s} for s in range(2, stat.p + 1)]
+        elif mode == "pointed" and not isinstance(stat, stats.SizeStat):
+            choices = [{"color": c} for c in range(1, stat.m + 1)]
+        else:
+            choices = [{}]
+        out += [(mode, options, entry.centres(stat, **options)) for options in choices]
+    return out
+
+
+def _read_all(family, forms) -> dict:
+    """Each distinct form of `forms` with its series, from one
+    `series.centred` call on `family`."""
+    forms = list(dict.fromkeys(forms))
+    return dict(zip(forms, series.centred(family, forms)))
+
+
+@pytest.mark.parametrize("order", [series.SERIES_MULTI_BOUND,
+                                   2 * series.SERIES_MULTI_BOUND])
+@pytest.mark.parametrize("m", range(2, 6))
+def test_color_level_at_multi_bound(m, order):
+    """Every colour-level series count against its closed form and against
+    its entry of `formulas.centred_counts`, all from one unboxed family."""
     fam = series.solve_planted(m, order)
-    rooted = ref.read(fam, ref.ROOTED)
-    unlabelled = ref.read(fam, ref.unlabelled_form(m))
-    pointed = [ref.read(fam, ref.centre(c, euler_phi)) for c in range(1, m + 1)]
-    checked = set()
-    for p in range(1, (order - 1) // (m - 1) + 1):
-        for counts in itertools.product(range(1, p + 1), repeat=m):
-            if sum(counts) != (m - 1) * p + 1:
-                continue
-            c = stats.color_stat(m, counts)
-            assert rooted.get(counts, 0) == F.count_rooted(c)
-            assert unlabelled.get(counts, 0) == F.count_unlabelled(c)
-            for color in range(1, m + 1):
-                assert pointed[color - 1].get(counts, 0) == F.count_pointed(c, color)
-            checked.add(counts)
-    assert set(rooted) == checked
+    vectors = [c for p in range(1, (order - 1) // (m - 1) + 1)
+               for c in oracle._all_color_vectors(m, p)]
+    queries = [(c, query) for c in vectors for query in _series_queries(c)]
+    entries = []
+    for c in vectors:
+        keys, forms = F.centred_forms(c)
+        counts = F.centred_counts(c, (keys, forms))
+        entries += [(c, key, counts[key], form) for key, form in zip(keys, forms)]
+    found = _read_all(fam, [ref.ROOTED] + [form for _, (_, _, form) in queries]
+                      + [form for *_, form in entries])
+    for c, (mode, options, form) in queries:
+        assert found[form].get(fam.pack(c.counts), 0) == F.MODES[mode].formula(
+            c, **options), (c.counts, mode, options)
+    for c, key, count, form in entries:
+        assert found[form].get(fam.pack(c.counts), 0) == count, (c.counts, key)
+    # R has no monomial outside the realizable colour vectors.
+    assert ({fam.unpack(e) for e, value in found[ref.ROOTED].items() if value}
+            == {c.counts for c in vectors})
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_size_level_at_one_sort_bound(m):
+    """Every size-level series count, read off the one-sort lists at
+    x^n, n = (m - 1)p + 1, against its closed form; the unlabelled series
+    that `cacti series --one-sort` prints has no other term."""
+    order = series.SERIES_ONE_SORT_BOUND
+    sizes = [stats.size_stat(m, p) for p in range((order - 1) // (m - 1) + 1)]
+    queries = [(z, query) for z in sizes[1:] for query in _series_queries(z)]
+    printed = F.MODES["unlabelled"].centres(sizes[1])
+    found = _read_all(series.solve_one_sort(m, order),
+                      [printed] + [form for _, (_, _, form) in queries])
+    for z, (mode, options, form) in queries:
+        assert found[form][z.n] == F.MODES[mode].formula(z, **options), (
+            z.p, mode, options)
+    assert ({n: c for n, c in enumerate(found[printed]) if c}
+            == {z.n: F.count_unlabelled(z) for z in sizes})
 
 
 def test_degree_level_at_multi_bound(capsys):
