@@ -1,8 +1,7 @@
 """Exact integer arithmetic primitives used by every counting formula.
 
 All functions work on Python's arbitrary-precision ints and never touch
-floating point.  Rationals (intermediate values in divisor-sum formulas)
-are `fractions.Fraction`.
+floating point; the divisor sums keep integer numerators over one denominator.
 
 Out-of-range binomials return 0 instead of raising: the divisor sums in the
 counting formulas rely on vanishing terms whenever an index fails a

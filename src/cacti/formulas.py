@@ -37,9 +37,9 @@ over isomorphism classes, the statistic level it is bound to and its
 Conventions for the empty cactus (p = 0, a single vertex): rooted counts are
 0 (there is no polygon to distinguish), and so are the strata s >= 2 (it
 has no symmetry), and so are pointed counts at a colour the vertex lacks;
-all other counts are 1.  Every division in the formulas below cancels
-exactly; `_exact` raises `InconsistentResult` on a remainder, which would
-signal an implementation bug.
+all other counts are 1.  Every division of a count below cancels
+exactly and goes through `stats.exact`, which raises `InconsistentResult`
+on a remainder, a sign of an implementation bug.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .arith import binomial, divisors, euler_phi, moebius_mu, multinomial
-from .stats import (ColorStat, InconsistentResult, SizeStat, Statistic,
-                    ValidationError, size_stat)
+from .stats import (ColorStat, SizeStat, Statistic, ValidationError, exact,
+                    size_stat)
 
 
 class AutMode(Enum):
@@ -88,27 +88,20 @@ class NonPositiveP(ValidationError):
     """Constellations need at least one polygon."""
 
 
-def _exact(value: int | Fraction, context: str, den: int = 1) -> int:
-    quotient, rest = divmod(value, den)
-    if rest:
-        raise InconsistentResult(f"non-integral {context}: {Fraction(value, den)}")
-    return quotient
-
-
 def count_rooted(stat: Statistic) -> int:
     """Cacti with a distinguished polygon (these have no symmetries)."""
     p = stat.p
     if p == 0:
         return 0
     if isinstance(stat, SizeStat):
-        return _exact(binomial(stat.m * p, p), "rooted size count", stat.n)
+        return exact(binomial(stat.m * p, p), "rooted size count", stat.n)
     if isinstance(stat, ColorStat):
         prod = math.prod(binomial(p, c) for c in stat.counts)
-        return _exact(prod, "rooted color count", p)
+        return exact(prod, "rooted color count", p)
     prod = math.prod(multinomial(c, [k for _, k in row])
                      for c, row in zip(stat.counts, stat.rows))
-    return _exact(p ** (stat.m - 1) * prod, "rooted degree count",
-                  math.prod(stat.counts))
+    return exact(p ** (stat.m - 1) * prod, "rooted degree count",
+                 math.prod(stat.counts))
 
 
 def _labellings(stat: Statistic) -> int:
@@ -127,7 +120,7 @@ def count_labelled(stat: Statistic) -> int:
     p = stat.p
     if p == 0:
         return 1
-    return _exact(_labellings(stat) * count_rooted(stat), "labelled count", p)
+    return exact(_labellings(stat) * count_rooted(stat), "labelled count", p)
 
 
 def pointed_colors(stat: Statistic, color: int | None) -> range:
@@ -230,14 +223,14 @@ def _count_centred(stat: Statistic, forms: Sequence[Centres]) -> list[int]:
                                         for row in lowered))
         den = math.prod(vertices)
     rooted = count_rooted(stat) if any(f.s == 1 or f.rooted for f in forms) else 0
-    base = rooted * den // p  # R / p over den, the d = 1 term per vertex
+    base = exact(rooted * den, "d = 1 term", p)  # R / p over den, per vertex
     counts = []
     for form, total in zip(forms, totals):
         if form.s == 1 and form.colors:
-            total += form.weight(1) * (base * stat.n // m if size else
+            total += form.weight(1) * (exact(base * stat.n, "d = 1 term", m) if size else
                                        base * sum([vertices[c - 1] for c in form.colors]))
-        counts.append(_exact((len(form.colors) if size else 1) * total
-                             + form.rooted * rooted * den, "centred count", den))
+        counts.append(exact((len(form.colors) if size else 1) * total
+                            + form.rooted * rooted * den, "centred count", den))
     return counts
 
 
@@ -317,7 +310,7 @@ def gonal_orbits(stat: SizeStat, coloured: int) -> int:
         return coloured
     fixed = sum(euler_phi(d) * binomial(m * p // d, (p - 1) // d)
                 for d in divisors(math.gcd(m, p - 1)) if d >= 2)
-    return _exact(p * coloured + fixed, "gonal count", m * p)
+    return exact(p * coloured + fixed, "gonal count", m * p)
 
 
 def count_gonal(m: int, p: int, kind: GonalKind) -> int:
@@ -330,7 +323,7 @@ def count_gonal(m: int, p: int, kind: GonalKind) -> int:
         return int(kind is not GonalKind.ROOTED)
     if kind in (GonalKind.LABELLED, GonalKind.POINTED):
         coloured = (count_labelled if kind is GonalKind.LABELLED else count_pointed)(stat)
-        return _exact(coloured, f"{kind.value} gonal count", m)
+        return exact(coloured, "gonal count", m, at=kind.value)
     if kind is GonalKind.UNLABELLED:
         return gonal_orbits(stat, count_unlabelled(stat))
     rooted = count_rooted(stat)
@@ -346,8 +339,8 @@ def count_free_labelled(colors: ColorStat) -> int:
     counts = colors.counts
     num = p ** (colors.m - 2) * math.prod(math.factorial(c - 1) * c ** (p - c)
                                           for c in counts)
-    return _exact(num, "free labelled count",
-                  math.prod(math.factorial(p - c) for c in counts))
+    return exact(num, "free labelled count",
+                 math.prod(math.factorial(p - c) for c in counts))
 
 
 def count_constellation_rooted(m: int, p: int) -> int:
@@ -356,8 +349,8 @@ def count_constellation_rooted(m: int, p: int) -> int:
         raise ValidationError(f"gon size m = {m}, need m >= 2")
     if p < 1:
         raise NonPositiveP(f"constellations need p >= 1, got {p}")
-    return _exact((m + 1) * m ** (p - 1) * binomial(m * p, p),
-                  "rooted constellation count", ((m - 1) * p + 2) * ((m - 1) * p + 1))
+    return exact((m + 1) * m ** (p - 1) * binomial(m * p, p),
+                 "rooted constellation count", ((m - 1) * p + 2) * ((m - 1) * p + 1))
 
 
 @dataclass(frozen=True)
@@ -404,7 +397,8 @@ MODES: dict[str, Mode] = {
     # the lone vertex has one labelling and is one class, with no symmetry.
     "labelled": Mode(lambda stat, **_: count_labelled(stat),
                      lambda members, stat, **_: sum(  # the labellings once
-                         n // st.aut_order for n in [_labellings(stat)] for st in members),
+                         exact(n, "labelled class count", st.aut_order)
+                         for n in [_labellings(stat)] for st in members),
                      centres=lambda stat, **_: Centres(
                          (), None, 1, Fraction(_labellings(stat), stat.p))
                      if stat.p else class_centres(stat, euler_phi)),

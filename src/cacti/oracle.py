@@ -42,7 +42,8 @@ census over the permutations.  Budgets cap work known before it is done:
 generation by its C(mp, p) / ((m - 1)p + 1) rooted cacti, counted by
 `math.comb` and not by `formulas`, the free brute force by its subsets and
 the census by its keys.  Beyond them the functions raise instead of
-grinding for hours.
+grinding for hours.  Orbits, rootings and census entries are divided by
+`stats.exact`, which raises `InconsistentResult` on a remainder.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from operator import mul
@@ -61,7 +61,7 @@ from .formulas import ColorOutOfRange  # raised by CactusStats.pointed
 from .formulas import GonalKind
 from .stats import (BudgetExceeded, ColorStat, DegreeStat, InconsistentResult,
                     SizeStat, Statistic, UsageError, ValidationError,
-                    color_marginal, color_stat, degree_stat, size_stat)
+                    color_marginal, color_stat, degree_stat, exact, size_stat)
 
 ROOTED_BUDGET = 1430  # generate_rooted: rooted cacti, C(16, 8) / 9 at (2, 8)
 # factorizations: max p per m, 1 past m = 7; the census keeps up to P(p)^m keys
@@ -110,20 +110,15 @@ class CactusStats:
         if not 1 <= color <= self.colors.m:
             raise ColorOutOfRange(f"color {color} not in 1..{self.colors.m}")
         fixed = int(self.centre == color)
-        orbits, rest = divmod(self.colors.counts[color - 1] - fixed,
-                              self.aut_order)
-        if rest:
-            raise InconsistentResult(
-                f"{self.aut_order} does not divide the moved colour-{color} "
-                "vertices")
-        return orbits + fixed
+        return exact(self.colors.counts[color - 1] - fixed, "pointed orbit count",
+                     self.aut_order, at=color) + fixed
 
 
 def reach(m: int) -> int:
     """The largest p whose C(mp, p) / ((m - 1)p + 1) rooted cacti fit in
     `ROOTED_BUDGET`, counted up: no binomial past the first misfit is built."""
     p = 2
-    while math.comb(m * p, p) // ((m - 1) * p + 1) <= ROOTED_BUDGET:
+    while exact(math.comb(m * p, p), "rooted count", (m - 1) * p + 1) <= ROOTED_BUDGET:
         p += 1
     return p - 1
 
@@ -316,7 +311,8 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
         raise BudgetExceeded(
             f"factorizations capped at p <= {FACT_BUDGET.get(m, 1)} for m = {m}")
     order = math.factorial(p)
-    classes = [(row, order // math.prod(part ** k * math.factorial(k) for part, k in row),
+    classes = [(row, exact(order, "class size", math.prod(part ** k * math.factorial(k)
+                                                          for part, k in row)),
                 _hook_characters(row)) for row in _partitions(p)]
     degrees = [math.comb(p - 1, k) ** (m - 1) for k in range(p)]
     scale = math.lcm(*degrees)
@@ -328,12 +324,8 @@ def factorizations(m: int, p: int) -> dict[tuple[CycleType, ...], int]:
     for key, size, weights in prefixes:
         for row, c, chi in classes:
             if total := sum(map(mul, weights, chi)):
-                count, rest = divmod(size * c * total, scale * order)
-                if rest:
-                    raise InconsistentResult(
-                        f"non-integral census at {key + (row,)}: "
-                        f"{Fraction(size * c * total, scale * order)}")
-                census[key + (row,)] = count
+                at = key + (row,)
+                census[at] = exact(size * c * total, "census", scale * order, at)
     return census
 
 
@@ -407,9 +399,10 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
     `enumerate_unlabelled`.  The lone vertex (p = 0) has no rooting, and is
     one rigid class, pointed once at its own colour, colour 1 at size level."""
     if mode == "gonal" and kind is not GonalKind.UNLABELLED:
-        raise UsageError("--path oracle supports only unlabelled gonal counts")
+        raise UsageError("the oracle route counts only unlabelled gonal classes")
     if mode == "constellation":
-        raise UsageError("no exhaustive constellation generator; use --path formula")
+        raise UsageError("the oracle route has no constellation generator; "
+                         "use --path formula")
     m, p = stat.m, stat.p
     if mode == "free":
         return free_labelled_bruteforce(stat)
@@ -474,15 +467,11 @@ def _partitions(p: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _all_degree_matrices(m: int, p: int) -> list[DegreeStat]:
     """Every realizable degree distribution for the given m and p."""
-    n = (m - 1) * p + 1
     rows_by_len: dict[int, list] = {}
     for row in _partitions(p):
         rows_by_len.setdefault(sum(k for _, k in row), []).append(row)
-    out = [DegreeStat(m, combo) for counts in _all_color_vectors(m, p)
-           for combo in product(*(rows_by_len.get(c, []) for c in counts.counts))]
-    if any(sum(k for r in d.rows for _, k in r) != n for d in out):
-        raise InconsistentResult(f"a degree matrix misses n = {n} vertices")
-    return out
+    return [DegreeStat(m, combo) for counts in _all_color_vectors(m, p)
+            for combo in product(*(rows_by_len.get(c, []) for c in counts.counts))]
 
 
 def verify(m: int, p_max: int) -> VerifyReport:
@@ -517,7 +506,7 @@ def verify(m: int, p_max: int) -> VerifyReport:
         size = size_stat(m, p)
         rooted = generate_rooted(m, p)
         classes = [st for _, st in enumerate_unlabelled(m, p)]
-        rootings = sum(p // st.aut_order for st in classes)
+        rootings = sum(exact(p, "rootings", st.aut_order) for st in classes)
         if rootings != len(rooted):
             raise InconsistentResult(
                 f"{len(classes)} classes have {rootings} rootings, "
@@ -552,10 +541,9 @@ def verify(m: int, p_max: int) -> VerifyReport:
                     pairs.append(compare((f"aut={s}", *key), "aut-exact", stat, s))
                     if level == "size":
                         pairs.append(compare((f"aut>={s}",), "aut-atleast", stat, s))
-                if level == "degree":  # the sum of 1/|Aut|: a class has p/|Aut| rootings
-                    pairs.append((("reciprocal", *key),
-                                  Fraction(centred[stat]["rooted", None], p),
-                                  sum(Fraction(1, st.aut_order)
+                if level == "degree":  # p times the sum of 1/|Aut|: the rootings
+                    pairs.append((("reciprocal", *key), centred[stat]["rooted", None],
+                                  sum(exact(p, "rootings", st.aut_order)
                                       for st in groups.get(stat, []))))
             record(f"classes {level}", p, pairs)
 

@@ -12,32 +12,31 @@ series as total degree -> part, each exponent packed into one int (see
 `PlantedFamily`), and `centred` keys its series so.  The centre series at
 weight w (phi or mu) and stretch s takes one log L = log(A_i/x_i) = log(1 +
 R/x_i) for every d: its Euler derivative is solved in integers, and each
-coefficient is one exact division by its total degree, which raises
-`InconsistentResult` if it leaves a remainder.  The weighted variant marks a
-color-i vertex of degree h with r[i,h], one more coordinate of the exponent
-after x_1..x_m.  The one-sort family, every color graded by one x, is the
-list of A = x + A^m by degree, one term a degree; R = A - x and the centre
-series are lists too, read without the packed layer.  Truncation is by the
-total degree of the x coordinates: every monomial of a p-polygon cactus has
-total degree (m-1)p + 1, so a total-degree bound is a polygon bound, and a
-product of k planted series lies at total degrees = k (mod m - 1): the
-solver forms no other part, and keeps no empty one.  A count of one
-statistic solves inside a box instead, one cap per coordinate taken from the
-statistic: a term above a cap cannot divide the target, so it is dropped as
-soon as it is formed.
+coefficient is one exact division by its total degree, guarded inline (a
+remainder raises `InconsistentResult`); the count read off a series goes
+through `stats.exact`.  The weighted variant marks a color-i vertex of
+degree h with r[i,h], one more coordinate of the exponent after x_1..x_m.
+The one-sort family, every color graded by one x, is the list of A = x + A^m
+by degree, one term a degree; R = A - x and the centre series are lists too,
+read without the packed layer.  Truncation is by the total degree of the x
+coordinates: every monomial of a p-polygon cactus has total degree
+(m-1)p + 1, so a total-degree bound is a polygon bound, and a product of k
+planted series lies at total degrees = k (mod m - 1): the solver forms no
+other part, and keeps no empty one.  A count of one statistic solves inside
+a box instead, one cap per coordinate taken from the statistic: a term above
+a cap cannot divide the target, so it is dropped as soon as it is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import formulas
 from .stats import (BudgetExceeded, DegreeStat, InconsistentResult, SizeStat,
-                    Statistic, UsageError, ValidationError, color_marginal)
+                    Statistic, UsageError, ValidationError, color_marginal, exact)
 
 SERIES_MULTI_BOUND = 16  # the highest order a count or `cacti series` solves
 SERIES_ONE_SORT_BOUND = 64  # the same on the one-sort lists
@@ -234,6 +233,7 @@ def one_sort_centre(m: int, a: list[int], weight: Callable[[int], int],
             sums[s * d * g] += s * w[d] * t[g]
     centre = [0, int(s == 1)] + [0] * (order - 1)  # x * [s = 1]
     for n in range(s * q, order, s * q):
+        # Inline, as in `_centre`: `stats.exact` would build its `at` tuple per term
         centre[n + 1], rest = divmod(sums[n], n)
         if rest:
             raise InconsistentResult(
@@ -347,7 +347,7 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
     marks degree 0, so the lone vertex is counted at its colour vector."""
     centres = formulas.MODES[mode].centres
     if centres is None:
-        raise UsageError(f"--path series does not support mode {mode!r}")
+        raise UsageError(f"the series route does not support mode {mode!r}")
     if isinstance(stat, DegreeStat) and stat.p == 0:
         stat = color_marginal(stat)
     form = centres(stat, color=color, s=s)
@@ -355,7 +355,7 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
     if stat.n > bound:
         raise BudgetExceeded(f"series order {stat.n} > {bound}")
     if isinstance(stat, DegreeStat) and form.colors:
-        raise UsageError("--path series at degree level counts no centres: "
+        raise UsageError("the series route counts no centres at degree level: "
                          "--mode rooted or labelled only")
     if isinstance(stat, SizeStat):  # one-sort: the order caps x
         target = (stat.n,)
@@ -366,6 +366,4 @@ def count(mode: str, stat: Statistic, *, color: int | None = None,
         target = stat.counts + tuple(k for row in rows for _, k in row)
         family = solve_planted(stat.m, stat.n, slots, target)
         total = centred(family, [form])[0].get(family.pack(target), 0)
-    if Fraction(total).denominator != 1:
-        raise InconsistentResult(f"count {total} at {target} is not an integer")
-    return int(total)
+    return exact(total, "count", at=target)

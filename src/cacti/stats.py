@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 
@@ -43,6 +44,16 @@ class InconsistentResult(RuntimeError):
     Raised where a check guards a result rather than an input, so that it
     holds under ``python -O`` too.
     """
+
+
+def exact(value: int | Fraction, what: str, den: int = 1, at: object = None) -> int:
+    """`value` / `den`, a count that divides exactly by construction, else
+    `InconsistentResult` naming `what`, and `at` (formatted only then)."""
+    quotient, rest = divmod(value, den)
+    if rest:
+        where = "" if at is None else f" at {at}"
+        raise InconsistentResult(f"non-integral {what}{where}: {Fraction(value, den)}")
+    return quotient
 
 
 class NonIntegralP(ValidationError):

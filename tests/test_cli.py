@@ -106,10 +106,10 @@ class TestCount:
     def test_series_route_refuses_what_it_has_no_centres_for(self, capsys):
         for flags, message in [
                 (["--degrees", "1^2 2^1; 1^2 2^1; 1^2 2^1", "--mode", "unlabelled"],
-                 "--path series at degree level counts no centres: "
+                 "the series route counts no centres at degree level: "
                  "--mode rooted or labelled only"),
                 (["--p", "3", "--mode", "gonal"],
-                 "--path series does not support mode 'gonal'")]:
+                 "the series route does not support mode 'gonal'")]:
             code, out, err = run_cli(capsys, "count", "--m", "3", *flags,
                                      "--path", "series")
             assert code == 2 and out == ""

@@ -1,6 +1,7 @@
 """Result checks that hold under ``python -O`` and exit 2 when they fail, and
 ``count --check`` on every route."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -12,15 +13,25 @@ import pytest
 import cacti
 from cacti import cli, oracle, series
 from cacti import formulas as F
+from cacti import stats
 from cacti.stats import InconsistentResult
 from test_series_bounds import _degree_spec
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cacti.__file__)))
 
 
+class _Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("`at` formatted where the guard holds")
+
+
 def test_non_integral_formula_result_raises():
     with pytest.raises(InconsistentResult, match="non-integral test value"):
-        F._exact(Fraction(1, 2), "test value")
+        stats.exact(Fraction(1, 2), "test value")
+    with pytest.raises(InconsistentResult,
+                       match=r"^non-integral test value at \(1, 2\): 7/2$"):
+        stats.exact(7, "test value", 2, at=(1, 2))
+    assert stats.exact(6, "test value", 3, at=_Unformattable()) == 2
 
 
 def test_non_integral_formula_result_raises_under_optimize():
@@ -28,9 +39,9 @@ def test_non_integral_formula_result_raises_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     code = ("from fractions import Fraction\n"
-            "from cacti import formulas, stats\n"
+            "from cacti import stats\n"
             "try:\n"
-            "    formulas._exact(Fraction(1, 2), 'test value')\n"
+            "    stats.exact(Fraction(1, 2), 'test value')\n"
             "except stats.InconsistentResult:\n"
             "    print('raised')\n")
     result = subprocess.run([sys.executable, "-O", "-c", code],
@@ -77,18 +88,42 @@ def test_a_hook_character_off_by_one_raises_under_optimize():
 # With the rooted count forced to 1, the labelled count 24^4 / 5 of the
 # colours (4, 4, 4, 4) is not an integer, and the exactness guards fire.
 NON_INTEGRAL = ["count", "--m", "4", "--colors", "4,4,4,4", "--mode", "labelled"]
+# With the rooted count one too many, the d = 1 term of the dissymmetry
+# theorem, R n_i / p, is not an integer at these statistics.
+ROOTED_PLUS_1 = {
+    "size": ["count", "--m", "2", "--p", "2", "--mode", "unlabelled"],
+    "degree": ["count", "--m", "2", "--degrees", "1^1 2^1; 1^1 2^1", "--mode",
+               "unlabelled"]}
+COUNT_ROOTED, ENUMERATE_UNLABELLED = F.count_rooted, oracle.enumerate_unlabelled
 
 
-@pytest.mark.parametrize("path, module, name, rooted, message", [
-    ("formula", F, "count_rooted", lambda stat: 1,
+def _colours_2_2_of_order_7(m, p):
+    """The classes, the one at colours (2, 2) given automorphism order 7."""
+    return [(rc, dataclasses.replace(st, aut_order=7) if st.colors.counts == (2, 2)
+             else st) for rc, st in ENUMERATE_UNLABELLED(m, p)]
+
+
+@pytest.mark.parametrize("argv, module, name, patch, message", [
+    (NON_INTEGRAL + ["--path", "formula"], F, "count_rooted", lambda stat: 1,
      "non-integral labelled count: 331776/5"),
-    ("series", series, "_rooted", lambda family: {family.pack((4, 4, 4, 4)): 1},
-     "count 331776/5 at (4, 4, 4, 4) is not an integer"),
-], ids=["formula", "series"])
-def test_failed_guard_exits_2(capsys, monkeypatch, path, module, name, rooted,
+    (NON_INTEGRAL + ["--path", "series"], series, "_rooted",
+     lambda family: {family.pack((4, 4, 4, 4)): 1},
+     "non-integral count at (4, 4, 4, 4): 331776/5"),
+    (ROOTED_PLUS_1["size"], F, "count_rooted", lambda stat: COUNT_ROOTED(stat) + 1,
+     "non-integral d = 1 term: 9/2"),
+    (ROOTED_PLUS_1["degree"], F, "count_rooted", lambda stat: COUNT_ROOTED(stat) + 1,
+     "non-integral d = 1 term: 16/3"),
+    (["count", "--m", "2", "--colors", "2,2", "--mode", "labelled", "--path", "oracle"],
+     oracle, "enumerate_unlabelled", _colours_2_2_of_order_7,
+     "non-integral labelled class count: 4/7"),
+], ids=["formula", "series", "rooted-plus-1-size", "rooted-plus-1-degree",
+        "oracle-labelled-aut-7"])
+def test_failed_guard_exits_2(capsys, monkeypatch, argv, module, name, patch,
                               message):
-    monkeypatch.setattr(module, name, rooted)
-    code = cli.main(NON_INTEGRAL + ["--path", path])
+    """A count that must divide exactly and does not exits 2, never printing
+    a floored quotient."""
+    monkeypatch.setattr(module, name, patch)
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: InconsistentResult: {message}\n"
@@ -109,15 +144,18 @@ def test_failed_guard_exits_2_under_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    code = ("import sys\n"
-            "from cacti import cli, formulas\n"
-            "formulas.count_rooted = lambda stat: 1\n"
-            f"sys.exit(cli.main({NON_INTEGRAL!r}))\n")
-    result = subprocess.run([sys.executable, "-O", "-c", code],
-                            capture_output=True, text=True, env=env)
-    assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr == ("error: InconsistentResult: non-integral "
-                             "labelled count: 331776/5\n")
+    for argv, rooted, message in [
+            (NON_INTEGRAL, "1", "labelled count: 331776/5"),
+            (ROOTED_PLUS_1["size"], "count_rooted(stat) + 1", "d = 1 term: 9/2")]:
+        code = ("import sys\n"
+                "from cacti import cli, formulas\n"
+                "count_rooted = formulas.count_rooted\n"
+                f"formulas.count_rooted = lambda stat: {rooted}\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 2 and result.stdout == "", argv
+        assert result.stderr == f"error: InconsistentResult: non-integral {message}\n"
 
 
 def test_check_mismatch_names_the_route_that_ran(capsys, monkeypatch):
@@ -195,12 +233,15 @@ def test_check_series_mismatch_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags, message", [
     (["--p", "3", "--mode", "constellation", "--check", "series"],
-     "--path series does not support mode 'constellation'"),
+     "the series route does not support mode 'constellation'"),
     (["--p", "3", "--mode", "gonal", "--kind", "rooted", "--check", "oracle"],
-     "--path oracle supports only unlabelled gonal counts"),
+     "the oracle route counts only unlabelled gonal classes"),
     (["--degrees", "3^1; 1^3; 1^3", "--mode", "unlabelled", "--check", "series"],
-     "--path series at degree level counts no centres: --mode rooted or labelled only"),
-], ids=["constellation-series", "gonal-rooted-oracle", "degree-centres-series"])
+     "the series route counts no centres at degree level: --mode rooted or labelled only"),
+    (["--p", "3", "--mode", "constellation", "--check", "oracle"],
+     "the oracle route has no constellation generator; use --path formula"),
+], ids=["constellation-series", "gonal-rooted-oracle", "degree-centres-series",
+        "constellation-oracle"])
 def test_a_check_route_that_refuses_exits_2(capsys, flags, message):
     """The formula route answers each of these; the check route's refusal
     exits 2, never 1."""
